@@ -49,6 +49,7 @@ int main() {
     return 1;
   }
   const auto& strategies = service->strategies();
+  const auto& profiles = service->profiles();
 
   // --- The batch envelope: Table 1's requests (each asking for k = 3
   // strategies) plus the availability source — 50% chance of 700/1000
@@ -72,10 +73,12 @@ int main() {
               report->availability);
 
   // --- Estimated strategy parameters at W (reproduces Table 1's lower
-  // half).
+  // half). The report carries answers only, so the catalog view is
+  // estimated here from the profiles at the report's availability.
   AsciiTable params({"strategy", "stage", "quality", "cost", "latency"});
   for (size_t j = 0; j < strategies.size(); ++j) {
-    const core::ParamVector& p = report->result.aggregator.strategy_params[j];
+    const core::ParamVector p =
+        profiles[j].EstimateParams(report->availability);
     params.AddRow({strategies[j].id(), strategies[j].Describe(),
                    FormatDouble(p.quality, 2), FormatDouble(p.cost, 2),
                    FormatDouble(p.latency, 2)});

@@ -349,6 +349,11 @@ json::Value Encode(const core::AdparResult& result) {
   Value obj = Value::Object();
   obj.Add("alternative", Encode(result.alternative));
   obj.Add("strategies", EncodeSizeVector(result.strategies));
+  Value params = Value::Array();
+  for (const core::ParamVector& p : result.strategy_params) {
+    params.Append(Encode(p));
+  }
+  obj.Add("strategy_params", std::move(params));
   obj.Add("squared_distance", result.squared_distance);
   obj.Add("distance", result.distance);
   return obj;
@@ -359,11 +364,20 @@ Result<core::AdparResult> DecodeAdparResult(const json::Value& value) {
   core::AdparResult result;
   const Value* alternative = value.Find("alternative");
   if (alternative == nullptr) return MissingField("alternative");
-  auto params = DecodeParamVector(*alternative);
-  if (!params.ok()) return params.status();
-  result.alternative = *params;
+  auto d_prime = DecodeParamVector(*alternative);
+  if (!d_prime.ok()) return d_prime.status();
+  result.alternative = *d_prime;
   STRATREC_RETURN_NOT_OK(GetSizeVector(value, "strategies",
                                        &result.strategies));
+  const Value* params = value.Find("strategy_params");
+  if (params == nullptr) return MissingField("strategy_params");
+  if (!params->is_array()) return WrongType("strategy_params", "an array");
+  result.strategy_params.reserve(params->items().size());
+  for (const Value& entry : params->items()) {
+    auto decoded = DecodeParamVector(entry);
+    if (!decoded.ok()) return decoded.status();
+    result.strategy_params.push_back(*decoded);
+  }
   STRATREC_RETURN_NOT_OK(
       GetDouble(value, "squared_distance", &result.squared_distance));
   STRATREC_RETURN_NOT_OK(GetDouble(value, "distance", &result.distance));
@@ -678,11 +692,6 @@ Value EncodeStratRecReport(const core::StratRecReport& report) {
   Value obj = Value::Object();
   Value aggregator = Value::Object();
   aggregator.Add("availability", report.aggregator.availability);
-  Value params = Value::Array();
-  for (const core::ParamVector& p : report.aggregator.strategy_params) {
-    params.Append(Encode(p));
-  }
-  aggregator.Add("strategy_params", std::move(params));
   aggregator.Add("batch", EncodeBatchResult(report.aggregator.batch));
   obj.Add("aggregator", std::move(aggregator));
 
@@ -707,15 +716,6 @@ Result<core::StratRecReport> DecodeStratRecReport(const Value& value) {
   if (!aggregator->is_object()) return WrongType("aggregator", "an object");
   STRATREC_RETURN_NOT_OK(GetDouble(*aggregator, "availability",
                                    &report.aggregator.availability));
-  const Value* params = aggregator->Find("strategy_params");
-  if (params == nullptr) return MissingField("strategy_params");
-  if (!params->is_array()) return WrongType("strategy_params", "an array");
-  report.aggregator.strategy_params.reserve(params->items().size());
-  for (const Value& entry : params->items()) {
-    auto decoded = DecodeParamVector(entry);
-    if (!decoded.ok()) return decoded.status();
-    report.aggregator.strategy_params.push_back(*decoded);
-  }
   const Value* batch = aggregator->Find("batch");
   if (batch == nullptr) return MissingField("batch");
   auto batch_result = DecodeBatchResult(*batch);
@@ -829,11 +829,6 @@ json::Value Encode(const api::SweepReport& report) {
   Value obj = Value::Object();
   obj.Add("request_id", report.request_id);
   obj.Add("availability", report.availability);
-  Value params = Value::Array();
-  for (const core::ParamVector& p : report.strategy_params) {
-    params.Append(Encode(p));
-  }
-  obj.Add("strategy_params", std::move(params));
   Value outcomes = Value::Array();
   for (const api::SweepOutcome& outcome : report.outcomes) {
     Value entry = Value::Object();
@@ -853,15 +848,6 @@ Result<api::SweepReport> DecodeSweepReport(const json::Value& value) {
   STRATREC_RETURN_NOT_OK(GetString(value, "request_id", &report.request_id));
   STRATREC_RETURN_NOT_OK(GetDouble(value, "availability",
                                    &report.availability));
-  const Value* params = value.Find("strategy_params");
-  if (params == nullptr) return MissingField("strategy_params");
-  if (!params->is_array()) return WrongType("strategy_params", "an array");
-  report.strategy_params.reserve(params->items().size());
-  for (const Value& entry : params->items()) {
-    auto decoded = DecodeParamVector(entry);
-    if (!decoded.ok()) return decoded.status();
-    report.strategy_params.push_back(*decoded);
-  }
   const Value* outcomes = value.Find("outcomes");
   if (outcomes == nullptr) return MissingField("outcomes");
   if (!outcomes->is_array()) return WrongType("outcomes", "an array");

@@ -107,13 +107,13 @@ struct SweepOutcome {
   bool operator==(const SweepOutcome&) const = default;
 };
 
-/// Outcome of one RunSweep call: |targets| x |solvers| cells.
+/// Outcome of one RunSweep call: |targets| x |solvers| cells. Each solved
+/// cell carries the parameters of its own k strategies
+/// (core::AdparResult::strategy_params), so the report never ships the
+/// catalog block the solvers searched.
 struct SweepReport {
   std::string request_id;
   double availability = 0.0;
-  /// Catalog parameters estimated at `availability` — the space the solvers
-  /// searched, index-aligned with the service catalog.
-  std::vector<core::ParamVector> strategy_params;
   std::vector<SweepOutcome> outcomes;
 
   bool operator==(const SweepReport&) const = default;
@@ -144,8 +144,9 @@ struct ShardScanRequest {
   core::WorkforcePolicy policy = core::WorkforcePolicy::kMinimalWorkforce;
   /// Distinct cardinalities needing ADPaR candidate orderings.
   std::vector<int> skyband_ks;
-  /// Return the shard's full parameter block (the router caches the merged
-  /// block per W and skips re-fetching it on later scans).
+  /// Return the shard's full parameter block. The router asks for it on
+  /// every alternatives or sweep scan — covered-strategy selection runs
+  /// over the merged block — and turns it off for row-only batch scans.
   bool want_params = true;
   /// Caller-assigned report id; empty (the default) means service-assigned.
   std::string request_id;
@@ -286,7 +287,8 @@ struct ServiceStats {
   size_t stream_reschedules = 0;
   /// Incremental-snapshot maintenance across all stream sessions: events
   /// absorbed in O(1) without re-estimating the per-W derived block vs
-  /// availability changes that moved the quantized W and re-estimated it.
+  /// availability changes that moved the quantized W and invalidated it
+  /// (the block is re-estimated on its next ADPaR use).
   size_t snapshot_delta_updates = 0;
   size_t snapshot_rebuilds = 0;
   /// Deployment requests seen across batches and stream arrivals.

@@ -419,7 +419,8 @@ Result<SweepReport> ExecuteSweep(ServiceState* state,
     if (!solver.ok()) return solver.status();
     solver_fns.push_back(std::move(*solver));
   }
-  // The shared per-W block: every cell searches it, the report carries it.
+  // The shared per-W block every cell searches; only each cell's k
+  // covered strategies reach the report.
   auto snapshot = state->SnapshotFor(w);
   for (core::AdparSolverFn& fn : solver_fns) {
     if (fn) continue;
@@ -434,7 +435,6 @@ Result<SweepReport> ExecuteSweep(ServiceState* state,
   SweepReport report;
   report.request_id = id;
   report.availability = w;
-  report.strategy_params = snapshot->params();
 
   report.outcomes.resize(request.targets.size() * solvers.size());
   state->executor.ParallelFor(
@@ -447,8 +447,8 @@ Result<SweepReport> ExecuteSweep(ServiceState* state,
           outcome.target_id =
               target.id.empty() ? "target-" + std::to_string(i) : target.id;
           outcome.solver = solvers[s];
-          auto solved = solver_fns[s](report.strategy_params,
-                                      target.thresholds, target.k);
+          auto solved = solver_fns[s](snapshot->params(), target.thresholds,
+                                      target.k);
           if (solved.ok()) {
             outcome.result = std::move(*solved);
           } else {

@@ -54,10 +54,15 @@ inline constexpr std::string_view kJournalFormatName = "stratrec-journal";
 /// stream-open requests may carry a relative deadline_ms budget. Both are
 /// optional on decode, so v6 traces still replay — the reader accepts
 /// kJournalMinReadVersion..kJournalFormatVersion.
-inline constexpr int kJournalFormatVersion = 7;
-/// Oldest version this build still reads (v6 records are a strict subset of
-/// v7: every added field decodes optionally).
-inline constexpr int kJournalMinReadVersion = 6;
+/// v8: reports carry answers, not the catalog. Batch and sweep reports drop
+/// the report-level strategy_params block, and every ADPaR result (batch
+/// alternatives, sweep cells, stream alternatives) carries the parameters
+/// of its own k strategies. Record shapes changed, so the floor moved.
+inline constexpr int kJournalFormatVersion = 8;
+/// Oldest version this build still reads. v7 reports carry the catalog
+/// block and ADPaR results without their own parameters, which v8 decoding
+/// rejects.
+inline constexpr int kJournalMinReadVersion = 8;
 
 /// Thread-safe writer. Create via Open; the file is truncated and the
 /// header line written immediately, so even an empty trace is well-formed.

@@ -166,17 +166,15 @@ Result<AdparResult> FinishSweep(const std::vector<ParamVector>& strategies,
   result.distance = std::sqrt(best.squared);
   // Covered strategies are always re-selected against the full list, so
   // subset sweeps report the same deterministic k-set as the classic one.
-  auto covered = SelectCoveredStrategies(strategies, best.alternative, k);
-  if (!covered.ok()) return covered.status();
-  result.strategies = std::move(*covered);
+  STRATREC_RETURN_NOT_OK(SelectCoveredStrategies(strategies, k, &result));
   return result;
 }
 
 }  // namespace
 
-Result<std::vector<size_t>> SelectCoveredStrategies(
-    const std::vector<ParamVector>& strategies, const ParamVector& d_prime,
-    int k) {
+Status SelectCoveredStrategies(const std::vector<ParamVector>& strategies,
+                               int k, AdparResult* result) {
+  const ParamVector& d_prime = result->alternative;
   std::vector<size_t> covered;
   for (size_t j = 0; j < strategies.size(); ++j) {
     if (Satisfies(strategies[j], d_prime)) covered.push_back(j);
@@ -202,8 +200,14 @@ Result<std::vector<size_t>> SelectCoveredStrategies(
                       }
                       return a < b;
                     });
-  covered.resize(static_cast<size_t>(k));
-  return covered;
+  result->strategies.assign(covered.begin(),
+                            covered.begin() + static_cast<ptrdiff_t>(k));
+  result->strategy_params.clear();
+  result->strategy_params.reserve(result->strategies.size());
+  for (size_t j : result->strategies) {
+    result->strategy_params.push_back(strategies[j]);
+  }
+  return Status::OK();
 }
 
 Result<AdparResult> AdparExact(const std::vector<ParamVector>& strategies,

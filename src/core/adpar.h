@@ -36,6 +36,10 @@ struct AdparResult {
   /// k strategies satisfying `alternative` (indices into the input list),
   /// deterministic order (cheapest cost, then latency, then highest quality).
   std::vector<size_t> strategies;
+  /// The parameters of `strategies` in the searched list (the catalog
+  /// estimated at W), index-aligned: k entries, so a reader never needs the
+  /// O(|S|) block to see what the alternative covers.
+  std::vector<ParamVector> strategy_params;
   /// (d'.q - d.q)^2 + (d'.c - d.c)^2 + (d'.l - d.l)^2 — Equation 3.
   double squared_distance = 0.0;
   /// sqrt of the above: the l2 distance the paper plots in Figure 17.
@@ -101,12 +105,13 @@ Result<AdparResult> AdparExactOverOrderings(
 using AdparSolverFn = std::function<Result<AdparResult>(
     const std::vector<ParamVector>&, const ParamVector&, int)>;
 
-/// Picks the `k` covered strategies reported for an alternative `d_prime`
-/// (shared by all solvers for deterministic, comparable outputs). Requires
-/// that at least k strategies satisfy d_prime.
-Result<std::vector<size_t>> SelectCoveredStrategies(
-    const std::vector<ParamVector>& strategies, const ParamVector& d_prime,
-    int k);
+/// Picks the `k` covered strategies reported for `result->alternative` and
+/// fills `result->strategies` plus their `result->strategy_params`. Every
+/// solver funnels through here, so all of them report the same
+/// deterministic k-set for the same alternative. Fails when fewer than k
+/// strategies satisfy the alternative.
+Status SelectCoveredStrategies(const std::vector<ParamVector>& strategies,
+                               int k, AdparResult* result);
 
 }  // namespace stratrec::core
 

@@ -33,9 +33,7 @@ Result<AdparResult> MakeResult(const std::vector<ParamVector>& strategies,
   result.alternative = d_prime;
   result.squared_distance = d_prime.SquaredDistanceTo(request);
   result.distance = std::sqrt(result.squared_distance);
-  auto covered = SelectCoveredStrategies(strategies, d_prime, k);
-  if (!covered.ok()) return covered.status();
-  result.strategies = std::move(*covered);
+  STRATREC_RETURN_NOT_OK(SelectCoveredStrategies(strategies, k, &result));
   return result;
 }
 

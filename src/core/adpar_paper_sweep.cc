@@ -169,9 +169,7 @@ Result<AdparResult> AdparPaperSweep(const std::vector<ParamVector>& strategies,
   result.alternative = Apply(request, best_levels);
   result.squared_distance = best_objective;
   result.distance = std::sqrt(best_objective);
-  auto chosen = SelectCoveredStrategies(strategies, result.alternative, k);
-  if (!chosen.ok()) return chosen.status();
-  result.strategies = std::move(*chosen);
+  STRATREC_RETURN_NOT_OK(SelectCoveredStrategies(strategies, k, &result));
   return result;
 }
 

@@ -65,24 +65,35 @@ Result<AggregatorReport> Aggregator::RunAtAvailability(
   AggregatorReport report;
   report.availability = availability;
   if (materialize_params) {
-    if (snapshot != nullptr) {
-      // The shared per-W block; one memcpy instead of |S| estimations.
-      report.strategy_params = snapshot->params();
-    } else if (run_options.catalog_index != nullptr) {
-      run_options.catalog_index->EstimateParamsInto(
-          availability, &report.strategy_params, options.executor,
-          options.parallel_grain);
-    } else {
-      report.strategy_params.reserve(profiles_.size());
-      for (const StrategyProfile& profile : profiles_) {
-        report.strategy_params.push_back(profile.EstimateParams(availability));
-      }
-    }
+    // A snapshot holds the shared per-W block: one memcpy instead of |S|
+    // estimations.
+    report.strategy_params = snapshot != nullptr
+                                 ? snapshot->params()
+                                 : EstimateParams(availability, run_options);
   }
   auto batch = solver(requests, profiles_, availability, run_options);
   if (!batch.ok()) return batch.status();
   report.batch = std::move(*batch);
   return report;
+}
+
+std::vector<ParamVector> Aggregator::EstimateParams(
+    double availability, const BatchOptions& options) const {
+  const CatalogIndex* catalog_index = options.catalog_index;
+  if (catalog_index == nullptr && options.use_catalog_index) {
+    catalog_index = &index(options.executor, options.parallel_grain);
+  }
+  std::vector<ParamVector> params;
+  if (catalog_index != nullptr) {
+    catalog_index->EstimateParamsInto(availability, &params, options.executor,
+                                      options.parallel_grain);
+  } else {
+    params.reserve(profiles_.size());
+    for (const StrategyProfile& profile : profiles_) {
+      params.push_back(profile.EstimateParams(availability));
+    }
+  }
+  return params;
 }
 
 const CatalogIndex& Aggregator::index(Executor* executor, size_t grain) const {

@@ -88,6 +88,12 @@ class Aggregator {
       bool materialize_params,
       const std::shared_ptr<const AvailabilitySnapshot>& snapshot) const;
 
+  /// The catalog's parameters estimated at `availability` (Table 1 style),
+  /// index-aligned with the catalog: through the SoA index when `options`
+  /// supplies or enables one, per profile otherwise (bit-identical).
+  std::vector<ParamVector> EstimateParams(double availability,
+                                          const BatchOptions& options) const;
+
   /// The catalog's SoA index, built on first use and shared by every run
   /// (and by copies of this aggregator). Thread-safe; `executor`, when
   /// non-null, parallelizes a build that happens to be triggered here.

@@ -102,20 +102,18 @@ Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
                                      options.parallel_grain);
 
   // Fold each row once: the k-best list doubles as the aggregation order
-  // (the sum below visits requirements exactly as AggregateRequirement
-  // does) and as the commit-time strategy list.
+  // (the same fold AggregateRequirement runs) and as the commit-time
+  // strategy list.
   std::vector<AggregatedRequest> aggregated(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    auto best = matrix.KBestStrategies(i, requests[i].k);
-    if (!best.ok()) continue;  // not eligible: fewer than k strategies
+    auto top = matrix.TopStrategies(i, requests[i].k);
+    if (!top.ok()) continue;
+    auto requirement = top->Aggregate(requests[i].k, options.aggregation);
+    if (!requirement.ok()) continue;  // not eligible: fewer than k strategies
     AggregatedRequest& row = aggregated[i];
     row.eligible = true;
-    if (options.aggregation == AggregationMode::kSum) {
-      for (size_t j : *best) row.requirement += matrix.At(i, j).requirement;
-    } else {
-      row.requirement = matrix.At(i, best->back()).requirement;
-    }
-    row.strategies = std::move(*best);
+    row.requirement = *requirement;
+    row.strategies = std::move(top->strategies);
   }
   return SolveBatchAggregated(requests, aggregated, available_workforce,
                               options, algorithm);

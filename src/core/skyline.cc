@@ -83,9 +83,7 @@ Result<AdparResult> AdparExactSkyband(const std::vector<ParamVector>& strategies
   // Re-select covered strategies against the full catalog so indices refer
   // to the caller's list (the alternative may cover non-skyband strategies
   // too, which is fine — coverage only grows).
-  auto covered = SelectCoveredStrategies(strategies, result->alternative, k);
-  if (!covered.ok()) return covered.status();
-  result->strategies = std::move(*covered);
+  STRATREC_RETURN_NOT_OK(SelectCoveredStrategies(strategies, k, &*result));
   return std::move(*result);
 }
 

@@ -27,20 +27,17 @@ Result<StratRecReport> StratRec::ProcessBatch(
 Result<StratRecReport> StratRec::ProcessBatchAtAvailability(
     const std::vector<DeploymentRequest>& requests, double availability,
     const StratRecOptions& options) const {
-  // The O(|S|) parameter block is only materialized when something reads
-  // it: the report's alternatives refer into it, or the caller asked.
-  const bool materialize =
-      options.materialize_params || options.recommend_alternatives;
   auto report = aggregator_.RunAtAvailability(
       requests, availability, options.batch,
       options.batch_solver ? options.batch_solver
                            : SolverForAlgorithm(options.algorithm),
-      materialize, options.snapshot);
+      options.materialize_params, options.snapshot);
   if (!report.ok()) return report.status();
 
   StratRecReport out;
   out.aggregator = std::move(*report);
-  if (!options.recommend_alternatives) return out;
+  const std::vector<size_t>& unsatisfied = out.aggregator.batch.unsatisfied;
+  if (!options.recommend_alternatives || unsatisfied.empty()) return out;
 
   // Default solver: the snapshot-riding AdparExact when a snapshot is
   // available (prebuilt orderings + skyline pruning, bit-identical
@@ -60,14 +57,20 @@ Result<StratRecReport> StratRec::ProcessBatchAtAvailability(
                    }));
 
   // Unsatisfied requests are forwarded to ADPaR (Section 2.2), against the
-  // concrete strategy parameters estimated at W. Each solve is independent,
-  // so with an executor the fan-out partitions across the pool; solutions
-  // land in a per-request slot and are folded back in request order, keeping
-  // the report identical to the serial path.
-  const std::vector<size_t>& unsatisfied = out.aggregator.batch.unsatisfied;
+  // concrete strategy parameters estimated at W: the snapshot's shared
+  // block, the report's when the caller materialized it, or a local
+  // estimate that never leaves this call. Each solve is independent, so
+  // with an executor the fan-out partitions across the pool; solutions land
+  // in a per-request slot and are folded back in request order, keeping the
+  // report identical to the serial path.
+  std::vector<ParamVector> estimated;
+  if (snapshot == nullptr && !options.materialize_params) {
+    estimated = aggregator_.EstimateParams(availability, options.batch);
+  }
   const std::vector<ParamVector>& params_at_w =
-      snapshot != nullptr ? snapshot->params()
-                          : out.aggregator.strategy_params;
+      snapshot != nullptr          ? snapshot->params()
+      : options.materialize_params ? out.aggregator.strategy_params
+                                   : estimated;
   std::vector<Result<AdparResult>> solved(
       unsatisfied.size(), Result<AdparResult>(Status::Internal("unset")));
   auto solve = [&](size_t begin, size_t end) {

@@ -26,10 +26,9 @@ struct StratRecOptions {
   /// AdparExact for alternative recommendation.
   BatchSolverFn batch_solver;
   AdparSolverFn adpar_solver;
-  /// Force report.strategy_params even when nothing in the run reads them.
-  /// By default the O(|S|) block is materialized only when
-  /// `recommend_alternatives` is on (the alternatives refer into it);
-  /// batch-only runs skip it entirely.
+  /// Fill report.aggregator.strategy_params, the O(|S|) catalog block at
+  /// W. Off by default: every alternative carries the parameters of its own
+  /// k strategies, so no reader of a report needs the block.
   bool materialize_params = false;
   /// Reuse of per-availability state across batches: when set (and built
   /// for this catalog at exactly the run's W), strategy parameters come
@@ -57,7 +56,8 @@ struct AlternativeRecommendation {
 
 /// Everything StratRec returns for a batch.
 struct StratRecReport {
-  /// The Aggregator stage (availability, strategy params, batch outcome).
+  /// The Aggregator stage (availability, batch outcome, and the strategy
+  /// params block when StratRecOptions::materialize_params asked for it).
   AggregatorReport aggregator;
   /// Alternatives for the requests the batch stage could not serve.
   std::vector<AlternativeRecommendation> alternatives;

@@ -167,28 +167,12 @@ WorkforceMatrix WorkforceMatrix::Compute(
 
 Result<std::vector<size_t>> WorkforceMatrix::KBestStrategies(size_t request,
                                                              int k) const {
-  if (request >= rows_) return Status::OutOfRange("request index");
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  std::vector<size_t> feasible;
-  feasible.reserve(cols_);
-  for (size_t j = 0; j < cols_; ++j) {
-    if (At(request, j).feasible) feasible.push_back(j);
-  }
-  if (feasible.size() < static_cast<size_t>(k)) {
+  auto top = TopStrategies(request, k);
+  if (!top.ok()) return top.status();
+  if (top->feasible_count < static_cast<size_t>(k)) {
     return Status::Infeasible("fewer than k feasible strategies");
   }
-  // Partial sort: the k cheapest requirements, ties broken by index for
-  // determinism.
-  auto cheaper = [this, request](size_t a, size_t b) {
-    const double wa = At(request, a).requirement;
-    const double wb = At(request, b).requirement;
-    if (wa != wb) return wa < wb;
-    return a < b;
-  };
-  std::partial_sort(feasible.begin(), feasible.begin() + k, feasible.end(),
-                    cheaper);
-  feasible.resize(static_cast<size_t>(k));
-  return feasible;
+  return std::move(top->strategies);
 }
 
 Result<WorkforceMatrix::RowTopK> WorkforceMatrix::TopStrategies(size_t request,
@@ -203,17 +187,19 @@ Result<WorkforceMatrix::RowTopK> WorkforceMatrix::TopStrategies(size_t request,
   RowTopK row;
   row.feasible_count = feasible.size();
   const size_t take = std::min(feasible.size(), static_cast<size_t>(k));
+  // Partial sort: the cheapest requirements, ties broken by index for
+  // determinism.
   auto cheaper = [this, request](size_t a, size_t b) {
     const double wa = At(request, a).requirement;
     const double wb = At(request, b).requirement;
     if (wa != wb) return wa < wb;
     return a < b;
   };
-  std::partial_sort(feasible.begin(),
-                    feasible.begin() + static_cast<ptrdiff_t>(take),
-                    feasible.end(), cheaper);
-  feasible.resize(take);
-  row.strategies = std::move(feasible);
+  const auto kept = feasible.begin() + static_cast<ptrdiff_t>(take);
+  std::partial_sort(feasible.begin(), kept, feasible.end(), cheaper);
+  // Copied out rather than resized, so the list does not keep the scan
+  // buffer's O(|S|) capacity.
+  row.strategies.assign(feasible.begin(), kept);
   row.requirements.reserve(take);
   for (size_t j : row.strategies) {
     row.requirements.push_back(At(request, j).requirement);
@@ -221,17 +207,25 @@ Result<WorkforceMatrix::RowTopK> WorkforceMatrix::TopStrategies(size_t request,
   return row;
 }
 
-Result<double> WorkforceMatrix::AggregateRequirement(size_t request, int k,
-                                                     AggregationMode mode) const {
-  auto best = KBestStrategies(request, k);
-  if (!best.ok()) return best.status();
+Result<double> WorkforceMatrix::RowTopK::Aggregate(int k,
+                                                   AggregationMode mode) const {
+  if (feasible_count < static_cast<size_t>(k)) {
+    return Status::Infeasible("fewer than k feasible strategies");
+  }
   if (mode == AggregationMode::kSum) {
     double total = 0.0;
-    for (size_t j : *best) total += At(request, j).requirement;
+    for (double requirement : requirements) total += requirement;
     return total;
   }
   // kMax: the k-th smallest requirement — the last of the sorted k-best.
-  return At(request, best->back()).requirement;
+  return requirements.back();
+}
+
+Result<double> WorkforceMatrix::AggregateRequirement(size_t request, int k,
+                                                     AggregationMode mode) const {
+  auto top = TopStrategies(request, k);
+  if (!top.ok()) return top.status();
+  return top->Aggregate(k, mode);
 }
 
 }  // namespace stratrec::core

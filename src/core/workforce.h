@@ -97,8 +97,8 @@ class WorkforceMatrix {
   }
 
   /// Indices of the k cheapest feasible strategies for row `request`,
-  /// ascending by requirement (ties by index). Fails with kInfeasible when
-  /// fewer than k strategies are feasible.
+  /// ascending by requirement (ties by index), in a vector sized exactly k.
+  /// Fails with kInfeasible when fewer than k strategies are feasible.
   Result<std::vector<size_t>> KBestStrategies(size_t request, int k) const;
 
   /// Aggregated workforce requirement for `request` under the given
@@ -120,8 +120,17 @@ class WorkforceMatrix {
     std::vector<size_t> strategies;    ///< ascending (requirement, index)
     std::vector<double> requirements;  ///< index-aligned with `strategies`
 
+    /// The aggregated requirement of a row scanned for cardinality k
+    /// (Figures 3b/3c): `requirements` summed in list order for kSum, the
+    /// last (k-th smallest) for kMax — the values AggregateRequirement
+    /// returns. Fails with kInfeasible when fewer than k strategies are
+    /// feasible.
+    Result<double> Aggregate(int k, AggregationMode mode) const;
+
     bool operator==(const RowTopK&) const = default;
   };
+  /// Both lists are sized exactly min(k, feasible), capacity included, so
+  /// a caller that keeps them holds O(k) memory, not O(|S|).
   Result<RowTopK> TopStrategies(size_t request, int k) const;
 
  private:

@@ -540,8 +540,9 @@ Result<api::BatchReport> ExecuteRoutedBatch(RouterState* state,
   if (alternatives) {
     // The alternatives leg reads per-W parameters (and, for the built-in
     // exact solver, skybands for every unsatisfied cardinality); one more
-    // scatter fetches both. Like the unsharded path, the parameter block is
-    // materialized even when nothing ended up unsatisfied.
+    // scatter fetches both. The merged block stays in this call: covered-
+    // strategy selection scans all of it, and each alternative carries the
+    // parameters of its own k strategies into the report.
     api::ShardScanRequest scan;
     scan.availability = w;
     std::vector<int> ks;
@@ -551,7 +552,7 @@ Result<api::BatchReport> ExecuteRoutedBatch(RouterState* state,
     }
     auto scans = Scatter(state, scan);
     if (!scans.ok()) return scans.status();
-    std::vector<core::ParamVector> params = MergeParams(*scans);
+    const std::vector<core::ParamVector> params = MergeParams(*scans);
     const std::vector<MergedSkyband> bands =
         MergeSkybands(*scans, state->offsets, ks, params);
 
@@ -584,7 +585,6 @@ Result<api::BatchReport> ExecuteRoutedBatch(RouterState* state,
         report.result.adpar_failures.push_back(unsatisfied[u]);
       }
     }
-    report.result.aggregator.strategy_params = std::move(params);
   }
   report.result.aggregator.batch = std::move(batch);
 
@@ -639,9 +639,9 @@ Result<api::SweepReport> ExecuteRoutedSweep(RouterState* state,
   api::SweepReport report;
   report.request_id = id;
   report.availability = w;
-  report.strategy_params = MergeParams(*scans);
+  const std::vector<core::ParamVector> params = MergeParams(*scans);
   const std::vector<MergedSkyband> bands =
-      MergeSkybands(*scans, state->offsets, ks, report.strategy_params);
+      MergeSkybands(*scans, state->offsets, ks, params);
 
   report.outcomes.resize(request.targets.size() * solvers.size());
   state->executor.ParallelFor(
@@ -656,8 +656,7 @@ Result<api::SweepReport> ExecuteRoutedSweep(RouterState* state,
           outcome.solver = solvers[s];
           Result<core::AdparResult> solved = Status::Internal("unset");
           if (solver_fns[s]) {
-            solved = solver_fns[s](report.strategy_params, target.thresholds,
-                                   target.k);
+            solved = solver_fns[s](params, target.thresholds, target.k);
           } else {
             // Invalid cardinalities carry no band; the funnel's own k < 1 /
             // |S| < k checks fire before the orderings are touched, so the
@@ -665,7 +664,7 @@ Result<api::SweepReport> ExecuteRoutedSweep(RouterState* state,
             static const std::vector<size_t> kEmpty;
             const MergedSkyband* band = FindSkyband(bands, target.k);
             solved = core::AdparExactOverOrderings(
-                report.strategy_params, band != nullptr ? band->by_cost : kEmpty,
+                params, band != nullptr ? band->by_cost : kEmpty,
                 band != nullptr ? band->by_quality_desc : kEmpty,
                 target.thresholds, target.k);
           }

@@ -25,9 +25,7 @@ IncrementalSnapshot::IncrementalSnapshot(const core::CatalogIndex* index,
       executor_(executor),
       quantum_(quantum),
       grain_(grain),
-      quantized_w_(Quantize(initial_availability, quantum)) {
-  index_->EstimateParamsInto(quantized_w_, &params_, executor_, grain_);
-}
+      quantized_w_(Quantize(initial_availability, quantum)) {}
 
 bool IncrementalSnapshot::Advance(double availability) {
   const double next = Quantize(availability, quantum_);
@@ -36,13 +34,22 @@ bool IncrementalSnapshot::Advance(double availability) {
     return false;
   }
   quantized_w_ = next;
-  // In-place re-estimation: the params vector keeps its allocation, the
-  // fill partitions across the pool, and the orderings go lazy-dirty so a
-  // session that never asks for alternatives never pays the re-sort.
-  index_->EstimateParamsInto(quantized_w_, &params_, executor_, grain_);
+  // Both go lazy-dirty, so a session that never asks for alternatives
+  // never pays the re-estimation or the re-sort.
+  params_dirty_ = true;
   orderings_dirty_ = true;
   ++rebuilds_;
   return true;
+}
+
+const std::vector<core::ParamVector>& IncrementalSnapshot::params() {
+  if (params_dirty_) {
+    // In-place re-estimation: the params vector keeps its allocation and
+    // the fill partitions across the pool.
+    index_->EstimateParamsInto(quantized_w_, &params_, executor_, grain_);
+    params_dirty_ = false;
+  }
+  return params_;
 }
 
 const core::AdparOrderings& IncrementalSnapshot::orderings() {
@@ -50,7 +57,7 @@ const core::AdparOrderings& IncrementalSnapshot::orderings() {
     // Re-sorts the existing permutations in place; BuildAdparOrderings is
     // deterministic over equal params regardless of the previous contents,
     // so this matches a fresh snapshot's orderings byte for byte.
-    core::BuildAdparOrderings(params_, &orderings_);
+    core::BuildAdparOrderings(params(), &orderings_);
     orderings_dirty_ = false;
   }
   return orderings_;

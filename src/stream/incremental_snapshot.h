@@ -14,13 +14,16 @@
 //     pricing is availability-independent — W is capacity, not a pricing
 //     input), so those events are absorbed in O(1) and counted as delta
 //     updates;
-//   * an availability change re-estimates the params block only when the
+//   * an availability change invalidates the block only when the
 //     *quantized* W actually moves (the same grid the Service's cache keys
-//     on), reusing the existing buffers and partitioning the fill across
-//     the work-stealing executor via ParallelFor — counted as a rebuild;
-//   * the ADPaR orderings are marked dirty on a rebuild and lazily
-//     re-sorted on the next alternative-recommendation solve, re-sorting
-//     the existing permutation in place. core::BuildAdparOrderings is a
+//     on) — counted as a rebuild;
+//   * the params block and the ADPaR orderings are both lazy: only the
+//     alternative-recommendation leg reads them, so they are re-estimated
+//     (reusing the existing buffers, the fill partitioned across the
+//     work-stealing executor via ParallelFor) and re-sorted (the existing
+//     permutation, in place) on the first ADPaR solve after a move. A
+//     session that never recommends an alternative never holds the O(|S|)
+//     block at all. core::BuildAdparOrderings is a
 //     total order with index tiebreaks, so the re-sort is bit-identical to
 //     a fresh CatalogIndex::BuildSnapshot at the same W — the equivalence
 //     tests/stream_replay_test.cc property-checks after arbitrary event
@@ -51,9 +54,9 @@ class IncrementalSnapshot {
   double quantized_availability() const { return quantized_w_; }
 
   /// Advances to a new availability. Returns true when the quantized W
-  /// moved (the params block was re-estimated and the orderings marked
-  /// dirty, counted as a rebuild); false when the change was absorbed
-  /// without touching the block (counted as a delta update).
+  /// moved (the params block and orderings go stale, counted as a
+  /// rebuild); false when the change was absorbed without touching the
+  /// block (counted as a delta update).
   bool Advance(double availability);
 
   /// Notes one event that needed no block maintenance at all (arrival,
@@ -61,9 +64,10 @@ class IncrementalSnapshot {
   void NoteAbsorbedEvent() { ++delta_updates_; }
 
   /// The estimated-params block at quantized_availability(), index-aligned
-  /// with the catalog. Bit-identical to
+  /// with the catalog, re-estimated on first use after a move.
+  /// Bit-identical to
   /// CatalogIndex::BuildSnapshot(quantized_availability())->params().
-  const std::vector<core::ParamVector>& params() const { return params_; }
+  const std::vector<core::ParamVector>& params();
 
   /// The ADPaR orderings at quantized_availability(), re-sorted lazily
   /// after a rebuild. Bit-identical to the corresponding
@@ -73,8 +77,8 @@ class IncrementalSnapshot {
   /// Events absorbed without re-estimating the block (plus availability
   /// changes whose quantized W did not move).
   size_t delta_updates() const { return delta_updates_; }
-  /// Availability changes that moved the quantized W and re-estimated the
-  /// block in place.
+  /// Availability changes that moved the quantized W, leaving the block to
+  /// be re-estimated in place on its next use.
   size_t rebuilds() const { return rebuilds_; }
 
  private:
@@ -85,6 +89,7 @@ class IncrementalSnapshot {
 
   double quantized_w_ = 0.0;
   std::vector<core::ParamVector> params_;
+  bool params_dirty_ = true;
   core::AdparOrderings orderings_;
   bool orderings_dirty_ = true;
 

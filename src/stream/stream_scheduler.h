@@ -12,8 +12,9 @@
 //     serial fill — the catalog_index property tests pin that);
 //   * per-availability derived state lives in an IncrementalSnapshot:
 //     arrivals/revocations/completions are absorbed in O(1), availability
-//     changes re-estimate the params block in place only when the
-//     quantized W moves, and the ADPaR orderings re-sort lazily;
+//     changes invalidate it only when the quantized W moves, and the
+//     params block and ADPaR orderings are rebuilt lazily, by the ADPaR
+//     leg that alone reads them;
 //   * ineligible arrivals (fewer than k feasible strategies) can carry an
 //     alternative recommendation (paper Section 4) served from the
 //     snapshot's orderings — the stream twin of the batch pipeline's

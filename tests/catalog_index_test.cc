@@ -12,6 +12,8 @@
 // availability quantization.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +23,10 @@
 #include "src/api/service.h"
 #include "src/common/executor.h"
 #include "src/common/rng.h"
+#include "src/core/adpar_baselines.h"
+#include "src/core/adpar_paper_sweep.h"
 #include "src/core/catalog_index.h"
+#include "src/core/skyline.h"
 #include "src/core/stratrec.h"
 #include "src/core/workforce.h"
 #include "src/workload/generators.h"
@@ -230,6 +235,61 @@ TEST(CatalogIndexProperty, StratRecSnapshotBitIdentical) {
   }
 }
 
+bool BitEqual(const ParamVector& a, const ParamVector& b) {
+  return std::bit_cast<uint64_t>(a.quality) ==
+             std::bit_cast<uint64_t>(b.quality) &&
+         std::bit_cast<uint64_t>(a.cost) == std::bit_cast<uint64_t>(b.cost) &&
+         std::bit_cast<uint64_t>(a.latency) ==
+             std::bit_cast<uint64_t>(b.latency);
+}
+
+// Every ADPaR solver fills AdparResult::strategy_params through the shared
+// covered-strategy funnel: entry j is the snapshot's row for strategies[j],
+// bit for bit, so a report needs no catalog block to show what an
+// alternative covers.
+TEST(CatalogIndexProperty, AdparResultsCarryTheirStrategiesParams) {
+  workload::Generator generator({}, 0x1DE40009ull);
+  Rng rng(0x1DE4000Aull);
+  for (int trial = 0; trial < 10; ++trial) {
+    const auto profiles =
+        generator.Profiles(static_cast<int>(rng.UniformInt(8, 40)));
+    const CatalogIndex index = CatalogIndex::Build(profiles);
+    const auto snapshot = index.BuildSnapshot(rng.Uniform());
+    const std::vector<ParamVector>& params = snapshot->params();
+    const AdparOrderings& orderings = snapshot->orderings();
+    const auto requests = generator.RequestsWithRanges(
+        4, static_cast<int>(rng.UniformInt(1, 4)), {0.6, 1.0}, {0.0, 0.6},
+        {0.0, 0.6});
+    for (const DeploymentRequest& request : requests) {
+      const ParamVector& d = request.thresholds;
+      const int k = request.k;
+      const std::vector<std::pair<const char*, Result<AdparResult>>> solved = {
+          {"snapshot", AdparExact(*snapshot, d, k)},
+          {"exact", AdparExact(params, d, k)},
+          {"over-orderings",
+           AdparExactOverOrderings(params, orderings.by_cost,
+                                   orderings.by_quality_desc, d, k)},
+          {"skyband", AdparExactSkyband(params, d, k)},
+          {"paper-sweep", AdparPaperSweep(params, d, k)},
+          {"brute", AdparBrute(params, d, k)},
+          {"baseline2", AdparBaseline2(params, d, k)},
+          {"baseline3", AdparBaseline3(params, d, k)},
+      };
+      for (const auto& [name, result] : solved) {
+        ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+        ASSERT_EQ(result->strategies.size(), static_cast<size_t>(k)) << name;
+        ASSERT_EQ(result->strategy_params.size(), result->strategies.size())
+            << name;
+        for (size_t j = 0; j < result->strategies.size(); ++j) {
+          EXPECT_TRUE(BitEqual(result->strategy_params[j],
+                               params[result->strategies[j]]))
+              << name << " trial " << trial << " entry " << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(CatalogIndex, ParamsMaterializationIsOptInForBatchOnlyRuns) {
   workload::Generator generator({}, 0x1DE40008ull);
   const auto profiles = generator.Profiles(20);
@@ -243,6 +303,14 @@ TEST(CatalogIndex, ParamsMaterializationIsOptInForBatchOnlyRuns) {
   auto lean = stratrec->ProcessBatchAtAvailability(requests, 0.5, batch_only);
   ASSERT_TRUE(lean.ok());
   EXPECT_TRUE(lean->aggregator.strategy_params.empty());
+
+  // Alternatives carry their own parameters, so turning them on does not
+  // materialize the block either.
+  StratRecOptions with_alternatives;
+  auto answered =
+      stratrec->ProcessBatchAtAvailability(requests, 0.5, with_alternatives);
+  ASSERT_TRUE(answered.ok());
+  EXPECT_TRUE(answered->aggregator.strategy_params.empty());
 
   batch_only.materialize_params = true;
   auto full = stratrec->ProcessBatchAtAvailability(requests, 0.5, batch_only);

@@ -134,6 +134,9 @@ core::AdparResult RandomAdparResult(Rng& rng) {
   core::AdparResult result;
   result.alternative = RandomParams(rng);
   result.strategies = RandomIndices(rng);
+  for (size_t i = 0; i < result.strategies.size(); ++i) {
+    result.strategy_params.push_back(RandomParams(rng));
+  }
   result.squared_distance = RandomDouble(rng);
   result.distance = RandomDouble(rng);
   return result;
@@ -145,11 +148,6 @@ api::BatchReport RandomBatchReport(Rng& rng) {
   report.algorithm = RandomString(rng);
   report.availability = RandomDouble(rng);
   report.result.aggregator.availability = RandomDouble(rng);
-  report.result.aggregator.strategy_params.resize(
-      static_cast<size_t>(rng.UniformInt(0, 3)));
-  for (core::ParamVector& p : report.result.aggregator.strategy_params) {
-    p = RandomParams(rng);
-  }
   core::BatchResult& batch = report.result.aggregator.batch;
   batch.outcomes.resize(static_cast<size_t>(rng.UniformInt(0, 3)));
   for (core::RequestOutcome& outcome : batch.outcomes) {
@@ -192,8 +190,6 @@ api::SweepReport RandomSweepReport(Rng& rng) {
   api::SweepReport report;
   report.request_id = RandomString(rng);
   report.availability = RandomDouble(rng);
-  report.strategy_params.resize(static_cast<size_t>(rng.UniformInt(0, 3)));
-  for (core::ParamVector& p : report.strategy_params) p = RandomParams(rng);
   report.outcomes.resize(static_cast<size_t>(rng.UniformInt(0, 4)));
   for (api::SweepOutcome& outcome : report.outcomes) {
     outcome.target_id = RandomString(rng);

@@ -84,9 +84,10 @@ TEST_P(FacadePropertyTest, GlobalInvariantsHold) {
       EXPECT_GE(d_prime.latency, d.latency - 1e-9);
       EXPECT_EQ(alt.result.strategies.size(),
                 static_cast<size_t>(requests_[alt.request_index].k));
-      for (size_t j : alt.result.strategies) {
-        EXPECT_TRUE(
-            Satisfies(report->aggregator.strategy_params[j], d_prime));
+      ASSERT_EQ(alt.result.strategy_params.size(),
+                alt.result.strategies.size());
+      for (const ParamVector& params : alt.result.strategy_params) {
+        EXPECT_TRUE(Satisfies(params, d_prime));
       }
     }
     // 6. Objective bookkeeping: total equals the sum over satisfied.

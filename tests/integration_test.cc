@@ -57,13 +57,8 @@ TEST(StratRecIntegration, Example1EndToEnd) {
                                        options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  // Strategy parameters at W = 0.8 reproduce Table 1.
-  const auto& params = report->aggregator.strategy_params;
-  ASSERT_EQ(params.size(), 4u);
-  EXPECT_NEAR(params[0].quality, 0.50, 1e-9);
-  EXPECT_NEAR(params[1].cost, 0.33, 1e-9);
-  EXPECT_NEAR(params[2].latency, 0.14, 1e-9);
-  EXPECT_NEAR(params[3].quality, 0.88, 1e-9);
+  // The report carries answers only: no catalog block unless asked for.
+  EXPECT_TRUE(report->aggregator.strategy_params.empty());
 
   // d3 is served with {s2, s3, s4} (Section 2.2).
   const auto& outcomes = report->aggregator.batch.outcomes;
@@ -87,6 +82,37 @@ TEST(StratRecIntegration, Example1EndToEnd) {
   EXPECT_NEAR(alt2.result.alternative.quality, 0.75, 1e-9);
   EXPECT_NEAR(alt2.result.alternative.cost, 0.58, 1e-9);
   EXPECT_TRUE(report->adpar_failures.empty());
+
+  // Each alternative carries its strategies' parameters at W = 0.8, which
+  // reproduce Table 1's rows.
+  const std::vector<ParamVector> table1 = {{0.50, 0.25, 0.28},
+                                           {0.75, 0.33, 0.28},
+                                           {0.80, 0.50, 0.14},
+                                           {0.88, 0.58, 0.14}};
+  for (const auto& alt : report->alternatives) {
+    ASSERT_EQ(alt.result.strategy_params.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      const ParamVector& expected = table1[alt.result.strategies[i]];
+      const ParamVector& actual = alt.result.strategy_params[i];
+      EXPECT_NEAR(actual.quality, expected.quality, 1e-9);
+      EXPECT_NEAR(actual.cost, expected.cost, 1e-9);
+      EXPECT_NEAR(actual.latency, expected.latency, 1e-9);
+    }
+  }
+
+  // materialize_params still fills the Table-1 block on request.
+  options.materialize_params = true;
+  auto full = stratrec->ProcessBatch(example.requests, *availability,
+                                     options);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->aggregator.strategy_params.size(), 4u);
+  for (size_t j = 0; j < 4; ++j) {
+    EXPECT_NEAR(full->aggregator.strategy_params[j].quality,
+                table1[j].quality, 1e-9);
+    EXPECT_NEAR(full->aggregator.strategy_params[j].cost, table1[j].cost,
+                1e-9);
+  }
+  EXPECT_TRUE(full->alternatives == report->alternatives);
 }
 
 TEST(StratRecIntegration, AlternativesDisabled) {
@@ -150,9 +176,13 @@ TEST(StratRecIntegration, EveryUnsatisfiedRequestGetsAnAnswer) {
             report->alternatives.size() + report->adpar_failures.size());
   for (const auto& alt : report->alternatives) {
     EXPECT_EQ(alt.result.strategies.size(), 3u);
-    // The alternative covers its strategies at the estimated parameters.
-    for (size_t j : alt.result.strategies) {
-      EXPECT_TRUE(core::Satisfies(report->aggregator.strategy_params[j],
+    // The alternative covers its strategies at the estimated parameters,
+    // which the result carries itself.
+    ASSERT_EQ(alt.result.strategy_params.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(alt.result.strategy_params[i] ==
+                  profiles[alt.result.strategies[i]].EstimateParams(0.5));
+      EXPECT_TRUE(core::Satisfies(alt.result.strategy_params[i],
                                   alt.result.alternative));
     }
   }

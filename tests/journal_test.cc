@@ -170,10 +170,11 @@ TEST(Journal, OversizedRecordGetsASegmentToItself) {
 }
 
 // Readers accept the kJournalMinReadVersion..kJournalFormatVersion window.
-// The v7 bump (fault-tolerance counters, deadline_ms) only *adds* optional
-// fields, so v6 files stay replayable; v5 and older changed record shapes
-// and must still be rejected, as must anything newer than this build.
-TEST(Journal, VersionWindowAcceptsV6AndRejectsOutsiders) {
+// The v8 bump changed record shapes (reports dropped the catalog block and
+// ADPaR results carry their own strategy parameters), so the window is v8
+// alone: v7 and older must be rejected, as must anything newer than this
+// build.
+TEST(Journal, VersionWindowAcceptsV8AndRejectsOutsiders) {
   const auto write_version = [](const std::string& path, int version) {
     FILE* f = fopen(path.c_str(), "wb");
     fputs(("{\"format\":\"stratrec-journal\",\"version\":" +
@@ -182,20 +183,20 @@ TEST(Journal, VersionWindowAcceptsV6AndRejectsOutsiders) {
           f);
     fclose(f);
   };
-  static_assert(kJournalFormatVersion == 7);
-  static_assert(kJournalMinReadVersion == 6);
+  static_assert(kJournalFormatVersion == 8);
+  static_assert(kJournalMinReadVersion == 8);
 
   const std::string path = TempPath("version_window");
-  write_version(path, kJournalMinReadVersion);  // v6: decode-compat
+  write_version(path, kJournalFormatVersion);  // v8: this build
   auto records = JournalReader::ReadRecords(path);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ(records->front(), "rec");
 
-  write_version(path, kJournalMinReadVersion - 1);  // v5: too old
+  write_version(path, 7);  // v7: carries the catalog block, too old
   EXPECT_EQ(JournalReader::ReadRecords(path).status().code(),
             StatusCode::kInvalidArgument);
-  write_version(path, kJournalFormatVersion + 1);  // v8: from the future
+  write_version(path, kJournalFormatVersion + 1);  // v9: from the future
   EXPECT_EQ(JournalReader::ReadRecords(path).status().code(),
             StatusCode::kInvalidArgument);
 }

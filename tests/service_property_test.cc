@@ -94,9 +94,10 @@ TEST_P(ServicePropertyTest, GlobalInvariantsHold) {
       EXPECT_GE(d_prime.latency, d.latency - 1e-9);
       EXPECT_EQ(alt.result.strategies.size(),
                 static_cast<size_t>(requests_[alt.request_index].k));
-      for (size_t j : alt.result.strategies) {
-        EXPECT_TRUE(core::Satisfies(
-            report->result.aggregator.strategy_params[j], d_prime));
+      ASSERT_EQ(alt.result.strategy_params.size(),
+                alt.result.strategies.size());
+      for (const core::ParamVector& params : alt.result.strategy_params) {
+        EXPECT_TRUE(core::Satisfies(params, d_prime));
       }
     }
     // 6. Objective bookkeeping: total equals the sum over satisfied.

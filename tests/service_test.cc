@@ -3,12 +3,15 @@
 // the session design — many threads driving one service concurrently.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
 #include "src/api/catalog.h"
+#include "src/api/codec.h"
 #include "src/api/registry.h"
 #include "src/api/service.h"
+#include "src/common/json.h"
 #include "src/workload/generators.h"
 
 namespace stratrec::api {
@@ -247,12 +250,18 @@ TEST(ServiceSweep, CrossProductAndPerCellInfeasibility) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->request_id.rfind("sweep-", 0), 0u);
   ASSERT_EQ(report->outcomes.size(), 6u);
-  EXPECT_EQ(report->strategy_params.size(), 4u);
 
   for (const SweepOutcome& outcome : report->outcomes) {
     if (outcome.target_id == "d2") {
       ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
       EXPECT_EQ(outcome.result.strategies.size(), 3u);
+      // Every cell carries its own strategies' parameters at W = 0.8.
+      ASSERT_EQ(outcome.result.strategy_params.size(), 3u);
+      for (size_t i = 0; i < 3; ++i) {
+        const size_t j = outcome.result.strategies[i];
+        EXPECT_TRUE(outcome.result.strategy_params[i] ==
+                    service->profiles()[j].EstimateParams(0.8));
+      }
       // The paper-sweep heuristic can only be worse than the exact solver.
       if (outcome.solver == "exact") {
         EXPECT_NEAR(outcome.result.distance, 0.3833, 1e-3);
@@ -268,6 +277,61 @@ TEST(ServiceSweep, CrossProductAndPerCellInfeasibility) {
   bad.targets = sweep.targets;
   bad.solvers = {"nope"};
   EXPECT_EQ(service->RunSweep(bad).status().code(), StatusCode::kNotFound);
+}
+
+/// Entries of the longest JSON array anywhere inside `value`.
+size_t LongestArray(const json::Value& value) {
+  size_t longest = 0;
+  if (value.is_array()) {
+    longest = value.items().size();
+    for (const json::Value& item : value.items()) {
+      longest = std::max(longest, LongestArray(item));
+    }
+  } else if (value.is_object()) {
+    for (const auto& member : value.members()) {
+      longest = std::max(longest, LongestArray(member.second));
+    }
+  }
+  return longest;
+}
+
+// Reports carry answers, not the catalog: whatever |S| is, no array in a
+// batch body (alternatives on) or a sweep body outgrows max(m, k) — the
+// request count or one answer's k strategies.
+TEST(ServiceReports, BodiesScaleWithTheAnswerNotTheCatalog) {
+  constexpr int kK = 4;
+  for (int size : {2'000, 20'000}) {
+    workload::Generator generator({}, 0xA115'0001ull);
+    auto service = Service::Create(CatalogFromProfiles(generator.Profiles(size)));
+    ASSERT_TRUE(service.ok());
+    // Serviceable plus hopeless requests, so the ADPaR leg runs too.
+    auto requests = generator.RequestsWithRanges(6, kK, {0.5, 0.75},
+                                                 {0.5, 1.0}, {0.5, 1.0});
+    auto hopeless = generator.RequestsWithRanges(4, kK, {0.97, 1.0},
+                                                 {0.0, 0.05}, {0.0, 0.05});
+    requests.insert(requests.end(), hopeless.begin(), hopeless.end());
+    const size_t bound = std::max(requests.size(), static_cast<size_t>(kK));
+
+    BatchRequest batch;
+    batch.requests = requests;
+    batch.availability = AvailabilitySpec::Fixed(0.6);
+    batch.recommend_alternatives = true;
+    auto batch_report = service->SubmitBatch(batch);
+    ASSERT_TRUE(batch_report.ok()) << batch_report.status().ToString();
+    ASSERT_FALSE(batch_report->result.alternatives.empty());
+    auto batch_body = json::Parse(json::Dump(wire::Encode(*batch_report)));
+    ASSERT_TRUE(batch_body.ok());
+    EXPECT_LE(LongestArray(*batch_body), bound) << "|S| = " << size;
+
+    SweepRequest sweep;
+    sweep.targets = requests;
+    sweep.availability = batch.availability;
+    auto sweep_report = service->RunSweep(sweep);
+    ASSERT_TRUE(sweep_report.ok()) << sweep_report.status().ToString();
+    auto sweep_body = json::Parse(json::Dump(wire::Encode(*sweep_report)));
+    ASSERT_TRUE(sweep_body.ok());
+    EXPECT_LE(LongestArray(*sweep_body), bound) << "|S| = " << size;
+  }
 }
 
 TEST(ServiceStream, EventEnvelopeDrivesTheSession) {

@@ -151,7 +151,7 @@ TEST(Scenarios, ScaleRescalesFaultWindowsWithTheHorizon) {
 // Same (scenario, seed) and pool: repeated runs must agree on the schedule
 // digest, the event count, AND the exact journal bytes.
 TEST(Simulator, RepeatedRunsAreByteIdentical) {
-  for (const std::string& name : {"poisson", "bursty", "brownout"}) {
+  for (const char* name : {"poisson", "bursty", "brownout"}) {
     const ScenarioConfig scenario = SmallScenario(name);
     RunOptions options;
     options.seed = 7;
@@ -179,7 +179,7 @@ TEST(Simulator, RepeatedRunsAreByteIdentical) {
 // scenarios the journal fingerprint (records minus config/stats lines) is
 // too; and every journal replays byte-identically.
 TEST(Simulator, PoolSizeNeverLeaksIntoTheSchedule) {
-  for (const std::string& name : {"poisson", "churn"}) {
+  for (const char* name : {"poisson", "churn"}) {
     const ScenarioConfig scenario = SmallScenario(name);
     uint64_t digest = 0;
     uint64_t fingerprint = 0;
@@ -187,7 +187,7 @@ TEST(Simulator, PoolSizeNeverLeaksIntoTheSchedule) {
       RunOptions options;
       options.seed = 11;
       options.worker_threads = pool;
-      options.journal_path = TempPath(name + "_pool");
+      options.journal_path = TempPath(std::string(name) + "_pool");
       auto report = RunScenario(scenario, options);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       auto print = JournalFingerprint(options.journal_path);
@@ -248,37 +248,34 @@ TEST(Simulator, CancelStormKeepsDigestInvariantAndReplaysCleanly) {
 
 // Scenario behavior: the knobs actually do what they claim.
 TEST(Simulator, ScenarioKnobsShapeTheRun) {
+  RunOptions options;
+  options.seed = 3;
+  options.worker_threads = 2;
+
   // Brownout drops batches and stretches latencies inside its window.
-  auto brownout = RunScenario(SmallScenario("brownout"),
-                              {.seed = 3, .worker_threads = 2});
+  auto brownout = RunScenario(SmallScenario("brownout"), options);
   ASSERT_TRUE(brownout.ok()) << brownout.status().ToString();
   EXPECT_GT(brownout->dropped_batches, 0u);
   EXPECT_GT(brownout->latency.max, 0.0);
 
   // Diurnal drift moves the availability; the quantum keeps changes finite.
-  auto diurnal = RunScenario(SmallScenario("diurnal"),
-                             {.seed = 3, .worker_threads = 2});
+  auto diurnal = RunScenario(SmallScenario("diurnal"), options);
   ASSERT_TRUE(diurnal.ok()) << diurnal.status().ToString();
   EXPECT_GT(diurnal->availability_changes, 0u);
 
   // Churn joins and leaves workers; the stream session sees revocations
   // from the revocation-storm scenario.
-  auto churn = RunScenario(SmallScenario("churn"),
-                           {.seed = 3, .worker_threads = 2});
+  auto churn = RunScenario(SmallScenario("churn"), options);
   ASSERT_TRUE(churn.ok()) << churn.status().ToString();
   EXPECT_GT(churn->worker_joins + churn->worker_leaves, 0u);
   EXPECT_GT(churn->stream.arrivals, 0u);
 
-  auto storm = RunScenario(SmallScenario("revocation-storm"),
-                           {.seed = 3, .worker_threads = 2});
+  auto storm = RunScenario(SmallScenario("revocation-storm"), options);
   ASSERT_TRUE(storm.ok()) << storm.status().ToString();
   EXPECT_GT(storm->stream.revoked, 0u);
 
   // Multi-tenant runs drive one service per tenant (and journal each).
   ScenarioConfig multi = SmallScenario("multi-tenant");
-  RunOptions options;
-  options.seed = 3;
-  options.worker_threads = 2;
   options.journal_path = TempPath("multi");
   auto tenants = RunScenario(multi, options);
   ASSERT_TRUE(tenants.ok()) << tenants.status().ToString();

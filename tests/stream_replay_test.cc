@@ -194,6 +194,52 @@ TEST(StreamScheduler, DecisionParityWithOnlineScheduler) {
   }
 }
 
+// An admitted arrival keeps exactly its k strategies: the k-best scan must
+// not hand the session a list that still holds the O(|S|) scan buffer. An
+// ineligible arrival's alternative carries its own k strategies' parameters.
+TEST(StreamScheduler, ArrivalsKeepOnlyTheirKStrategies) {
+  workload::Generator generator({}, 0x5EED'0004ull);
+  const auto profiles = generator.Profiles(2000);
+  const core::CatalogIndex index = core::CatalogIndex::Build(profiles);
+  stream::StreamSchedulerOptions options;
+  options.recommend_alternatives = true;
+  auto scheduler = stream::StreamScheduler::Create(&index, nullptr, 0.9,
+                                                   options);
+  ASSERT_TRUE(scheduler.ok());
+
+  auto requests = PoolRequests(0xFEED'0100ull, 30, 3);
+  workload::Generator hopeless_source({}, 0xFEED'0101ull);
+  auto hopeless = hopeless_source.RequestsWithRanges(
+      5, 3, {0.97, 1.0}, {0.0, 0.05}, {0.0, 0.05});
+  for (size_t i = 0; i < hopeless.size(); ++i) {
+    hopeless[i].id = "hopeless-" + std::to_string(i);
+  }
+  requests.insert(requests.end(), hopeless.begin(), hopeless.end());
+
+  size_t admitted = 0;
+  size_t alternatives = 0;
+  for (const core::DeploymentRequest& request : requests) {
+    auto outcome = scheduler->OnArrival(request);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (outcome->decision.kind == core::AdmissionDecision::Kind::kAdmitted) {
+      ++admitted;
+      EXPECT_EQ(outcome->decision.strategies.size(), 3u);
+      EXPECT_EQ(outcome->decision.strategies.capacity(), 3u);
+    }
+    if (outcome->has_alternative) {
+      ++alternatives;
+      const core::AdparResult& alternative = outcome->alternative;
+      ASSERT_EQ(alternative.strategy_params.size(), 3u);
+      for (size_t j = 0; j < 3; ++j) {
+        EXPECT_TRUE(alternative.strategy_params[j] ==
+                    profiles[alternative.strategies[j]].EstimateParams(0.9));
+      }
+    }
+  }
+  EXPECT_GT(admitted, 0u);
+  EXPECT_GT(alternatives, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Record -> replay byte-identity.
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 // Unit tests for the workforce-requirement computation (Section 3.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/core/workforce.h"
+#include "src/workload/generators.h"
 
 namespace stratrec::core {
 namespace {
@@ -184,6 +186,49 @@ TEST(WorkforceMatrixEdge, TiesBrokenByIndex) {
   auto best = matrix.KBestStrategies(0, 2);
   ASSERT_TRUE(best.ok());
   EXPECT_EQ(*best, (std::vector<size_t>{0, 1}));
+}
+
+// TopStrategies against a full-sort oracle, on catalogs where every profile
+// appears three times so requirement ties are everywhere: the same list, in
+// the same order, with no capacity beyond its entries.
+TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
+  workload::Generator generator({}, 0x70B5'0001ull);
+  std::vector<StrategyProfile> profiles;
+  for (const StrategyProfile& profile : generator.Profiles(1000)) {
+    profiles.insert(profiles.end(), 3, profile);
+  }
+  const auto requests = generator.RequestsWithRanges(
+      20, 1, {0.3, 0.9}, {0.3, 1.0}, {0.3, 1.0});
+  const auto matrix = WorkforceMatrix::Compute(requests, profiles);
+  size_t long_rows = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    std::vector<size_t> sorted;
+    for (size_t j = 0; j < profiles.size(); ++j) {
+      if (matrix.At(i, j).feasible) sorted.push_back(j);
+    }
+    std::sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
+      const double wa = matrix.At(i, a).requirement;
+      const double wb = matrix.At(i, b).requirement;
+      return wa != wb ? wa < wb : a < b;
+    });
+    if (sorted.size() > 200) ++long_rows;
+    for (int k : {1, 2, 5, 17, 200}) {
+      auto top = matrix.TopStrategies(i, k);
+      ASSERT_TRUE(top.ok());
+      const size_t take = std::min(sorted.size(), static_cast<size_t>(k));
+      EXPECT_EQ(top->feasible_count, sorted.size());
+      EXPECT_EQ(top->strategies,
+                std::vector<size_t>(sorted.begin(), sorted.begin() + take))
+          << "row " << i << " k " << k;
+      EXPECT_EQ(top->strategies.capacity(), take);
+      ASSERT_EQ(top->requirements.size(), take);
+      for (size_t r = 0; r < take; ++r) {
+        EXPECT_EQ(top->requirements[r],
+                  matrix.At(i, top->strategies[r]).requirement);
+      }
+    }
+  }
+  EXPECT_GT(long_rows, 0u);  // some rows really are cut down to k
 }
 
 }  // namespace
