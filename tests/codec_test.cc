@@ -453,7 +453,12 @@ TEST(CodecProperty, StatusRoundTrips) {
 // Format stability and strictness.
 // ---------------------------------------------------------------------------
 
+// Every public Encode overload and every journal record kind, pinned byte
+// for byte. A change to any of these literals changes every recorded trace
+// and every HTTP body: bump kJournalFormatVersion with it.
 TEST(Codec, FieldNamesAreStable) {
+  const auto dump = [](const auto& value) { return json::Dump(Encode(value)); };
+
   core::DeploymentRequest request{"d1", {0.5, 0.25, 0.75}, 2};
   EXPECT_EQ(json::Dump(Encode(request)),
             "{\"id\":\"d1\",\"thresholds\":{\"quality\":0.5,\"cost\":0.25,"
@@ -465,6 +470,216 @@ TEST(Codec, FieldNamesAreStable) {
             "{\"code\":\"Infeasible\",\"message\":\"k > |S|\"}");
   EXPECT_EQ(json::Dump(Encode(Status::DeadlineExceeded("too slow"))),
             "{\"code\":\"DeadlineExceeded\",\"message\":\"too slow\"}");
+  EXPECT_EQ(dump(Status::OK()), R"({"code":"OK"})");
+  EXPECT_EQ(dump(core::ParamVector{0.5, 0.25, 0.75}),
+            R"({"quality":0.5,"cost":0.25,"latency":0.75})");
+
+  // Every AvailabilitySpec kind.
+  EXPECT_EQ(dump(api::AvailabilitySpec::Default()), R"({"kind":"default"})");
+  EXPECT_EQ(dump(api::AvailabilitySpec::FromPmf({{0.25, 0.5}, {0.75, 0.5}})),
+            R"({"kind":"pmf","atoms":[{"value":0.25,"probability":0.5},)"
+            R"({"value":0.75,"probability":0.5}]})");
+  EXPECT_EQ(dump(api::AvailabilitySpec::FromSamples({0.25, 0.5})),
+            R"({"kind":"samples","samples":[0.25,0.5]})");
+  EXPECT_EQ(dump(api::AvailabilitySpec::Named("weekday")),
+            R"({"kind":"named","name":"weekday"})");
+
+  core::AdparResult result;
+  result.alternative = {0.625, 0.25, 0.5};
+  result.strategies = {3, 7};
+  result.strategy_params = {{0.75, 0.125, 0.25}, {0.625, 0.25, 0.5}};
+  result.squared_distance = 0.015625;
+  result.distance = 0.125;
+  EXPECT_EQ(dump(result),
+            R"({"alternative":{"quality":0.625,"cost":0.25,"latency":0.5},)"
+            R"("strategies":[3,7],"strategy_params":[{"quality":0.75,)"
+            R"("cost":0.125,"latency":0.25},{"quality":0.625,"cost":0.25,)"
+            R"("latency":0.5}],"squared_distance":0.015625,"distance":0.125})");
+
+  core::Catalog catalog;
+  const core::StageSpec sim_col_hyb{core::Structure::kSimultaneous,
+                                    core::Organization::kCollaborative,
+                                    core::WorkStyle::kHybrid};
+  catalog.strategies.emplace_back(
+      "s1", std::vector<core::StageSpec>{{}, sim_col_hyb});
+  catalog.profiles.push_back({{0.5, 0.25}, {-0.5, 0.75}, {0.125, 0.375}});
+  EXPECT_EQ(dump(catalog),
+            R"({"strategies":[{"id":"s1","stages":["SEQ-IND-CRO",)"
+            R"("SIM-COL-HYB"]}],"profiles":[{"quality":{"alpha":0.5,)"
+            R"("beta":0.25},"cost":{"alpha":-0.5,"beta":0.75},)"
+            R"("latency":{"alpha":0.125,"beta":0.375}}]})");
+
+  // Batch envelopes: the all-unset request, then every optional field set.
+  api::BatchRequest batch;
+  EXPECT_EQ(dump(batch),
+            R"({"requests":[],"availability":{"kind":"default"}})");
+  api::BatchRequest full_batch;
+  full_batch.requests = {request};
+  full_batch.availability = api::AvailabilitySpec::Fixed(0.5);
+  full_batch.algorithm = "baseline-g";
+  full_batch.objective = core::Objective::kPayoff;
+  full_batch.aggregation = core::AggregationMode::kMax;
+  full_batch.policy = core::WorkforcePolicy::kPaperMaxOfThree;
+  full_batch.recommend_alternatives = false;
+  full_batch.adpar_solver = "paper-sweep";
+  full_batch.deadline_ms = 250.0;
+  full_batch.request_id = "b-1";
+  EXPECT_EQ(dump(full_batch),
+            R"({"request_id":"b-1","requests":[{"id":"d1",)"
+            R"("thresholds":{"quality":0.5,"cost":0.25,"latency":0.75},)"
+            R"("k":2}],"availability":{"kind":"fixed","value":0.5},)"
+            R"("algorithm":"baseline-g","objective":"payoff",)"
+            R"("aggregation":"max","policy":"paper-max-of-three",)"
+            R"("recommend_alternatives":false,"adpar_solver":"paper-sweep",)"
+            R"("deadline_ms":250})");
+
+  api::BatchReport report;
+  report.request_id = "batch-000001";
+  report.algorithm = "batchstrat";
+  report.availability = 0.5;
+  report.result.aggregator.availability = 0.5;
+  // In-process only: the catalog block never reaches the wire.
+  report.result.aggregator.strategy_params = {{0.75, 0.125, 0.25}};
+  core::BatchResult& outcome = report.result.aggregator.batch;
+  outcome.outcomes = {{0, true, true, 0.25, 1.0, {2, 5}},
+                      {1, false, false, 0.0, 0.0, {}}};
+  outcome.total_objective = 1.0;
+  outcome.workforce_used = 0.25;
+  outcome.satisfied = {0};
+  outcome.unsatisfied = {1};
+  report.result.alternatives = {{1, result}};
+  report.result.adpar_failures = {4};
+  EXPECT_EQ(dump(report),
+            R"({"request_id":"batch-000001","algorithm":"batchstrat",)"
+            R"("availability":0.5,)"
+            R"("result":{"aggregator":{"availability":0.5,)"
+            R"("batch":{"outcomes":[{"request_index":0,"satisfied":true,)"
+            R"("eligible":true,"workforce":0.25,"objective_value":1,)"
+            R"("strategies":[2,5]},{"request_index":1,"satisfied":false,)"
+            R"("eligible":false,"workforce":0,"objective_value":0,)"
+            R"("strategies":[]}],"total_objective":1,"workforce_used":0.25,)"
+            R"("satisfied":[0],"unsatisfied":[1]}},)"
+            R"("alternatives":[{"request_index":1,)"
+            R"("result":{"alternative":{"quality":0.625,"cost":0.25,)"
+            R"("latency":0.5},"strategies":[3,7],)"
+            R"("strategy_params":[{"quality":0.75,"cost":0.125,)"
+            R"("latency":0.25},{"quality":0.625,"cost":0.25,"latency":0.5}],)"
+            R"("squared_distance":0.015625,"distance":0.125}}],)"
+            R"("adpar_failures":[4]}})");
+
+  // Sweep envelopes, with an OK cell and an error cell (whose result is
+  // never encoded).
+  api::SweepRequest sweep;
+  EXPECT_EQ(dump(sweep),
+            R"({"targets":[],"solvers":[],"availability":{"kind":"default"}})");
+  api::SweepRequest full_sweep;
+  full_sweep.targets = {request};
+  full_sweep.solvers = {"exact", "paper-sweep"};
+  full_sweep.availability = api::AvailabilitySpec::Named("weekday");
+  full_sweep.deadline_ms = 80.5;
+  full_sweep.request_id = "s-1";
+  EXPECT_EQ(dump(full_sweep),
+            R"({"request_id":"s-1","targets":[{"id":"d1",)"
+            R"("thresholds":{"quality":0.5,"cost":0.25,"latency":0.75},)"
+            R"("k":2}],"solvers":["exact","paper-sweep"],)"
+            R"("availability":{"kind":"named","name":"weekday"},)"
+            R"("deadline_ms":80.5})");
+
+  api::SweepReport sweep_report;
+  sweep_report.request_id = "sweep-000002";
+  sweep_report.availability = 0.5;
+  sweep_report.outcomes = {{"d1", "exact", Status::OK(), result},
+                           {"d1", "paper-sweep", Status::Infeasible("k > |S|"),
+                            result}};
+  EXPECT_EQ(dump(sweep_report),
+            R"({"request_id":"sweep-000002","availability":0.5,)"
+            R"("outcomes":[{"target_id":"d1","solver":"exact",)"
+            R"("status":{"code":"OK"},)"
+            R"("result":{"alternative":{"quality":0.625,"cost":0.25,)"
+            R"("latency":0.5},"strategies":[3,7],)"
+            R"("strategy_params":[{"quality":0.75,"cost":0.125,)"
+            R"("latency":0.25},{"quality":0.625,"cost":0.25,"latency":0.5}],)"
+            R"("squared_distance":0.015625,"distance":0.125}},)"
+            R"({"target_id":"d1","solver":"paper-sweep",)"
+            R"("status":{"code":"Infeasible","message":"k > |S|"}}]})");
+
+  // Stream envelopes: all-unset and full options, every event kind, and an
+  // update with and without an alternative.
+  api::StreamOptions options;
+  EXPECT_EQ(dump(options), R"({"availability":{"kind":"default"}})");
+  api::StreamOptions full_options;
+  full_options.availability = api::AvailabilitySpec::Fixed(0.75);
+  full_options.max_pending = 8;
+  full_options.readmit_on_release = false;
+  full_options.objective = core::Objective::kPayoff;
+  full_options.aggregation = core::AggregationMode::kMax;
+  full_options.policy = core::WorkforcePolicy::kPaperMaxOfThree;
+  full_options.recommend_alternatives = true;
+  full_options.deadline_ms = 12.25;
+  full_options.session_id = "stream-7";
+  EXPECT_EQ(dump(full_options),
+            R"({"availability":{"kind":"fixed","value":0.75},)"
+            R"("max_pending":8,"readmit_on_release":false,)"
+            R"("objective":"payoff","aggregation":"max",)"
+            R"("policy":"paper-max-of-three","recommend_alternatives":true,)"
+            R"("deadline_ms":12.25,"session_id":"stream-7"})");
+
+  EXPECT_EQ(dump(api::StreamEvent::Arrival(request)),
+            R"({"kind":"arrival","request":{"id":"d1",)"
+            R"("thresholds":{"quality":0.5,"cost":0.25,"latency":0.75},)"
+            R"("k":2}})");
+  EXPECT_EQ(dump(api::StreamEvent::Revocation("d1")),
+            R"({"kind":"revocation","request_id":"d1"})");
+  EXPECT_EQ(dump(api::StreamEvent::Completion("d1")),
+            R"({"kind":"completion","request_id":"d1"})");
+  EXPECT_EQ(dump(api::StreamEvent::AvailabilityChange(
+                api::AvailabilitySpec::Fixed(0.25))),
+            R"({"kind":"availability-change","availability":{"kind":"fixed",)"
+            R"("value":0.25}})");
+
+  api::StreamUpdate admitted;
+  admitted.session_id = "stream-7";
+  admitted.kind = api::StreamEvent::Kind::kArrival;
+  admitted.request_id = "d1";
+  admitted.decision = {core::AdmissionDecision::Kind::kAdmitted, {2, 5}, 0.25};
+  admitted.availability = 0.5;
+  admitted.used_workforce = 0.25;
+  admitted.active = 3;
+  admitted.pending = 1;
+  EXPECT_EQ(dump(admitted),
+            R"({"session_id":"stream-7","kind":"arrival","request_id":"d1",)"
+            R"("decision":{"kind":"admitted","strategies":[2,5],)"
+            R"("workforce":0.25},"availability":0.5,"used_workforce":0.25,)"
+            R"("active":3,"pending":1})");
+  api::StreamUpdate rejected = admitted;
+  rejected.decision = {core::AdmissionDecision::Kind::kRejected, {}, 0.0};
+  rejected.has_alternative = true;
+  rejected.alternative = result;
+  EXPECT_EQ(dump(rejected),
+            R"({"session_id":"stream-7","kind":"arrival","request_id":"d1",)"
+            R"("decision":{"kind":"rejected","strategies":[],"workforce":0},)"
+            R"("alternative":{"alternative":{"quality":0.625,"cost":0.25,)"
+            R"("latency":0.5},"strategies":[3,7],)"
+            R"("strategy_params":[{"quality":0.75,"cost":0.125,)"
+            R"("latency":0.25},{"quality":0.625,"cost":0.25,"latency":0.5}],)"
+            R"("squared_distance":0.015625,"distance":0.125},)"
+            R"("availability":0.5,"used_workforce":0.25,"active":3,)"
+            R"("pending":1})");
+
+  api::ServiceConfig config;
+  EXPECT_EQ(dump(config),
+            R"({"batch":{"algorithm":"batchstrat","objective":"throughput",)"
+            R"("aggregation":"sum","policy":"minimal-workforce",)"
+            R"("recommend_alternatives":true,"adpar_solver":"exact"},)"
+            R"("stream":{"max_pending":64,"readmit_on_release":true,)"
+            R"("recommend_alternatives":false},)"
+            R"("execution":{"worker_threads":0,"parallel_grain":4096},)"
+            R"("cache":{"snapshot_capacity":16,"shards":4,)"
+            R"("availability_quantum":0},"journal":{"path":"",)"
+            R"("record_cancelled":true,"flush_every_record":true,)"
+            R"("max_segment_bytes":0,"compact_after_segments":0,)"
+            R"("retain_segments":1},"availability":{"kind":"fixed",)"
+            R"("value":0.5}})");
 
   // The stats block the journal checkpoints ride on. Renaming a field here
   // silently breaks every recorded trace — update the format version too.
@@ -503,6 +718,261 @@ TEST(Codec, FieldNamesAreStable) {
             "\"retry_after_hints\":15,\"deadline_exceeded\":19,"
             "\"retries\":20,\"failovers\":21,\"hedges_won\":22,"
             "\"kernel_dispatch\":\"avx2\"}");
+
+  // Every journal record kind; pairs and stream events with and without
+  // their report or update.
+  EXPECT_EQ(EncodeConfigRecord(config),
+            R"({"kind":"config","config":{"batch":{"algorithm":"batchstrat",)"
+            R"("objective":"throughput","aggregation":"sum",)"
+            R"("policy":"minimal-workforce","recommend_alternatives":true,)"
+            R"("adpar_solver":"exact"},"stream":{"max_pending":64,)"
+            R"("readmit_on_release":true,"recommend_alternatives":false},)"
+            R"("execution":{"worker_threads":0,"parallel_grain":4096},)"
+            R"("cache":{"snapshot_capacity":16,"shards":4,)"
+            R"("availability_quantum":0},"journal":{"path":"",)"
+            R"("record_cancelled":true,"flush_every_record":true,)"
+            R"("max_segment_bytes":0,"compact_after_segments":0,)"
+            R"("retain_segments":1},"availability":{"kind":"fixed",)"
+            R"("value":0.5}}})");
+  EXPECT_EQ(EncodeCatalogRecord(catalog),
+            R"({"kind":"catalog","catalog":{"strategies":[{"id":"s1",)"
+            R"("stages":["SEQ-IND-CRO","SIM-COL-HYB"]}],)"
+            R"("profiles":[{"quality":{"alpha":0.5,"beta":0.25},)"
+            R"("cost":{"alpha":-0.5,"beta":0.75},"latency":{"alpha":0.125,)"
+            R"("beta":0.375}}]}})");
+  EXPECT_EQ(EncodeBatchRecord("b-1", full_batch, report),
+            R"({"kind":"batch","request_id":"b-1",)"
+            R"("request":{"request_id":"b-1","requests":[{"id":"d1",)"
+            R"("thresholds":{"quality":0.5,"cost":0.25,"latency":0.75},)"
+            R"("k":2}],"availability":{"kind":"fixed","value":0.5},)"
+            R"("algorithm":"baseline-g","objective":"payoff",)"
+            R"("aggregation":"max","policy":"paper-max-of-three",)"
+            R"("recommend_alternatives":false,"adpar_solver":"paper-sweep",)"
+            R"("deadline_ms":250},"status":{"code":"OK"},)"
+            R"("report":{"request_id":"batch-000001",)"
+            R"("algorithm":"batchstrat","availability":0.5,)"
+            R"("result":{"aggregator":{"availability":0.5,)"
+            R"("batch":{"outcomes":[{"request_index":0,"satisfied":true,)"
+            R"("eligible":true,"workforce":0.25,"objective_value":1,)"
+            R"("strategies":[2,5]},{"request_index":1,"satisfied":false,)"
+            R"("eligible":false,"workforce":0,"objective_value":0,)"
+            R"("strategies":[]}],"total_objective":1,"workforce_used":0.25,)"
+            R"("satisfied":[0],"unsatisfied":[1]}},)"
+            R"("alternatives":[{"request_index":1,)"
+            R"("result":{"alternative":{"quality":0.625,"cost":0.25,)"
+            R"("latency":0.5},"strategies":[3,7],)"
+            R"("strategy_params":[{"quality":0.75,"cost":0.125,)"
+            R"("latency":0.25},{"quality":0.625,"cost":0.25,"latency":0.5}],)"
+            R"("squared_distance":0.015625,"distance":0.125}}],)"
+            R"("adpar_failures":[4]}}})");
+  EXPECT_EQ(EncodeBatchRecord("b-2", batch, Status::NotFound("no such solver")),
+            R"({"kind":"batch","request_id":"b-2","request":{"requests":[],)"
+            R"("availability":{"kind":"default"}},)"
+            R"("status":{"code":"NotFound","message":"no such solver"}})");
+  EXPECT_EQ(EncodeSweepRecord("s-1", full_sweep, sweep_report),
+            R"({"kind":"sweep","request_id":"s-1",)"
+            R"("request":{"request_id":"s-1","targets":[{"id":"d1",)"
+            R"("thresholds":{"quality":0.5,"cost":0.25,"latency":0.75},)"
+            R"("k":2}],"solvers":["exact","paper-sweep"],)"
+            R"("availability":{"kind":"named","name":"weekday"},)"
+            R"("deadline_ms":80.5},"status":{"code":"OK"},)"
+            R"("report":{"request_id":"sweep-000002","availability":0.5,)"
+            R"("outcomes":[{"target_id":"d1","solver":"exact",)"
+            R"("status":{"code":"OK"},)"
+            R"("result":{"alternative":{"quality":0.625,"cost":0.25,)"
+            R"("latency":0.5},"strategies":[3,7],)"
+            R"("strategy_params":[{"quality":0.75,"cost":0.125,)"
+            R"("latency":0.25},{"quality":0.625,"cost":0.25,"latency":0.5}],)"
+            R"("squared_distance":0.015625,"distance":0.125}},)"
+            R"({"target_id":"d1","solver":"paper-sweep",)"
+            R"("status":{"code":"Infeasible","message":"k > |S|"}}]}})");
+  EXPECT_EQ(EncodeSweepRecord("s-2", sweep, Status::Cancelled("withdrawn")),
+            R"({"kind":"sweep","request_id":"s-2","request":{"targets":[],)"
+            R"("solvers":[],"availability":{"kind":"default"}},)"
+            R"("status":{"code":"Cancelled","message":"withdrawn"}})");
+  api::ServiceStats idle;
+  idle.kernel_dispatch = "scalar";
+  EXPECT_EQ(EncodeStatsRecord(idle),
+            R"({"kind":"stats","stats":{"batches":0,"sweeps":0,)"
+            R"("streams_opened":0,"stream_events":0,"stream_reschedules":0,)"
+            R"("snapshot_delta_updates":0,"snapshot_rebuilds":0,)"
+            R"("requests_processed":0,"cancelled":0,"queue_depth":0,)"
+            R"("active_workers":0,"steals":0,"local_hits":0,"cache_hits":0,)"
+            R"("cache_misses":0,"index_build_nanos":0,"rejected_requests":0,)"
+            R"("retry_after_hints":0,"deadline_exceeded":0,"retries":0,)"
+            R"("failovers":0,"hedges_won":0,"kernel_dispatch":"scalar"}})");
+  EXPECT_EQ(EncodeStatsRecord(idle, 42.5),
+            R"({"kind":"stats","sim_time":42.5,"stats":{"batches":0,)"
+            R"("sweeps":0,"streams_opened":0,"stream_events":0,)"
+            R"("stream_reschedules":0,"snapshot_delta_updates":0,)"
+            R"("snapshot_rebuilds":0,"requests_processed":0,"cancelled":0,)"
+            R"("queue_depth":0,"active_workers":0,"steals":0,"local_hits":0,)"
+            R"("cache_hits":0,"cache_misses":0,"index_build_nanos":0,)"
+            R"("rejected_requests":0,"retry_after_hints":0,)"
+            R"("deadline_exceeded":0,"retries":0,"failovers":0,)"
+            R"("hedges_won":0,"kernel_dispatch":"scalar"}})");
+  StreamOpenRecord open;
+  open.session_id = "stream-7";
+  open.options = full_options;
+  open.availability = 0.75;
+  EXPECT_EQ(EncodeStreamOpenRecord(open),
+            R"({"kind":"stream-open","session_id":"stream-7",)"
+            R"("options":{"availability":{"kind":"fixed","value":0.75},)"
+            R"("max_pending":8,"readmit_on_release":false,)"
+            R"("objective":"payoff","aggregation":"max",)"
+            R"("policy":"paper-max-of-three","recommend_alternatives":true,)"
+            R"("deadline_ms":12.25,"session_id":"stream-7"},)"
+            R"("availability":0.75})");
+  StreamEventRecord event;
+  event.session_id = "stream-7";
+  event.seq = 4;
+  event.event = api::StreamEvent::Arrival(request);
+  event.update = rejected;
+  EXPECT_EQ(EncodeStreamEventRecord(event),
+            R"({"kind":"stream-event","session_id":"stream-7","seq":4,)"
+            R"("event":{"kind":"arrival","request":{"id":"d1",)"
+            R"("thresholds":{"quality":0.5,"cost":0.25,"latency":0.75},)"
+            R"("k":2}},"status":{"code":"OK"},)"
+            R"("update":{"session_id":"stream-7","kind":"arrival",)"
+            R"("request_id":"d1","decision":{"kind":"rejected",)"
+            R"("strategies":[],"workforce":0},)"
+            R"("alternative":{"alternative":{"quality":0.625,"cost":0.25,)"
+            R"("latency":0.5},"strategies":[3,7],)"
+            R"("strategy_params":[{"quality":0.75,"cost":0.125,)"
+            R"("latency":0.25},{"quality":0.625,"cost":0.25,"latency":0.5}],)"
+            R"("squared_distance":0.015625,"distance":0.125},)"
+            R"("availability":0.5,"used_workforce":0.25,"active":3,)"
+            R"("pending":1}})");
+  event.seq = 5;
+  event.event = api::StreamEvent::Revocation("ghost");
+  event.status = Status::NotFound("unknown request id: ghost");
+  EXPECT_EQ(EncodeStreamEventRecord(event),
+            R"({"kind":"stream-event","session_id":"stream-7","seq":5,)"
+            R"("event":{"kind":"revocation","request_id":"ghost"},)"
+            R"("status":{"code":"NotFound",)"
+            R"("message":"unknown request id: ghost"}})");
+}
+
+/// FNV-1a over the encodings of kIterations seeded values from one
+/// generator: any change to a field name, field order, omit rule, or number
+/// format moves the digest.
+template <typename T>
+uint64_t EncodingDigest(uint64_t seed, T (*generate)(Rng&)) {
+  Rng rng(seed);
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (int i = 0; i < kIterations; ++i) {
+    for (const char c : json::Dump(Encode(generate(rng))) + "\n") {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+TEST(Codec, SeededEncodingsKeepTheirDigests) {
+  EXPECT_EQ(EncodingDigest(1, RandomStatus), 0x4b296145ebec194cull);
+  EXPECT_EQ(EncodingDigest(2, RandomParams), 0xbdf11b6aff68d9e7ull);
+  EXPECT_EQ(EncodingDigest(3, RandomRequest), 0xf02eaf05ca21ae63ull);
+  EXPECT_EQ(EncodingDigest(4, RandomAdparResult), 0x2d9b307c13e94304ull);
+  EXPECT_EQ(EncodingDigest(5, RandomCatalog), 0xced635eb09c903e5ull);
+  EXPECT_EQ(EncodingDigest(6, RandomSpec), 0x36bc0217d324067aull);
+  EXPECT_EQ(EncodingDigest(7, RandomBatchRequest), 0xc1f6f87d48958813ull);
+  EXPECT_EQ(EncodingDigest(8, RandomBatchReport), 0x1d9fbea4046bd7a4ull);
+  EXPECT_EQ(EncodingDigest(9, RandomSweepRequest), 0x64334304e2306dceull);
+  EXPECT_EQ(EncodingDigest(10, RandomSweepReport), 0x990cc9efb3b8a0b3ull);
+  EXPECT_EQ(EncodingDigest(11, RandomStreamOptions), 0x93eb10bdb7ab1e4eull);
+  EXPECT_EQ(EncodingDigest(12, RandomStreamEvent), 0x8b69801fd2edd1f3ull);
+  EXPECT_EQ(EncodingDigest(13, RandomStreamUpdate), 0xa4179346d0fdbe40ull);
+  EXPECT_EQ(EncodingDigest(14, RandomConfig), 0xbe4f9070a70d5aeeull);
+  EXPECT_EQ(EncodingDigest(15, RandomServiceStats), 0xf10039fa334c1d3dull);
+}
+
+// Every enumerator of every wire enum travels under one name, and that name
+// decodes back to the same enumerator.
+TEST(Codec, EveryWireEnumRoundTripsByName) {
+  for (int i = 0; i <= static_cast<int>(StatusCode::kDeadlineExceeded); ++i) {
+    const StatusCode code = static_cast<StatusCode>(i);
+    const Status status = code == StatusCode::kOk ? Status::OK()
+                                                  : Status(code, "m");
+    const json::Value encoded = Encode(status);
+    EXPECT_EQ(encoded.Find("code")->AsString(), StatusCodeName(code));
+    Status decoded;
+    ASSERT_TRUE(DecodeStatus(encoded, &decoded).ok()) << StatusCodeName(code);
+    EXPECT_EQ(decoded.code(), code);
+  }
+
+  // The three request-level enums ride BatchRequest's optional overrides.
+  const auto batch_round_trip = [](api::BatchRequest request, const char* key,
+                                   const std::string& name) {
+    const json::Value encoded = Encode(request);
+    EXPECT_EQ(encoded.Find(key)->AsString(), name);
+    auto decoded = DecodeBatchRequest(encoded);
+    EXPECT_TRUE(decoded.ok() && *decoded == request) << name;
+  };
+  for (const auto& [objective, name] :
+       {std::pair{core::Objective::kThroughput, "throughput"},
+        std::pair{core::Objective::kPayoff, "payoff"}}) {
+    api::BatchRequest request;
+    request.objective = objective;
+    batch_round_trip(request, "objective", name);
+  }
+  for (const auto& [mode, name] :
+       {std::pair{core::AggregationMode::kSum, "sum"},
+        std::pair{core::AggregationMode::kMax, "max"}}) {
+    api::BatchRequest request;
+    request.aggregation = mode;
+    batch_round_trip(request, "aggregation", name);
+  }
+  for (const auto& [policy, name] :
+       {std::pair{core::WorkforcePolicy::kMinimalWorkforce,
+                  "minimal-workforce"},
+        std::pair{core::WorkforcePolicy::kPaperMaxOfThree,
+                  "paper-max-of-three"}}) {
+    api::BatchRequest request;
+    request.policy = policy;
+    batch_round_trip(request, "policy", name);
+  }
+
+  for (const auto& [spec, name] :
+       {std::pair{api::AvailabilitySpec::Default(), "default"},
+        std::pair{api::AvailabilitySpec::Fixed(0.5), "fixed"},
+        std::pair{api::AvailabilitySpec::FromPmf({{0.5, 1.0}}), "pmf"},
+        std::pair{api::AvailabilitySpec::FromSamples({0.5}), "samples"},
+        std::pair{api::AvailabilitySpec::Named("m"), "named"}}) {
+    const json::Value encoded = Encode(spec);
+    EXPECT_EQ(encoded.Find("kind")->AsString(), name);
+    auto decoded = DecodeAvailabilitySpec(encoded);
+    EXPECT_TRUE(decoded.ok() && *decoded == spec) << name;
+  }
+
+  // The stream enums ride StreamUpdate.
+  using EventKind = api::StreamEvent::Kind;
+  for (const auto& [kind, name] :
+       {std::pair{EventKind::kArrival, "arrival"},
+        std::pair{EventKind::kRevocation, "revocation"},
+        std::pair{EventKind::kCompletion, "completion"},
+        std::pair{EventKind::kAvailabilityChange, "availability-change"}}) {
+    EXPECT_STREQ(api::StreamEventKindName(kind), name);
+    api::StreamUpdate update;
+    update.kind = kind;
+    const json::Value encoded = Encode(update);
+    EXPECT_EQ(encoded.Find("kind")->AsString(), name);
+    auto decoded = DecodeStreamUpdate(encoded);
+    EXPECT_TRUE(decoded.ok() && decoded->kind == kind) << name;
+  }
+  using Admission = core::AdmissionDecision::Kind;
+  for (const auto& [kind, name] :
+       {std::pair{Admission::kAdmitted, "admitted"},
+        std::pair{Admission::kQueued, "queued"},
+        std::pair{Admission::kRejected, "rejected"}}) {
+    EXPECT_STREQ(api::AdmissionKindName(kind), name);
+    api::StreamUpdate update;
+    update.decision.kind = kind;
+    const json::Value encoded = Encode(update);
+    EXPECT_EQ(encoded.Find("decision")->Find("kind")->AsString(), name);
+    auto decoded = DecodeStreamUpdate(encoded);
+    EXPECT_TRUE(decoded.ok() && decoded->decision.kind == kind) << name;
+  }
 }
 
 // v6 journals predate the fault-tolerance counters: a stats block without

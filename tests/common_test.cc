@@ -33,11 +33,12 @@ TEST(Status, ErrorCarriesCodeAndMessage) {
 }
 
 TEST(Status, AllCodesHaveNames) {
-  for (StatusCode code :
-       {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
-        StatusCode::kOutOfRange, StatusCode::kFailedPrecondition,
-        StatusCode::kInfeasible, StatusCode::kInternal}) {
+  std::set<std::string> names;
+  for (int i = 0; i <= static_cast<int>(StatusCode::kDeadlineExceeded); ++i) {
+    const StatusCode code = static_cast<StatusCode>(i);
     EXPECT_STRNE(StatusCodeName(code), "Unknown");
+    EXPECT_TRUE(names.insert(StatusCodeName(code)).second)
+        << "duplicate name " << StatusCodeName(code);
   }
 }
 
