@@ -31,29 +31,11 @@ StreamEvent StreamEvent::AvailabilityChange(AvailabilitySpec availability) {
 }
 
 const char* StreamEventKindName(StreamEvent::Kind kind) {
-  switch (kind) {
-    case StreamEvent::Kind::kArrival:
-      return "arrival";
-    case StreamEvent::Kind::kRevocation:
-      return "revocation";
-    case StreamEvent::Kind::kCompletion:
-      return "completion";
-    case StreamEvent::Kind::kAvailabilityChange:
-      return "availability-change";
-  }
-  return "?";
+  return NameOf(kStreamEventKindNames, kind, "?");
 }
 
 const char* AdmissionKindName(core::AdmissionDecision::Kind kind) {
-  switch (kind) {
-    case core::AdmissionDecision::Kind::kAdmitted:
-      return "admitted";
-    case core::AdmissionDecision::Kind::kQueued:
-      return "queued";
-    case core::AdmissionDecision::Kind::kRejected:
-      return "rejected";
-  }
-  return "?";
+  return NameOf(kAdmissionKindNames, kind, "?");
 }
 
 }  // namespace stratrec::api

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/api/availability.h"
+#include "src/common/enum_names.h"
 #include "src/core/online.h"
 #include "src/core/stratrec.h"
 
@@ -242,6 +243,22 @@ struct StreamEvent {
   bool operator==(const StreamEvent&) const = default;
 };
 
+/// Every stream event kind with its wire name.
+inline constexpr EnumName<StreamEvent::Kind> kStreamEventKindNames[] = {
+    {StreamEvent::Kind::kArrival, "arrival"},
+    {StreamEvent::Kind::kRevocation, "revocation"},
+    {StreamEvent::Kind::kCompletion, "completion"},
+    {StreamEvent::Kind::kAvailabilityChange, "availability-change"},
+};
+
+/// Every admission outcome with its wire name.
+inline constexpr EnumName<core::AdmissionDecision::Kind>
+    kAdmissionKindNames[] = {
+        {core::AdmissionDecision::Kind::kAdmitted, "admitted"},
+        {core::AdmissionDecision::Kind::kQueued, "queued"},
+        {core::AdmissionDecision::Kind::kRejected, "rejected"},
+};
+
 /// "arrival", "revocation", "completion", "availability-change".
 const char* StreamEventKindName(StreamEvent::Kind kind);
 
@@ -276,7 +293,8 @@ struct StreamUpdate {
 ///
 /// Counters are maintained on a striped atomic path (no shared lock), so
 /// concurrent requests never contend on stats accounting; stats() folds the
-/// stripes into this snapshot.
+/// stripes into this snapshot. Every numeric field is listed once in
+/// kStatsCounters below, which drives the stripes, the folds and the codec.
 struct ServiceStats {
   size_t batches = 0;
   size_t sweeps = 0;
@@ -347,6 +365,41 @@ struct ServiceStats {
   std::string kernel_dispatch;
 
   bool operator==(const ServiceStats&) const = default;
+};
+
+/// One numeric ServiceStats field: its wire name and its member.
+struct StatsCounter {
+  const char* name;
+  size_t ServiceStats::*member;
+};
+
+/// Every numeric ServiceStats field, in wire order. The striped counters,
+/// the Service and router folds, and the codec all walk this list, so a new
+/// counter is its member above plus one line here (and a journal format
+/// bump: the field becomes required on decode).
+inline constexpr StatsCounter kStatsCounters[] = {
+    {"batches", &ServiceStats::batches},
+    {"sweeps", &ServiceStats::sweeps},
+    {"streams_opened", &ServiceStats::streams_opened},
+    {"stream_events", &ServiceStats::stream_events},
+    {"stream_reschedules", &ServiceStats::stream_reschedules},
+    {"snapshot_delta_updates", &ServiceStats::snapshot_delta_updates},
+    {"snapshot_rebuilds", &ServiceStats::snapshot_rebuilds},
+    {"requests_processed", &ServiceStats::requests_processed},
+    {"cancelled", &ServiceStats::cancelled},
+    {"queue_depth", &ServiceStats::queue_depth},
+    {"active_workers", &ServiceStats::active_workers},
+    {"steals", &ServiceStats::steals},
+    {"local_hits", &ServiceStats::local_hits},
+    {"cache_hits", &ServiceStats::cache_hits},
+    {"cache_misses", &ServiceStats::cache_misses},
+    {"index_build_nanos", &ServiceStats::index_build_nanos},
+    {"rejected_requests", &ServiceStats::rejected_requests},
+    {"retry_after_hints", &ServiceStats::retry_after_hints},
+    {"deadline_exceeded", &ServiceStats::deadline_exceeded},
+    {"retries", &ServiceStats::retries},
+    {"failovers", &ServiceStats::failovers},
+    {"hedges_won", &ServiceStats::hedges_won},
 };
 
 }  // namespace stratrec::api

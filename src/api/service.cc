@@ -1,22 +1,17 @@
 #include "src/api/service.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <exception>
 #include <list>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/api/codec.h"
+#include "src/api/lifecycle.h"
 #include "src/api/registry.h"
 #include "src/common/executor.h"
 #include "src/common/journal.h"
@@ -29,65 +24,6 @@
 namespace stratrec::api {
 
 namespace internal {
-
-/// One cache line of lifetime counters. Each thread sticks to one stripe,
-/// so concurrent requests never bounce a shared line; stats() folds all of
-/// them into a ServiceStats snapshot.
-struct alignas(64) StatsStripe {
-  std::atomic<uint64_t> batches{0};
-  std::atomic<uint64_t> sweeps{0};
-  std::atomic<uint64_t> streams_opened{0};
-  std::atomic<uint64_t> stream_events{0};
-  std::atomic<uint64_t> stream_reschedules{0};
-  std::atomic<uint64_t> snapshot_delta_updates{0};
-  std::atomic<uint64_t> snapshot_rebuilds{0};
-  std::atomic<uint64_t> requests_processed{0};
-  std::atomic<uint64_t> cancelled{0};
-  std::atomic<uint64_t> deadline_exceeded{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-};
-
-class StripedStats {
- public:
-  StatsStripe& Local() {
-    static std::atomic<size_t> next_slot{0};
-    thread_local const size_t slot =
-        next_slot.fetch_add(1, std::memory_order_relaxed) % kStripes;
-    return stripes_[slot];
-  }
-
-  ServiceStats Snapshot() const {
-    ServiceStats out;
-    for (const StatsStripe& stripe : stripes_) {
-      out.batches += stripe.batches.load(std::memory_order_relaxed);
-      out.sweeps += stripe.sweeps.load(std::memory_order_relaxed);
-      out.streams_opened +=
-          stripe.streams_opened.load(std::memory_order_relaxed);
-      out.stream_events +=
-          stripe.stream_events.load(std::memory_order_relaxed);
-      out.stream_reschedules +=
-          stripe.stream_reschedules.load(std::memory_order_relaxed);
-      out.snapshot_delta_updates +=
-          stripe.snapshot_delta_updates.load(std::memory_order_relaxed);
-      out.snapshot_rebuilds +=
-          stripe.snapshot_rebuilds.load(std::memory_order_relaxed);
-      out.requests_processed +=
-          stripe.requests_processed.load(std::memory_order_relaxed);
-      out.cancelled += stripe.cancelled.load(std::memory_order_relaxed);
-      out.deadline_exceeded +=
-          stripe.deadline_exceeded.load(std::memory_order_relaxed);
-      out.cache_hits += stripe.cache_hits.load(std::memory_order_relaxed);
-      out.cache_misses +=
-          stripe.cache_misses.load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-
- private:
-  static constexpr size_t kStripes = 16;
-  std::array<StatsStripe, kStripes> stripes_;
-};
 
 /// Sharded LRU of availability snapshots (core::AvailabilitySnapshot),
 /// keyed on the bit pattern of the (already quantized) availability. Every
@@ -183,14 +119,6 @@ class SnapshotCache {
   std::vector<Shard> shards_;
 };
 
-/// Snaps `w` onto the configured availability grid (no-op for quantum 0).
-/// Applied before the pipeline runs, so cache keys and reports agree.
-double QuantizeAvailability(double w, double quantum) {
-  if (quantum <= 0.0) return w;
-  const double snapped = std::round(w / quantum) * quantum;
-  return snapped < 0.0 ? 0.0 : (snapped > 1.0 ? 1.0 : snapped);
-}
-
 /// Shared state behind every Service handle and its sessions. No single
 /// service mutex: the named-model table is read-mostly behind a shared
 /// mutex, counters are striped atomics, and sessions carry their own lock.
@@ -201,9 +129,8 @@ struct ServiceState {
   /// safe under concurrent jobs without locking.
   core::StratRec stratrec;
 
-  std::atomic<uint64_t> next_id{1};
-  mutable std::shared_mutex models_mutex;  ///< guards `models`
-  std::unordered_map<std::string, core::AvailabilityModel> models;
+  IdSequence ids;
+  ModelTable models;
   StripedStats stats;
 
   /// Availability-keyed snapshot cache (ServiceConfig::cache).
@@ -236,10 +163,10 @@ struct ServiceState {
   /// lock) and insert. Counts hits/misses on the caller's stats stripe.
   std::shared_ptr<const core::AvailabilitySnapshot> SnapshotFor(double w) {
     if (auto cached = snapshots.Find(w)) {
-      stats.Local().cache_hits.fetch_add(1, std::memory_order_relaxed);
+      stats.Add(&ServiceStats::cache_hits);
       return cached;
     }
-    stats.Local().cache_misses.fetch_add(1, std::memory_order_relaxed);
+    stats.Add(&ServiceStats::cache_misses);
     auto built = stratrec.aggregator().index().BuildSnapshot(
         w, &executor, config.execution.parallel_grain);
     return snapshots.Insert(w, std::move(built));
@@ -259,24 +186,8 @@ struct ServiceState {
     return stratrec.aggregator().profiles();
   }
 
-  std::string NextId(const char* prefix) {
-    const uint64_t id = next_id.fetch_add(1, std::memory_order_relaxed);
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%s-%06llu", prefix,
-                  static_cast<unsigned long long>(id));
-    return buffer;
-  }
-
   Result<double> Resolve(const AvailabilitySpec& spec) const {
-    std::shared_lock<std::shared_mutex> lock(models_mutex);
-    double fallback = 0.5;
-    if (config.availability.kind != AvailabilitySpec::Kind::kDefault &&
-        spec.kind == AvailabilitySpec::Kind::kDefault) {
-      auto configured = ResolveAvailability(config.availability, models, 0.5);
-      if (!configured.ok()) return configured.status();
-      fallback = *configured;
-    }
-    return ResolveAvailability(spec, models, fallback);
+    return models.Resolve(spec, config.availability);
   }
 };
 
@@ -309,21 +220,6 @@ struct SessionState {
 
 namespace {
 
-/// Runs one job body, converting an escaping exception (a throwing
-/// user-registered solver, std::bad_alloc mid-pipeline) into a kInternal
-/// ticket outcome. The sync API used to let such exceptions unwind to the
-/// caller; on a pool worker they would instead terminate the process.
-template <typename Fn>
-auto GuardJob(Fn&& body) -> decltype(body()) {
-  try {
-    return body();
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("job threw: ") + e.what());
-  } catch (...) {
-    return Status::Internal("job threw a non-std exception");
-  }
-}
-
 /// The batch pipeline body, run on a pool worker. `state` outlives every
 /// job: workers are joined (and the queue drained) before the rest of
 /// ServiceState is torn down.
@@ -338,7 +234,7 @@ Result<BatchReport> ExecuteBatch(ServiceState* state,
   if (!availability.ok()) return availability.status();
   // The pipeline (and the report) run at the quantized W, so nearby
   // availabilities share one cached snapshot when the knob is on.
-  const double w = internal::QuantizeAvailability(
+  const double w = QuantizeAvailability(
       *availability, state->config.cache.availability_quantum);
 
   core::StratRecOptions options;
@@ -384,10 +280,8 @@ Result<BatchReport> ExecuteBatch(ServiceState* state,
   report.algorithm = algorithm;
   report.availability = w;
   report.result = std::move(*result);
-  StatsStripe& stripe = state->stats.Local();
-  stripe.batches.fetch_add(1, std::memory_order_relaxed);
-  stripe.requests_processed.fetch_add(request.requests.size(),
-                                      std::memory_order_relaxed);
+  state->stats.Add(&ServiceStats::batches);
+  state->stats.Add(&ServiceStats::requests_processed, request.requests.size());
   return report;
 }
 
@@ -399,7 +293,7 @@ Result<SweepReport> ExecuteSweep(ServiceState* state,
                                  const std::string& id) {
   auto availability = state->Resolve(request.availability);
   if (!availability.ok()) return availability.status();
-  const double w = internal::QuantizeAvailability(
+  const double w = QuantizeAvailability(
       *availability, state->config.cache.availability_quantum);
 
   std::vector<std::string> solvers = request.solvers;
@@ -456,7 +350,7 @@ Result<SweepReport> ExecuteSweep(ServiceState* state,
           }
         }
       });
-  state->stats.Local().sweeps.fetch_add(1, std::memory_order_relaxed);
+  state->stats.Add(&ServiceStats::sweeps);
   return report;
 }
 
@@ -560,39 +454,16 @@ Result<Service> Service::Create(std::vector<core::Strategy> strategies,
       std::move(config));
 }
 
-namespace {
-
-/// Whether a request's relative deadline_ms budget ran out between
-/// submission and the moment a worker claimed its ticket. 0 = no deadline.
-bool DeadlineExpired(double deadline_ms,
-                     std::chrono::steady_clock::time_point submitted) {
-  if (deadline_ms <= 0.0) return false;
-  const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - submitted)
-                                .count();
-  return elapsed_ms > deadline_ms;
-}
-
-/// The deterministic outcome of an expired ticket (no elapsed time in the
-/// message, so journaled outcomes replay byte-identically).
-Status ExpiredStatus(const std::string& id) {
-  return Status::DeadlineExceeded("ticket " + id +
-                                  " deadline expired before execution");
-}
-
-}  // namespace
-
 Ticket<BatchReport> Service::SubmitBatchAsync(BatchRequest request) const {
   auto shared = std::make_shared<internal::TicketShared<BatchReport>>(
-      request.request_id.empty() ? state_->NextId("batch")
+      request.request_id.empty() ? state_->ids.Next("batch")
                                  : request.request_id);
   internal::ServiceState* state = state_.get();
   const auto submitted = std::chrono::steady_clock::now();
   state_->executor.Submit(
       [state, shared, submitted, request = std::move(request)]() mutable {
         if (!shared->BeginRun()) {
-          state->stats.Local().cancelled.fetch_add(1,
-                                                   std::memory_order_relaxed);
+          state->stats.Add(&ServiceStats::cancelled);
           if (state->journal && state->config.journal.record_cancelled) {
             state->Record(wire::EncodeBatchRecord(
                 shared->id, request,
@@ -604,14 +475,14 @@ Ticket<BatchReport> Service::SubmitBatchAsync(BatchRequest request) const {
         // Deadline check after the claim: expired work completes with
         // kDeadlineExceeded instead of executing, and the counter/journal
         // side effects land before Finish wakes the waiter.
-        if (DeadlineExpired(request.deadline_ms, submitted)) {
-          state->stats.Local().deadline_exceeded.fetch_add(
-              1, std::memory_order_relaxed);
+        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
+          state->stats.Add(&ServiceStats::deadline_exceeded);
+          const Status expired = internal::ExpiredStatus(shared->id);
           if (state->journal && state->config.journal.record_cancelled) {
-            state->Record(wire::EncodeBatchRecord(shared->id, request,
-                                                  ExpiredStatus(shared->id)));
+            state->Record(
+                wire::EncodeBatchRecord(shared->id, request, expired));
           }
-          shared->Finish(ExpiredStatus(shared->id));
+          shared->Finish(expired);
           return;
         }
         auto outcome = internal::GuardJob([&]() {
@@ -629,15 +500,14 @@ Ticket<BatchReport> Service::SubmitBatchAsync(BatchRequest request) const {
 
 Ticket<SweepReport> Service::RunSweepAsync(SweepRequest request) const {
   auto shared = std::make_shared<internal::TicketShared<SweepReport>>(
-      request.request_id.empty() ? state_->NextId("sweep")
+      request.request_id.empty() ? state_->ids.Next("sweep")
                                  : request.request_id);
   internal::ServiceState* state = state_.get();
   const auto submitted = std::chrono::steady_clock::now();
   state_->executor.Submit(
       [state, shared, submitted, request = std::move(request)]() mutable {
         if (!shared->BeginRun()) {
-          state->stats.Local().cancelled.fetch_add(1,
-                                                   std::memory_order_relaxed);
+          state->stats.Add(&ServiceStats::cancelled);
           if (state->journal && state->config.journal.record_cancelled) {
             state->Record(wire::EncodeSweepRecord(
                 shared->id, request,
@@ -646,14 +516,14 @@ Ticket<SweepReport> Service::RunSweepAsync(SweepRequest request) const {
           }
           return;
         }
-        if (DeadlineExpired(request.deadline_ms, submitted)) {
-          state->stats.Local().deadline_exceeded.fetch_add(
-              1, std::memory_order_relaxed);
+        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
+          state->stats.Add(&ServiceStats::deadline_exceeded);
+          const Status expired = internal::ExpiredStatus(shared->id);
           if (state->journal && state->config.journal.record_cancelled) {
-            state->Record(wire::EncodeSweepRecord(shared->id, request,
-                                                  ExpiredStatus(shared->id)));
+            state->Record(
+                wire::EncodeSweepRecord(shared->id, request, expired));
           }
-          shared->Finish(ExpiredStatus(shared->id));
+          shared->Finish(expired);
           return;
         }
         auto outcome = internal::GuardJob([&]() {
@@ -669,14 +539,13 @@ Ticket<SweepReport> Service::RunSweepAsync(SweepRequest request) const {
 
 Ticket<ShardScanReport> Service::ScanShardAsync(ShardScanRequest request) const {
   auto shared = std::make_shared<internal::TicketShared<ShardScanReport>>(
-      request.request_id.empty() ? state_->NextId("scan")
+      request.request_id.empty() ? state_->ids.Next("scan")
                                  : request.request_id);
   internal::ServiceState* state = state_.get();
   state_->executor.Submit(
       [state, shared, request = std::move(request)]() mutable {
         if (!shared->BeginRun()) {
-          state->stats.Local().cancelled.fetch_add(1,
-                                                   std::memory_order_relaxed);
+          state->stats.Add(&ServiceStats::cancelled);
           return;
         }
         auto outcome = internal::GuardJob([&]() {
@@ -727,7 +596,7 @@ Result<StreamSession> Service::OpenStream(const StreamOptions& options) const {
   if (!scheduler.ok()) return scheduler.status();
 
   std::string session_id =
-      options.session_id.empty() ? state_->NextId("stream")
+      options.session_id.empty() ? state_->ids.Next("stream")
                                  : options.session_id;
   // Session-open tap: with the session id pinned into the recorded options
   // and the resolved availability alongside, replay rebuilds this session
@@ -743,21 +612,13 @@ Result<StreamSession> Service::OpenStream(const StreamOptions& options) const {
 
   auto session = std::make_shared<internal::SessionState>(
       state_, std::move(session_id), std::move(*scheduler));
-  state_->stats.Local().streams_opened.fetch_add(1, std::memory_order_relaxed);
+  state_->stats.Add(&ServiceStats::streams_opened);
   return StreamSession(std::move(session));
 }
 
 Status Service::RegisterAvailabilityModel(std::string name,
                                           core::AvailabilityModel model) const {
-  if (name.empty()) {
-    return Status::InvalidArgument("availability model name is empty");
-  }
-  std::unique_lock<std::shared_mutex> lock(state_->models_mutex);
-  if (!state_->models.emplace(std::move(name), std::move(model)).second) {
-    return Status::FailedPrecondition(
-        "availability model name is already registered");
-  }
-  return Status::OK();
+  return state_->models.Register(std::move(name), std::move(model));
 }
 
 const std::vector<core::Strategy>& Service::strategies() const {
@@ -774,10 +635,7 @@ size_t Service::worker_threads() const { return state_->executor.threads(); }
 
 ServiceStats Service::stats() const {
   ServiceStats out = state_->stats.Snapshot();
-  out.queue_depth = state_->executor.QueueDepth();
-  out.active_workers = state_->executor.ActiveWorkers();
-  out.steals = static_cast<size_t>(state_->executor.StealCount());
-  out.local_hits = static_cast<size_t>(state_->executor.LocalHitCount());
+  internal::AddExecutorGauges(state_->executor, &out);
   out.index_build_nanos = static_cast<size_t>(
       state_->stratrec.aggregator().index_build_nanos());
   out.kernel_dispatch =
@@ -874,10 +732,10 @@ Result<StreamUpdate> StreamSession::Submit(const StreamEvent& event) {
 
   if (!status.ok()) return status;
 
-  internal::StatsStripe& stripe = service->stats.Local();
-  stripe.stream_events.fetch_add(1, std::memory_order_relaxed);
+  internal::StripedStats& stats = service->stats;
+  stats.Add(&ServiceStats::stream_events);
   if (event.kind == StreamEvent::Kind::kArrival) {
-    stripe.requests_processed.fetch_add(1, std::memory_order_relaxed);
+    stats.Add(&ServiceStats::requests_processed);
   }
   // Fold this event's scheduler-counter movement into the service stripes
   // (the scheduler keeps totals; the session remembers what it last
@@ -885,12 +743,12 @@ Result<StreamUpdate> StreamSession::Submit(const StreamEvent& event) {
   const size_t reschedules = scheduler.reschedules();
   const size_t delta_updates = scheduler.snapshot_delta_updates();
   const size_t rebuilds = scheduler.snapshot_rebuilds();
-  stripe.stream_reschedules.fetch_add(
-      reschedules - state_->synced_reschedules, std::memory_order_relaxed);
-  stripe.snapshot_delta_updates.fetch_add(
-      delta_updates - state_->synced_delta_updates, std::memory_order_relaxed);
-  stripe.snapshot_rebuilds.fetch_add(rebuilds - state_->synced_rebuilds,
-                                     std::memory_order_relaxed);
+  stats.Add(&ServiceStats::stream_reschedules,
+            reschedules - state_->synced_reschedules);
+  stats.Add(&ServiceStats::snapshot_delta_updates,
+            delta_updates - state_->synced_delta_updates);
+  stats.Add(&ServiceStats::snapshot_rebuilds,
+            rebuilds - state_->synced_rebuilds);
   state_->synced_reschedules = reschedules;
   state_->synced_delta_updates = delta_updates;
   state_->synced_rebuilds = rebuilds;

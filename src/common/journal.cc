@@ -49,14 +49,6 @@ Result<std::shared_ptr<JournalWriter>> JournalWriter::Open(std::string path,
   return writer;
 }
 
-Result<std::shared_ptr<JournalWriter>> JournalWriter::Open(
-    std::string path, bool flush_every_record, size_t max_segment_bytes) {
-  Options options;
-  options.flush_every_record = flush_every_record;
-  options.max_segment_bytes = max_segment_bytes;
-  return Open(std::move(path), std::move(options));
-}
-
 Status JournalWriter::RollSegmentLocked() {
   std::fclose(file_);
   file_ = nullptr;

@@ -51,9 +51,10 @@ inline constexpr std::string_view kJournalFormatName = "stratrec-journal";
 /// discrete-event clock via Service::RecordStatsSnapshot(sim_time).
 /// v7: stats records carry the fault-tolerance counters
 /// (deadline_exceeded/retries/failovers/hedges_won) and batch/sweep/
-/// stream-open requests may carry a relative deadline_ms budget. Both are
-/// optional on decode, so v6 traces still replay — the reader accepts
-/// kJournalMinReadVersion..kJournalFormatVersion.
+/// stream-open requests may carry a relative deadline_ms budget (omitted
+/// when unset). The reader accepts
+/// kJournalMinReadVersion..kJournalFormatVersion, and since that floor is
+/// past v7, every stats counter is required on decode.
 /// v8: reports carry answers, not the catalog. Batch and sweep reports drop
 /// the report-level strategy_params block, and every ADPaR result (batch
 /// alternatives, sweep cells, stream alternatives) carries the parameters
@@ -105,11 +106,6 @@ class JournalWriter {
   /// Fails with kInternal when the file cannot be created.
   static Result<std::shared_ptr<JournalWriter>> Open(std::string path,
                                                      Options options);
-
-  /// Legacy convenience overload (no compaction).
-  static Result<std::shared_ptr<JournalWriter>> Open(
-      std::string path, bool flush_every_record = true,
-      size_t max_segment_bytes = 0);
 
   ~JournalWriter();
 

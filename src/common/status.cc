@@ -3,27 +3,7 @@
 namespace stratrec {
 
 const char* StatusCodeName(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk:
-      return "OK";
-    case StatusCode::kInvalidArgument:
-      return "InvalidArgument";
-    case StatusCode::kNotFound:
-      return "NotFound";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
-    case StatusCode::kFailedPrecondition:
-      return "FailedPrecondition";
-    case StatusCode::kInfeasible:
-      return "Infeasible";
-    case StatusCode::kCancelled:
-      return "Cancelled";
-    case StatusCode::kInternal:
-      return "Internal";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
-  }
-  return "Unknown";
+  return NameOf(kStatusCodeNames, code, "Unknown");
 }
 
 std::string Status::ToString() const {

@@ -9,6 +9,8 @@
 #include <string>
 #include <utility>
 
+#include "src/common/enum_names.h"
+
 namespace stratrec {
 
 /// Machine-readable category of a failure.
@@ -22,6 +24,20 @@ enum class StatusCode {
   kCancelled,
   kInternal,
   kDeadlineExceeded,
+};
+
+/// Every code with its stable name. StatusCodeName reads it, and the wire
+/// codec parses status codes with it.
+inline constexpr EnumName<StatusCode> kStatusCodeNames[] = {
+    {StatusCode::kOk, "OK"},
+    {StatusCode::kInvalidArgument, "InvalidArgument"},
+    {StatusCode::kNotFound, "NotFound"},
+    {StatusCode::kOutOfRange, "OutOfRange"},
+    {StatusCode::kFailedPrecondition, "FailedPrecondition"},
+    {StatusCode::kInfeasible, "Infeasible"},
+    {StatusCode::kCancelled, "Cancelled"},
+    {StatusCode::kInternal, "Internal"},
+    {StatusCode::kDeadlineExceeded, "DeadlineExceeded"},
 };
 
 /// Returns a stable human-readable name ("InvalidArgument", ...) for `code`.

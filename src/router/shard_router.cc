@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <exception>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/api/lifecycle.h"
 #include "src/api/registry.h"
 #include "src/common/executor.h"
 #include "src/common/fault.h"
@@ -39,19 +35,9 @@ struct RouterState {
   /// is the shard's report.
   std::vector<std::vector<api::Service>> shards;
 
-  std::atomic<uint64_t> next_id{1};
-  mutable std::shared_mutex models_mutex;  ///< guards `models`
-  std::unordered_map<std::string, core::AvailabilityModel> models;
-
-  std::atomic<uint64_t> batches{0};
-  std::atomic<uint64_t> sweeps{0};
-  std::atomic<uint64_t> requests_processed{0};
-  std::atomic<uint64_t> cancelled{0};
-  std::atomic<uint64_t> rejected_requests{0};
-  std::atomic<uint64_t> retry_after_hints{0};
-  std::atomic<uint64_t> deadline_exceeded{0};
-  std::atomic<uint64_t> failovers{0};
-  std::atomic<uint64_t> hedges_won{0};
+  api::internal::IdSequence ids;
+  api::internal::ModelTable models;
+  api::internal::StripedStats stats;
   /// Scatter sequence number feeding the deterministic replica picks.
   std::atomic<uint64_t> scatter_seq{0};
 
@@ -67,70 +53,13 @@ struct RouterState {
         shards(std::move(shards_in)),
         executor(config.router_threads) {}
 
-  std::string NextId(const char* prefix) {
-    const uint64_t id = next_id.fetch_add(1, std::memory_order_relaxed);
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%s-%06llu", prefix,
-                  static_cast<unsigned long long>(id));
-    return buffer;
-  }
-
-  /// Mirrors ServiceState::Resolve: resolution happens once, on the router.
+  /// Resolution happens once, on the router, exactly as on a Service.
   Result<double> Resolve(const api::AvailabilitySpec& spec) const {
-    std::shared_lock<std::shared_mutex> lock(models_mutex);
-    double fallback = 0.5;
-    if (config.service.availability.kind !=
-            api::AvailabilitySpec::Kind::kDefault &&
-        spec.kind == api::AvailabilitySpec::Kind::kDefault) {
-      auto configured =
-          api::ResolveAvailability(config.service.availability, models, 0.5);
-      if (!configured.ok()) return configured.status();
-      fallback = *configured;
-    }
-    return api::ResolveAvailability(spec, models, fallback);
+    return models.Resolve(spec, config.service.availability);
   }
 };
 
 namespace {
-
-/// Same grid snap the Service applies (service.cc); duplicated because the
-/// router quantizes before scattering, so every shard sees the exact W the
-/// unsharded pipeline would have run at.
-double QuantizeAvailability(double w, double quantum) {
-  if (quantum <= 0.0) return w;
-  const double snapped = std::round(w / quantum) * quantum;
-  return snapped < 0.0 ? 0.0 : (snapped > 1.0 ? 1.0 : snapped);
-}
-
-/// Exception guard of the gather job bodies (same contract as the Service
-/// worker wrapper: a throwing registry solver must not take down the pool).
-template <typename Fn>
-auto GuardJob(Fn&& body) -> decltype(body()) {
-  try {
-    return body();
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("job threw: ") + e.what());
-  } catch (...) {
-    return Status::Internal("job threw a non-std exception");
-  }
-}
-
-/// Whether a request's relative deadline_ms budget ran out between
-/// submission and the moment a worker claimed its ticket (twin of the
-/// Service-side check in service.cc). 0 = no deadline.
-bool DeadlineExpired(double deadline_ms,
-                     std::chrono::steady_clock::time_point submitted) {
-  if (deadline_ms <= 0.0) return false;
-  const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - submitted)
-                                .count();
-  return elapsed_ms > deadline_ms;
-}
-
-Status ExpiredStatus(const std::string& id) {
-  return Status::DeadlineExceeded("ticket " + id +
-                                  " deadline expired before execution");
-}
 
 /// The three algorithms whose solve can run over merged row aggregates.
 /// Registry names beyond these (e.g. "weighted", user registrations) take
@@ -207,7 +136,7 @@ Result<api::ShardScanReport> GatherShard(RouterState* state, size_t s,
                                  ": every replica attempt failed");
   for (size_t attempt = 0; attempt < n; ++attempt) {
     const size_t r = (first_replica + attempt) % n;
-    if (attempt > 0) state->failovers.fetch_add(1, std::memory_order_relaxed);
+    if (attempt > 0) state->stats.Add(&api::ServiceStats::failovers);
     std::optional<ScanTicket> ticket;
     if (attempt == 0) {
       ticket = std::move(primary);
@@ -235,7 +164,7 @@ Result<api::ShardScanReport> GatherShard(RouterState* state, size_t s,
           if (hedge.has_value()) {
             outcome = hedge->WaitFor(Ms(0.5));
             if (outcome.has_value()) {
-              state->hedges_won.fetch_add(1, std::memory_order_relaxed);
+              state->stats.Add(&api::ServiceStats::hedges_won);
               break;
             }
           }
@@ -473,7 +402,7 @@ Result<api::BatchReport> ExecuteRoutedBatch(RouterState* state,
   if (!solver.ok()) return solver.status();
   auto availability = state->Resolve(request.availability);
   if (!availability.ok()) return availability.status();
-  const double w = QuantizeAvailability(
+  const double w = api::internal::QuantizeAvailability(
       *availability, state->config.service.cache.availability_quantum);
 
   core::BatchOptions options;
@@ -588,9 +517,9 @@ Result<api::BatchReport> ExecuteRoutedBatch(RouterState* state,
   }
   report.result.aggregator.batch = std::move(batch);
 
-  state->batches.fetch_add(1, std::memory_order_relaxed);
-  state->requests_processed.fetch_add(request.requests.size(),
-                                      std::memory_order_relaxed);
+  state->stats.Add(&api::ServiceStats::batches);
+  state->stats.Add(&api::ServiceStats::requests_processed,
+                   request.requests.size());
   return report;
 }
 
@@ -600,7 +529,7 @@ Result<api::SweepReport> ExecuteRoutedSweep(RouterState* state,
                                             const std::string& id) {
   auto availability = state->Resolve(request.availability);
   if (!availability.ok()) return availability.status();
-  const double w = QuantizeAvailability(
+  const double w = api::internal::QuantizeAvailability(
       *availability, state->config.service.cache.availability_quantum);
 
   std::vector<std::string> solvers = request.solvers;
@@ -675,7 +604,7 @@ Result<api::SweepReport> ExecuteRoutedSweep(RouterState* state,
           }
         }
       });
-  state->sweeps.fetch_add(1, std::memory_order_relaxed);
+  state->stats.Add(&api::ServiceStats::sweeps);
   return report;
 }
 
@@ -743,23 +672,23 @@ Result<ShardRouter> ShardRouter::Create(core::Catalog catalog,
 api::Ticket<api::BatchReport> ShardRouter::SubmitBatchAsync(
     api::BatchRequest request) const {
   auto shared = std::make_shared<api::internal::TicketShared<api::BatchReport>>(
-      request.request_id.empty() ? state_->NextId("batch")
+      request.request_id.empty() ? state_->ids.Next("batch")
                                  : request.request_id);
   internal::RouterState* state = state_.get();
   const auto submitted = std::chrono::steady_clock::now();
   state_->executor.Submit(
       [state, shared, submitted, request = std::move(request)]() mutable {
         if (!shared->BeginRun()) {
-          state->cancelled.fetch_add(1, std::memory_order_relaxed);
+          state->stats.Add(&api::ServiceStats::cancelled);
           return;
         }
         // Counter before Finish, so stats read after Wait() see it.
-        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
-          state->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-          shared->Finish(internal::ExpiredStatus(shared->id));
+        if (api::internal::DeadlineExpired(request.deadline_ms, submitted)) {
+          state->stats.Add(&api::ServiceStats::deadline_exceeded);
+          shared->Finish(api::internal::ExpiredStatus(shared->id));
           return;
         }
-        auto outcome = internal::GuardJob([&]() {
+        auto outcome = api::internal::GuardJob([&]() {
           return internal::ExecuteRoutedBatch(state, request, shared->id);
         });
         shared->Finish(std::move(outcome));
@@ -770,22 +699,22 @@ api::Ticket<api::BatchReport> ShardRouter::SubmitBatchAsync(
 api::Ticket<api::SweepReport> ShardRouter::RunSweepAsync(
     api::SweepRequest request) const {
   auto shared = std::make_shared<api::internal::TicketShared<api::SweepReport>>(
-      request.request_id.empty() ? state_->NextId("sweep")
+      request.request_id.empty() ? state_->ids.Next("sweep")
                                  : request.request_id);
   internal::RouterState* state = state_.get();
   const auto submitted = std::chrono::steady_clock::now();
   state_->executor.Submit(
       [state, shared, submitted, request = std::move(request)]() mutable {
         if (!shared->BeginRun()) {
-          state->cancelled.fetch_add(1, std::memory_order_relaxed);
+          state->stats.Add(&api::ServiceStats::cancelled);
           return;
         }
-        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
-          state->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-          shared->Finish(internal::ExpiredStatus(shared->id));
+        if (api::internal::DeadlineExpired(request.deadline_ms, submitted)) {
+          state->stats.Add(&api::ServiceStats::deadline_exceeded);
+          shared->Finish(api::internal::ExpiredStatus(shared->id));
           return;
         }
-        auto outcome = internal::GuardJob([&]() {
+        auto outcome = api::internal::GuardJob([&]() {
           return internal::ExecuteRoutedSweep(state, request, shared->id);
         });
         shared->Finish(std::move(outcome));
@@ -804,15 +733,7 @@ Result<api::SweepReport> ShardRouter::RunSweep(api::SweepRequest request) const 
 
 Status ShardRouter::RegisterAvailabilityModel(
     std::string name, core::AvailabilityModel model) const {
-  if (name.empty()) {
-    return Status::InvalidArgument("availability model name is empty");
-  }
-  std::unique_lock<std::shared_mutex> lock(state_->models_mutex);
-  if (!state_->models.emplace(std::move(name), std::move(model)).second) {
-    return Status::FailedPrecondition(
-        "availability model name is already registered");
-  }
-  return Status::OK();
+  return state_->models.Register(std::move(name), std::move(model));
 }
 
 bool ShardRouter::TryAdmit() const {
@@ -824,12 +745,12 @@ bool ShardRouter::TryAdmit() const {
     }
   }
   if (depth < state_->config.max_queue_depth) return true;
-  state_->rejected_requests.fetch_add(1, std::memory_order_relaxed);
+  state_->stats.Add(&api::ServiceStats::rejected_requests);
   return false;
 }
 
 void ShardRouter::NoteRetryAfterHint() const {
-  state_->retry_after_hints.fetch_add(1, std::memory_order_relaxed);
+  state_->stats.Add(&api::ServiceStats::retry_after_hints);
 }
 
 size_t ShardRouter::shards() const { return state_->shards.size(); }
@@ -839,40 +760,13 @@ size_t ShardRouter::replicas() const { return state_->config.replicas; }
 const RouterConfig& ShardRouter::config() const { return state_->config; }
 
 api::ServiceStats ShardRouter::stats() const {
-  api::ServiceStats out;
-  out.batches = state_->batches.load(std::memory_order_relaxed);
-  out.sweeps = state_->sweeps.load(std::memory_order_relaxed);
-  out.requests_processed =
-      state_->requests_processed.load(std::memory_order_relaxed);
-  out.cancelled = state_->cancelled.load(std::memory_order_relaxed);
-  out.rejected_requests =
-      state_->rejected_requests.load(std::memory_order_relaxed);
-  out.retry_after_hints =
-      state_->retry_after_hints.load(std::memory_order_relaxed);
-  out.deadline_exceeded =
-      state_->deadline_exceeded.load(std::memory_order_relaxed);
-  out.failovers = state_->failovers.load(std::memory_order_relaxed);
-  out.hedges_won = state_->hedges_won.load(std::memory_order_relaxed);
-  out.queue_depth = state_->executor.QueueDepth();
-  out.active_workers = state_->executor.ActiveWorkers();
-  out.steals = static_cast<size_t>(state_->executor.StealCount());
-  out.local_hits = static_cast<size_t>(state_->executor.LocalHitCount());
+  api::ServiceStats out = state_->stats.Snapshot();
+  api::internal::AddExecutorGauges(state_->executor, &out);
+  // Shards count what they ran (snapshot cache, executor, index build);
+  // counters only the router bumps stay zero on them.
   for (const std::vector<api::Service>& replicas : state_->shards) {
     for (const api::Service& replica : replicas) {
-      const api::ServiceStats s = replica.stats();
-      out.streams_opened += s.streams_opened;
-      out.stream_events += s.stream_events;
-      out.stream_reschedules += s.stream_reschedules;
-      out.snapshot_delta_updates += s.snapshot_delta_updates;
-      out.snapshot_rebuilds += s.snapshot_rebuilds;
-      out.deadline_exceeded += s.deadline_exceeded;
-      out.queue_depth += s.queue_depth;
-      out.active_workers += s.active_workers;
-      out.steals += s.steals;
-      out.local_hits += s.local_hits;
-      out.cache_hits += s.cache_hits;
-      out.cache_misses += s.cache_misses;
-      out.index_build_nanos += s.index_build_nanos;
+      api::internal::AddCounters(replica.stats(), &out);
     }
   }
   // All shards run in-process, so the router reports the process-wide level.

@@ -975,10 +975,11 @@ TEST(Codec, EveryWireEnumRoundTripsByName) {
   }
 }
 
-// v6 journals predate the fault-tolerance counters: a stats block without
-// them must still decode, defaulting the new fields to zero.
-TEST(Codec, V6StatsWithoutFaultCountersStillDecode) {
-  const std::string v6 =
+// Every stats counter is required on decode: the journal read floor (v8)
+// is past v7, which introduced the last of them, so a block missing one is
+// malformed rather than old.
+TEST(Codec, StatsWithoutHedgesWonFailToDecode) {
+  const std::string missing =
       "{\"batches\":1,\"sweeps\":2,\"streams_opened\":3,"
       "\"stream_events\":4,\"stream_reschedules\":16,"
       "\"snapshot_delta_updates\":17,\"snapshot_rebuilds\":18,"
@@ -986,15 +987,13 @@ TEST(Codec, V6StatsWithoutFaultCountersStillDecode) {
       "\"queue_depth\":7,\"active_workers\":8,\"steals\":9,"
       "\"local_hits\":10,\"cache_hits\":11,\"cache_misses\":12,"
       "\"index_build_nanos\":13,\"rejected_requests\":14,"
-      "\"retry_after_hints\":15,\"kernel_dispatch\":\"avx2\"}";
-  auto decoded = DecodeServiceStats(*json::Parse(v6));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->batches, 1u);
-  EXPECT_EQ(decoded->retry_after_hints, 15u);
-  EXPECT_EQ(decoded->deadline_exceeded, 0u);
-  EXPECT_EQ(decoded->retries, 0u);
-  EXPECT_EQ(decoded->failovers, 0u);
-  EXPECT_EQ(decoded->hedges_won, 0u);
+      "\"retry_after_hints\":15,\"deadline_exceeded\":19,"
+      "\"retries\":20,\"failovers\":21,\"kernel_dispatch\":\"avx2\"}";
+  auto decoded = DecodeServiceStats(*json::Parse(missing));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("hedges_won"), std::string::npos)
+      << decoded.status().ToString();
 }
 
 // deadline_ms is emitted only when set: a request without a deadline must

@@ -1,14 +1,12 @@
-// Unit tests for src/common: Status/Result, Rng, AsciiTable, CsvWriter,
-// float comparisons, logging.
+// Unit tests for src/common: Status/Result, Rng, AsciiTable, float
+// comparisons, logging.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <set>
 #include <string>
 
 #include "src/common/ascii_table.h"
-#include "src/common/csv.h"
 #include "src/common/float_compare.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
@@ -39,7 +37,9 @@ TEST(Status, AllCodesHaveNames) {
     EXPECT_STRNE(StatusCodeName(code), "Unknown");
     EXPECT_TRUE(names.insert(StatusCodeName(code)).second)
         << "duplicate name " << StatusCodeName(code);
+    EXPECT_EQ(ParseName(kStatusCodeNames, StatusCodeName(code)), code);
   }
+  EXPECT_FALSE(ParseName(kStatusCodeNames, "Unknown").has_value());
 }
 
 Result<int> ParsePositive(int v) {
@@ -223,35 +223,6 @@ TEST(AsciiTable, NumericRowFormatsPrecision) {
 TEST(FormatDoubleTest, RoundsToPrecision) {
   EXPECT_EQ(FormatDouble(0.56789, 2), "0.57");
   EXPECT_EQ(FormatDouble(1.0, 0), "1");
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-  CsvWriter csv({"a", "b"});
-  csv.AddRow({"plain", "with,comma"});
-  csv.AddRow({"quote\"inside", "multi\nline"});
-  const std::string doc = csv.ToString();
-  EXPECT_NE(doc.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(doc.find("\"quote\"\"inside\""), std::string::npos);
-}
-
-TEST(Csv, WritesFile) {
-  CsvWriter csv({"x", "y"});
-  csv.AddNumericRow({1.5, 2.5});
-  const std::string path = testing::TempDir() + "/stratrec_csv_test.csv";
-  ASSERT_TRUE(csv.WriteFile(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[256] = {};
-  const size_t read = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  const std::string contents(buf, read);
-  EXPECT_NE(contents.find("x,y"), std::string::npos);
-  EXPECT_NE(contents.find("1.5"), std::string::npos);
-}
-
-TEST(Csv, WriteFileFailsOnBadPath) {
-  CsvWriter csv({"x"});
-  EXPECT_FALSE(csv.WriteFile("/nonexistent-dir/file.csv").ok());
 }
 
 TEST(FloatCompare, ApproxComparisons) {

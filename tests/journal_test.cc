@@ -60,7 +60,7 @@ BatchRequest Table1Batch() {
 TEST(Journal, WriterReaderRoundTrip) {
   const std::string path = TempPath("roundtrip");
   {
-    auto writer = JournalWriter::Open(path);
+    auto writer = JournalWriter::Open(path, JournalWriter::Options{});
     ASSERT_TRUE(writer.ok());
     EXPECT_TRUE((*writer)->Append("{\"kind\":\"a\"}").ok());
     EXPECT_TRUE((*writer)->Append("{\"kind\":\"b\"}").ok());
@@ -123,8 +123,9 @@ TEST(Journal, SegmentRotationRollsAndReadsBackInOrder) {
   RemoveSegments(path);
   const std::string record(40, 'r');  // uniform 41-byte lines
   {
-    auto writer = JournalWriter::Open(path, /*flush_every_record=*/true,
-                                      /*max_segment_bytes=*/128);
+    JournalWriter::Options options;
+    options.max_segment_bytes = 128;
+    auto writer = JournalWriter::Open(path, options);
     ASSERT_TRUE(writer.ok());
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE((*writer)->Append(record + std::to_string(i)).ok());
@@ -154,7 +155,9 @@ TEST(Journal, OversizedRecordGetsASegmentToItself) {
   RemoveSegments(path);
   const std::string huge(500, 'h');  // larger than the whole segment bound
   {
-    auto writer = JournalWriter::Open(path, true, /*max_segment_bytes=*/64);
+    JournalWriter::Options options;
+    options.max_segment_bytes = 64;
+    auto writer = JournalWriter::Open(path, options);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE((*writer)->Append(huge).ok());   // stays: segment was empty
     ASSERT_TRUE((*writer)->Append("tiny").ok());  // rolls first
@@ -205,7 +208,7 @@ TEST(Journal, VersionWindowAcceptsV8AndRejectsOutsiders) {
 TEST(Journal, WriterStampsTheCurrentFormatVersion) {
   const std::string path = TempPath("stamped_version");
   {
-    auto writer = JournalWriter::Open(path);
+    auto writer = JournalWriter::Open(path, JournalWriter::Options{});
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE((*writer)->Append("r").ok());
   }
