@@ -80,10 +80,4 @@ void AddExecutorGauges(const Executor& executor, ServiceStats* stats) {
   stats->local_hits += static_cast<size_t>(executor.LocalHitCount());
 }
 
-void AddCounters(const ServiceStats& part, ServiceStats* total) {
-  for (const StatsCounter& counter : kStatsCounters) {
-    total->*counter.member += part.*counter.member;
-  }
-}
-
 }  // namespace stratrec::api::internal

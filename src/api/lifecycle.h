@@ -127,10 +127,6 @@ class StripedStats {
 /// steal/local-hit counters to `stats`.
 void AddExecutorGauges(const Executor& executor, ServiceStats* stats);
 
-/// Adds every counter of `part` to `total`: the router's fold over its
-/// shard replicas.
-void AddCounters(const ServiceStats& part, ServiceStats* total);
-
 }  // namespace stratrec::api::internal
 
 #endif  // STRATREC_API_LIFECYCLE_H_

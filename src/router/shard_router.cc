@@ -766,7 +766,10 @@ api::ServiceStats ShardRouter::stats() const {
   // counters only the router bumps stay zero on them.
   for (const std::vector<api::Service>& replicas : state_->shards) {
     for (const api::Service& replica : replicas) {
-      api::internal::AddCounters(replica.stats(), &out);
+      const api::ServiceStats shard = replica.stats();
+      for (const api::StatsCounter& counter : api::kStatsCounters) {
+        out.*counter.member += shard.*counter.member;
+      }
     }
   }
   // All shards run in-process, so the router reports the process-wide level.
