@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -1227,6 +1228,383 @@ TEST(Codec, IntegerDecodeRejectsOutOfRangeValues) {
       "{\"alternative\":{\"quality\":0,\"cost\":0,\"latency\":0},"
       "\"strategies\":[1e300],\"squared_distance\":0,\"distance\":0}"));
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Field-table decode rules: which members are required, what a present
+// member must look like, and how conditional members follow their value.
+// ---------------------------------------------------------------------------
+
+/// `obj` without its member `key`.
+json::Value Without(const json::Value& obj, const std::string& key) {
+  json::Value out = json::Value::Object();
+  for (const auto& [name, value] : obj.members()) {
+    if (name != key) out.Add(name, value);
+  }
+  return out;
+}
+
+/// Drops each top-level member of Encode(value) in turn. A required member
+/// fails the decode with an error naming it; an omittable one (an optional,
+/// an omit-rule or a flagged member) decodes without it.
+template <typename T, typename DecodeFn>
+void ExpectOnlyOmittableMembersMayBeDropped(
+    const T& value, DecodeFn decode, const std::set<std::string>& omittable,
+    const char* what) {
+  const json::Value encoded = Encode(value);
+  for (const auto& member : encoded.members()) {
+    const std::string& key = member.first;
+    auto decoded = decode(Without(encoded, key));
+    if (omittable.count(key) != 0) {
+      EXPECT_TRUE(decoded.ok()) << what << " without '" << key
+                                << "': " << decoded.status().ToString();
+    } else {
+      ASSERT_FALSE(decoded.ok()) << what << " decoded without '" << key << "'";
+      EXPECT_EQ(decoded.status().ToString(),
+                "InvalidArgument: missing field '" + key + "'")
+          << what;
+    }
+  }
+}
+
+TEST(Codec, OnlyOmittableMembersMayBeMissing) {
+  Rng rng(0xC0DEC'000Aull);
+  for (int i = 0; i < kIterations / 10; ++i) {
+    ExpectOnlyOmittableMembersMayBeDropped(RandomParams(rng),
+                                           DecodeParamVector, {},
+                                           "ParamVector");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomRequest(rng), DecodeDeploymentRequest, {}, "DeploymentRequest");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomAdparResult(rng), DecodeAdparResult, {}, "AdparResult");
+    ExpectOnlyOmittableMembersMayBeDropped(RandomSpec(rng),
+                                           DecodeAvailabilitySpec, {},
+                                           "AvailabilitySpec");
+    ExpectOnlyOmittableMembersMayBeDropped(RandomCatalog(rng), DecodeCatalog,
+                                           {}, "Catalog");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomBatchRequest(rng), DecodeBatchRequest,
+        {"request_id", "algorithm", "objective", "aggregation", "policy",
+         "recommend_alternatives", "adpar_solver", "deadline_ms"},
+        "BatchRequest");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomBatchReport(rng), DecodeBatchReport, {}, "BatchReport");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomSweepRequest(rng), DecodeSweepRequest,
+        {"request_id", "deadline_ms"}, "SweepRequest");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomSweepReport(rng), DecodeSweepReport, {}, "SweepReport");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomStreamOptions(rng), DecodeStreamOptions,
+        {"max_pending", "readmit_on_release", "objective", "aggregation",
+         "policy", "recommend_alternatives", "deadline_ms", "session_id"},
+        "StreamOptions");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomStreamEvent(rng), DecodeStreamEvent, {}, "StreamEvent");
+    ExpectOnlyOmittableMembersMayBeDropped(RandomStreamUpdate(rng),
+                                           DecodeStreamUpdate,
+                                           {"alternative"}, "StreamUpdate");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomConfig(rng), DecodeServiceConfig, {}, "ServiceConfig");
+    ExpectOnlyOmittableMembersMayBeDropped(
+        RandomServiceStats(rng), DecodeServiceStats, {}, "ServiceStats");
+  }
+}
+
+TEST(Codec, DecodeErrorsNameTheOffendingField) {
+  const auto error = [](const auto& decoded) {
+    EXPECT_FALSE(decoded.ok());
+    return decoded.status().ToString();
+  };
+  EXPECT_EQ(error(DecodeParamVector(*json::Parse("[1,2,3]"))),
+            "InvalidArgument: param vector must be a JSON object");
+  EXPECT_EQ(error(DecodeParamVector(*json::Parse(
+                "{\"quality\":\"high\",\"cost\":0,\"latency\":0}"))),
+            "InvalidArgument: field 'quality' must be a number");
+  // A bad member deep inside an envelope is reported by its own name.
+  EXPECT_EQ(error(DecodeBatchRequest(*json::Parse(
+                "{\"requests\":[{\"id\":\"d\",\"thresholds\":{\"quality\":0,"
+                "\"cost\":0,\"latency\":0},\"k\":1.5}],"
+                "\"availability\":{\"kind\":\"default\"}}"))),
+            "InvalidArgument: field 'k' must be an integer in range");
+  EXPECT_EQ(error(DecodeSweepRequest(*json::Parse(
+                "{\"targets\":[],\"solvers\":\"exact\","
+                "\"availability\":{\"kind\":\"default\"}}"))),
+            "InvalidArgument: field 'solvers' must be an array");
+  // Optional members may be absent, but when present they are typed.
+  const std::string batch_prefix =
+      "{\"requests\":[],\"availability\":{\"kind\":\"default\"},";
+  EXPECT_EQ(error(DecodeBatchRequest(
+                *json::Parse(batch_prefix + "\"algorithm\":7}"))),
+            "InvalidArgument: field 'algorithm' must be a string");
+  EXPECT_EQ(error(DecodeBatchRequest(
+                *json::Parse(batch_prefix + "\"recommend_alternatives\":1}"))),
+            "InvalidArgument: field 'recommend_alternatives' must be a "
+            "boolean");
+  EXPECT_EQ(error(DecodeBatchRequest(
+                *json::Parse(batch_prefix + "\"policy\":\"greedy\"}"))),
+            "InvalidArgument: field 'policy' has unknown value 'greedy'");
+}
+
+TEST(Codec, UnknownMembersAreIgnoredOnDecode) {
+  // A newer writer may add members; this reader decodes what it knows,
+  // at the top level and inside nested tables alike.
+  Rng rng(0xC0DEC'000Bull);
+  api::BatchRequest request = RandomBatchRequest(rng);
+  request.requests = {RandomRequest(rng)};
+  std::string encoded = json::Dump(Encode(request));
+  encoded.insert(1, "\"future\":[1,{\"a\":null}],");
+  const size_t thresholds = encoded.find("\"thresholds\":{");
+  ASSERT_NE(thresholds, std::string::npos) << encoded;
+  encoded.insert(thresholds + 14, "\"unit\":\"ms\",");
+  auto decoded = DecodeBatchRequest(*json::Parse(encoded));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString() << "\n" << encoded;
+  EXPECT_TRUE(*decoded == request);
+
+  const api::ServiceStats stats = RandomServiceStats(rng);
+  std::string stats_encoded = json::Dump(Encode(stats));
+  stats_encoded.insert(1, "\"future_counter\":3,");
+  auto stats_decoded = DecodeServiceStats(*json::Parse(stats_encoded));
+  ASSERT_TRUE(stats_decoded.ok()) << stats_decoded.status().ToString();
+  EXPECT_TRUE(*stats_decoded == stats);
+}
+
+TEST(Codec, TaggedUnionMembersFollowTheirKind) {
+  const auto spec = [](const std::string& text) {
+    return DecodeAvailabilitySpec(*json::Parse(text));
+  };
+  // The member a kind carries is required ...
+  EXPECT_EQ(spec("{\"kind\":\"fixed\"}").status().ToString(),
+            "InvalidArgument: missing field 'value'");
+  EXPECT_EQ(spec("{\"kind\":\"pmf\",\"value\":0.5}").status().ToString(),
+            "InvalidArgument: missing field 'atoms'");
+  EXPECT_EQ(spec("{\"kind\":\"named\"}").status().ToString(),
+            "InvalidArgument: missing field 'name'");
+  // ... and the members of other kinds are ignored, not decoded.
+  auto stray = spec("{\"kind\":\"default\",\"value\":0.3,\"name\":\"amt\"}");
+  ASSERT_TRUE(stray.ok()) << stray.status().ToString();
+  EXPECT_TRUE(*stray == api::AvailabilitySpec::Default());
+  EXPECT_EQ(spec("{\"kind\":\"sometimes\"}").status().ToString(),
+            "InvalidArgument: field 'kind' has unknown value 'sometimes'");
+
+  const auto event = [](const std::string& text) {
+    return DecodeStreamEvent(*json::Parse(text));
+  };
+  EXPECT_EQ(event("{\"kind\":\"completion\"}").status().ToString(),
+            "InvalidArgument: missing field 'request_id'");
+  EXPECT_EQ(event("{\"kind\":\"arrival\",\"request_id\":\"d1\"}")
+                .status()
+                .ToString(),
+            "InvalidArgument: missing field 'request'");
+  auto revocation =
+      event("{\"kind\":\"revocation\",\"request_id\":\"d1\",\"request\":7}");
+  ASSERT_TRUE(revocation.ok()) << revocation.status().ToString();
+  EXPECT_TRUE(*revocation == api::StreamEvent::Revocation("d1"));
+  auto change = event(
+      "{\"kind\":\"availability-change\","
+      "\"availability\":{\"kind\":\"fixed\",\"value\":0.4}}");
+  ASSERT_TRUE(change.ok()) << change.status().ToString();
+  EXPECT_TRUE(*change == api::StreamEvent::AvailabilityChange(
+                             api::AvailabilitySpec::Fixed(0.4)));
+}
+
+TEST(Codec, SweepCellsCarryAResultOnlyWhenOk) {
+  const std::string result =
+      "\"result\":{\"alternative\":{\"quality\":0.5,\"cost\":0.5,"
+      "\"latency\":0.5},\"strategies\":[1],\"strategy_params\":"
+      "[{\"quality\":0.6,\"cost\":0.4,\"latency\":0.3}],"
+      "\"squared_distance\":0.25,\"distance\":0.5}";
+  const auto report = [](const std::string& cell) {
+    return DecodeSweepReport(*json::Parse(
+        "{\"request_id\":\"s\",\"availability\":0.5,\"outcomes\":[" + cell +
+        "]}"));
+  };
+  // An OK cell without its result is malformed.
+  EXPECT_EQ(report("{\"target_id\":\"d1\",\"solver\":\"exact\","
+                   "\"status\":{\"code\":\"OK\"}}")
+                .status()
+                .ToString(),
+            "InvalidArgument: missing field 'result'");
+  // An error cell's result is not read, even when one is on the wire.
+  auto failed = report(
+      "{\"target_id\":\"d1\",\"solver\":\"exact\",\"status\":{\"code\":"
+      "\"Infeasible\",\"message\":\"no fit\"}," +
+      result + "}");
+  ASSERT_TRUE(failed.ok()) << failed.status().ToString();
+  ASSERT_EQ(failed->outcomes.size(), 1u);
+  EXPECT_TRUE(failed->outcomes[0].status == Status::Infeasible("no fit"));
+  EXPECT_TRUE(failed->outcomes[0].result == core::AdparResult{});
+  // An OK cell decodes its result.
+  auto solved = report(
+      "{\"target_id\":\"d1\",\"solver\":\"exact\",\"status\":{\"code\":"
+      "\"OK\"}," +
+      result + "}");
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  EXPECT_EQ(solved->outcomes[0].result.distance, 0.5);
+  EXPECT_EQ(solved->outcomes[0].result.strategies, std::vector<size_t>{1});
+}
+
+TEST(Codec, StreamUpdateAlternativeFollowsItsFlag) {
+  Rng rng(0xC0DEC'000Cull);
+  api::StreamUpdate update = RandomStreamUpdate(rng);
+  update.has_alternative = false;
+  update.alternative = RandomAdparResult(rng);
+  // An alternative whose flag is down stays off the wire ...
+  const json::Value encoded = Encode(update);
+  EXPECT_EQ(encoded.Find("alternative"), nullptr);
+  auto decoded = DecodeStreamUpdate(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_FALSE(decoded->has_alternative);
+  EXPECT_TRUE(decoded->alternative == core::AdparResult{});
+  // ... and the decoder raises the flag from the member's presence.
+  update.has_alternative = true;
+  auto flagged = DecodeStreamUpdate(Encode(update));
+  ASSERT_TRUE(flagged.ok()) << flagged.status().ToString();
+  EXPECT_TRUE(flagged->has_alternative);
+  EXPECT_TRUE(flagged->alternative == update.alternative);
+  // A present alternative must still be well-formed.
+  std::string broken = json::Dump(Encode(update));
+  const size_t at = broken.find("\"alternative\":{");
+  ASSERT_NE(at, std::string::npos);
+  broken.replace(at, 15, "\"alternative\":7,\"was\":{");
+  EXPECT_EQ(DecodeStreamUpdate(*json::Parse(broken)).status().ToString(),
+            "InvalidArgument: adpar result must be a JSON object");
+}
+
+TEST(Codec, OmitRulesCanonicalizeUnsetValues) {
+  // A non-positive deadline means "none": it stays off the wire, so the
+  // request decodes to the default 0.
+  api::BatchRequest batch;
+  batch.availability = api::AvailabilitySpec::Fixed(0.5);
+  batch.deadline_ms = -5.0;
+  const std::string canonical = json::Dump(Encode(batch));
+  EXPECT_EQ(canonical.find("deadline_ms"), std::string::npos) << canonical;
+  EXPECT_EQ(DecodeBatchRequest(*json::Parse(canonical))->deadline_ms, 0.0);
+  // Unset values spelled out by a hand-written request decode, and
+  // re-encode to the canonical form without them.
+  for (const char* spelled :
+       {"{\"request_id\":\"\",\"requests\":[],"
+        "\"availability\":{\"kind\":\"fixed\",\"value\":0.5},"
+        "\"deadline_ms\":0}",
+        "{\"requests\":[],\"availability\":{\"kind\":\"fixed\","
+        "\"value\":0.5},\"deadline_ms\":-1}"}) {
+    auto decoded = DecodeBatchRequest(*json::Parse(spelled));
+    ASSERT_TRUE(decoded.ok()) << spelled;
+    EXPECT_TRUE(decoded->request_id.empty());
+    EXPECT_EQ(json::Dump(Encode(*decoded)), canonical) << spelled;
+  }
+  auto options = DecodeStreamOptions(*json::Parse(
+      "{\"availability\":{\"kind\":\"default\"},\"session_id\":\"\","
+      "\"deadline_ms\":0}"));
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(json::Dump(Encode(*options)),
+            json::Dump(Encode(api::StreamOptions{})));
+}
+
+TEST(Codec, IntegerLeavesAcceptExactlyTheirRange) {
+  const auto max_pending = [](const std::string& number) {
+    return DecodeStreamOptions(*json::Parse(
+        "{\"availability\":{\"kind\":\"default\"},\"max_pending\":" + number +
+        "}"));
+  };
+  // size_t: every integer a double holds exactly, and nothing else.
+  auto largest = max_pending("9007199254740992");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->max_pending, size_t{1} << 53);
+  EXPECT_TRUE(max_pending("0").ok());
+  for (const char* bad : {"9007199254740994", "-1", "2.5", "\"3\""}) {
+    EXPECT_EQ(max_pending(bad).status().code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+
+  const auto k = [](const std::string& number) {
+    return DecodeDeploymentRequest(*json::Parse(
+        "{\"id\":\"d\",\"thresholds\":{\"quality\":0,\"cost\":0,"
+        "\"latency\":0},\"k\":" +
+        number + "}"));
+  };
+  // int: exactly [INT_MIN, INT_MAX].
+  EXPECT_EQ(k("2147483647")->k, 2147483647);
+  EXPECT_EQ(k("-2147483648")->k, -2147483647 - 1);
+  for (const char* bad : {"2147483648", "-2147483649", "1e-3", "true"}) {
+    EXPECT_EQ(k(bad).status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(Codec, StatusMessageIsOptionalButTyped) {
+  const auto decode = [](const std::string& text) {
+    Status out = Status::Internal("untouched");
+    const Status status = DecodeStatus(*json::Parse(text), &out);
+    return std::pair{status, out};
+  };
+  auto [ok, bare] = decode("{\"code\":\"NotFound\"}");
+  EXPECT_TRUE(ok.ok());
+  EXPECT_TRUE(bare == Status(StatusCode::kNotFound, ""));
+  EXPECT_EQ(decode("{\"code\":\"NotFound\",\"message\":3}").first.ToString(),
+            "InvalidArgument: field 'message' must be a string");
+  EXPECT_EQ(decode("{\"code\":\"Bogus\"}").first.ToString(),
+            "InvalidArgument: field 'code' has unknown value 'Bogus'");
+  EXPECT_EQ(decode("{\"message\":\"m\"}").first.ToString(),
+            "InvalidArgument: missing field 'code'");
+  EXPECT_EQ(decode("\"OK\"").first.ToString(),
+            "InvalidArgument: status must be a JSON object");
+  // A failed decode leaves the output alone.
+  EXPECT_TRUE(decode("{\"code\":\"Bogus\"}").second ==
+              Status::Internal("untouched"));
+}
+
+TEST(Codec, DecodeTraceNamesTheBadRecord) {
+  const std::string config = EncodeConfigRecord(api::ServiceConfig{});
+  // Line numbers count the header as line 1.
+  EXPECT_EQ(DecodeTrace({config, "{\"kind\":"}).status().message().rfind(
+                "journal record on line 3: ", 0),
+            0u);
+  EXPECT_EQ(DecodeTrace({config, config, "{\"kind\":\"mystery\"}"})
+                .status()
+                .ToString(),
+            "InvalidArgument: unknown journal record kind 'mystery' on "
+            "line 4");
+  EXPECT_EQ(DecodeTrace({"[1]"}).status().ToString(),
+            "InvalidArgument: journal record must be a JSON object");
+  EXPECT_EQ(DecodeTrace({"{\"config\":{}}"}).status().ToString(),
+            "InvalidArgument: missing field 'kind'");
+  // A record whose payload is malformed fails with the payload's error.
+  EXPECT_EQ(DecodeTrace({"{\"kind\":\"catalog\",\"catalog\":{}}"})
+                .status()
+                .ToString(),
+            "InvalidArgument: missing field 'strategies'");
+}
+
+TEST(Codec, PairRecordsCarryAReportOnlyWhenOk) {
+  Rng rng(0xC0DEC'000Dull);
+  const api::BatchRequest batch = RandomBatchRequest(rng);
+  const std::string failed =
+      EncodeBatchRecord("batch-000001", batch, Status::Infeasible("no fit"));
+  EXPECT_EQ(failed.find("\"report\""), std::string::npos) << failed;
+  const api::SweepRequest sweep = RandomSweepRequest(rng);
+  const api::SweepReport sweep_report = RandomSweepReport(rng);
+  const std::string solved =
+      EncodeSweepRecord("sweep-000002", sweep, sweep_report);
+
+  auto trace = DecodeTrace({failed, solved});
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  ASSERT_EQ(trace->pairs.size(), 2u);
+  const PairRecord& batch_pair = trace->pairs[0];
+  EXPECT_EQ(batch_pair.kind, PairRecord::Kind::kBatch);
+  EXPECT_EQ(batch_pair.request_id, "batch-000001");
+  EXPECT_TRUE(batch_pair.status == Status::Infeasible("no fit"));
+  EXPECT_TRUE(batch_pair.batch_request == batch);
+  EXPECT_TRUE(batch_pair.batch_report == api::BatchReport{});
+  const PairRecord& sweep_pair = trace->pairs[1];
+  EXPECT_EQ(sweep_pair.kind, PairRecord::Kind::kSweep);
+  EXPECT_TRUE(sweep_pair.status.ok());
+  EXPECT_TRUE(sweep_pair.sweep_request == sweep);
+  EXPECT_TRUE(sweep_pair.sweep_report == sweep_report);
+
+  // An OK pair without its report is malformed.
+  std::string truncated = solved.substr(0, solved.find(",\"report\":")) + "}";
+  EXPECT_EQ(DecodeTrace({truncated}).status().ToString(),
+            "InvalidArgument: missing field 'report'");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Unit tests for src/common: Status/Result, Rng, AsciiTable, float
-// comparisons, logging.
+// Unit tests for src/common: Status/Result, enum name tables, Rng,
+// AsciiTable, float comparisons, logging.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +7,7 @@
 #include <string>
 
 #include "src/common/ascii_table.h"
+#include "src/common/enum_names.h"
 #include "src/common/float_compare.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
@@ -40,6 +41,30 @@ TEST(Status, AllCodesHaveNames) {
     EXPECT_EQ(ParseName(kStatusCodeNames, StatusCodeName(code)), code);
   }
   EXPECT_FALSE(ParseName(kStatusCodeNames, "Unknown").has_value());
+}
+
+enum class Fruit { kApple, kPear, kQuince };
+
+constexpr EnumName<Fruit> kFruitNames[] = {
+    {Fruit::kApple, "apple"},
+    {Fruit::kPear, "pear"},
+};
+
+TEST(EnumNames, NameOfAndParseNameReadOneTable) {
+  static_assert(ParseName(kFruitNames, NameOf(kFruitNames, Fruit::kPear,
+                                               "?")) == Fruit::kPear);
+  for (const EnumName<Fruit>& entry : kFruitNames) {
+    EXPECT_STREQ(NameOf(kFruitNames, entry.value, "?"), entry.name);
+    EXPECT_EQ(ParseName(kFruitNames, entry.name), entry.value);
+  }
+  // An enumerator the table leaves out gets the caller's fallback, and
+  // names parse exactly: no case folding, no prefixes.
+  EXPECT_STREQ(NameOf(kFruitNames, Fruit::kQuince, "?"), "?");
+  EXPECT_FALSE(ParseName(kFruitNames, "Apple").has_value());
+  EXPECT_FALSE(ParseName(kFruitNames, "app").has_value());
+  EXPECT_FALSE(ParseName(kFruitNames, "").has_value());
+  // StatusCodeName falls back the same way for a code outside its table.
+  EXPECT_STREQ(StatusCodeName(static_cast<StatusCode>(99)), "Unknown");
 }
 
 Result<int> ParsePositive(int v) {
