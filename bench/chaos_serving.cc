@@ -21,6 +21,7 @@
 // same digest — rerun the bench and the stamps must agree.
 //
 // Usage: bench_chaos_serving [--quick] [strategies] [requests_per_cell]
+// (--quick runs the baseline, failover and hedging cells only.)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -151,7 +152,8 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   for (const Cell& cell : all_cells) {
     if (quick && std::strcmp(cell.name, "baseline") != 0 &&
-        std::strcmp(cell.name, "failover") != 0) {
+        std::strcmp(cell.name, "failover") != 0 &&
+        std::strcmp(cell.name, "hedging") != 0) {
       continue;
     }
     cells.push_back(cell);

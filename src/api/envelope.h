@@ -121,77 +121,6 @@ struct SweepReport {
 };
 
 // ---------------------------------------------------------------------------
-// Shard scan (the scatter half of the router's scatter/gather).
-// ---------------------------------------------------------------------------
-
-/// Everything the shard router needs from one shard to reassemble the
-/// unsharded answer: per-request workforce-row views, the shard's estimated
-/// parameter block at W, and the per-k ADPaR candidate orderings
-/// (skyline-pruned skybands in shard-local sorted order). The router merges
-/// these across shards with the global tie rules — (requirement, global
-/// index) for rows, (cost, global index) / (quality desc, global index) for
-/// skybands — which reproduces the single-shard orderings exactly.
-///
-/// Unlike the public envelopes these never travel the wire codec: the
-/// router and its shards share one process.
-struct ShardScanRequest {
-  /// Rows of the workforce matrix to scan; `requests[i].k` bounds row i's
-  /// top list. Empty for a sweep-only scan.
-  std::vector<core::DeploymentRequest> requests;
-  /// Resolved + quantized expected availability W. The shard uses it
-  /// verbatim for its snapshot — resolution and quantization already
-  /// happened on the router, exactly once, like the unsharded path.
-  double availability = 0.0;
-  core::WorkforcePolicy policy = core::WorkforcePolicy::kMinimalWorkforce;
-  /// Distinct cardinalities needing ADPaR candidate orderings.
-  std::vector<int> skyband_ks;
-  /// Return the shard's full parameter block. The router asks for it on
-  /// every alternatives or sweep scan — covered-strategy selection runs
-  /// over the merged block — and turns it off for row-only batch scans.
-  bool want_params = true;
-  /// Caller-assigned report id; empty (the default) means service-assigned.
-  std::string request_id;
-
-  bool operator==(const ShardScanRequest&) const = default;
-};
-
-/// One workforce-matrix row, shard-locally folded (see
-/// core::WorkforceMatrix::TopStrategies): the shard's feasible count plus
-/// its min(k, feasible) cheapest strategies ascending by (requirement,
-/// local index).
-struct ShardRequestScan {
-  size_t feasible_count = 0;
-  std::vector<size_t> strategies;    ///< shard-local strategy indices
-  std::vector<double> requirements;  ///< index-aligned with `strategies`
-
-  bool operator==(const ShardRequestScan&) const = default;
-};
-
-/// The shard's ADPaR candidate orderings for one cardinality k: the
-/// skyline-pruned (or full, when pruning is a no-op) by-cost and
-/// by-quality-descending index lists, in shard-local sorted order.
-struct ShardSkyband {
-  int k = 0;
-  std::vector<size_t> by_cost;          ///< ascending (cost, local index)
-  std::vector<size_t> by_quality_desc;  ///< descending quality, ties by index
-
-  bool operator==(const ShardSkyband&) const = default;
-};
-
-/// Outcome of one ScanShardAsync call.
-struct ShardScanReport {
-  std::string request_id;
-  double availability = 0.0;
-  /// The shard's estimated ParamVector block at W (bit-identical to the
-  /// corresponding slice of the unsharded block); empty unless requested.
-  std::vector<core::ParamVector> params;
-  std::vector<ShardRequestScan> rows;  ///< index-aligned with the requests
-  std::vector<ShardSkyband> skybands;  ///< one per requested cardinality
-
-  bool operator==(const ShardScanReport&) const = default;
-};
-
-// ---------------------------------------------------------------------------
 // Stream mode (wraps stream::StreamScheduler behind a session handle).
 // ---------------------------------------------------------------------------
 
@@ -334,8 +263,8 @@ struct ServiceStats {
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   /// Wall-clock nanoseconds spent building the catalog's SoA index at
-  /// Service::Create (core::CatalogIndex; a one-time cost every batch
-  /// amortizes).
+  /// Service::Create or ShardRouter::Create (core::CatalogIndex; a one-time
+  /// cost every batch amortizes).
   size_t index_build_nanos = 0;
   /// Admission control (lifetime): requests turned away because the queue
   /// gauge exceeded the configured ceiling, and how many of those rejections
@@ -351,8 +280,8 @@ struct ServiceStats {
   /// budget ran out (Service and ShardRouter both); `retries` counts
   /// HttpClient re-sends after a transport failure or 429; `failovers`
   /// counts router scans re-dispatched to another replica after a replica
-  /// failed or timed out; `hedges_won` counts hedged duplicate scans that
-  /// beat the primary.
+  /// failed; `hedges_won` counts hedged duplicate scans that beat the
+  /// primary.
   size_t deadline_exceeded = 0;
   size_t retries = 0;
   size_t failovers = 0;

@@ -28,8 +28,8 @@ class Executor;
 namespace stratrec::api::internal {
 
 /// Snaps `w` onto the availability grid of ServiceConfig::cache (no-op for
-/// quantum 0). Applied before the pipeline runs, so cache keys, shard scans
-/// and reports all see the same W.
+/// quantum 0). Applied before the pipeline runs, so cache keys and reports
+/// see the same W.
 double QuantizeAvailability(double w, double quantum);
 
 /// Whether a request's relative deadline_ms budget ran out between

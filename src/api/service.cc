@@ -1,123 +1,23 @@
 #include "src/api/service.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <list>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/api/codec.h"
 #include "src/api/lifecycle.h"
-#include "src/api/registry.h"
+#include "src/api/pipeline.h"
 #include "src/common/executor.h"
 #include "src/common/journal.h"
 #include "src/common/logging.h"
-#include "src/core/catalog_index.h"
 #include "src/core/kernels/kernels.h"
-#include "src/core/workforce.h"
 #include "src/stream/stream_scheduler.h"
 
 namespace stratrec::api {
 
 namespace internal {
-
-/// Sharded LRU of availability snapshots (core::AvailabilitySnapshot),
-/// keyed on the bit pattern of the (already quantized) availability. Every
-/// batch and sweep at one W shares a single snapshot, so the O(|S|)
-/// parameter estimation — and ADPaR's sorts/pruning tables — are paid once
-/// per distinct availability instead of once per job. Builds happen
-/// outside the shard lock; a racing duplicate build keeps the first
-/// inserted entry so callers converge on one shared block.
-class SnapshotCache {
- public:
-  /// Shard count is clamped to the capacity so floor division keeps the
-  /// total resident snapshots <= snapshot_capacity (a snapshot at |S|=1M
-  /// is tens of MB; the bound is the point of the knob).
-  explicit SnapshotCache(const CacheConfig& config)
-      : capacity_(config.snapshot_capacity),
-        shards_(std::max<size_t>(
-            size_t{1},
-            std::min(config.shards, std::max<size_t>(size_t{1}, capacity_)))) {
-    per_shard_capacity_ = std::max<size_t>(1, capacity_ / shards_.size());
-  }
-
-  bool enabled() const { return capacity_ > 0; }
-
-  /// The cached snapshot for `w`, or null on a miss (the caller builds and
-  /// offers it back via Insert).
-  std::shared_ptr<const core::AvailabilitySnapshot> Find(double w) {
-    if (!enabled()) return nullptr;
-    Shard& shard = ShardFor(w);
-    const uint64_t key = KeyFor(w);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) return nullptr;
-    // Move to the LRU front.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.position);
-    return it->second.snapshot;
-  }
-
-  /// Offers a freshly built snapshot; returns the canonical entry (the
-  /// existing one if another worker won the race).
-  std::shared_ptr<const core::AvailabilitySnapshot> Insert(
-      double w, std::shared_ptr<const core::AvailabilitySnapshot> snapshot) {
-    if (!enabled()) return snapshot;
-    Shard& shard = ShardFor(w);
-    const uint64_t key = KeyFor(w);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.position);
-      return it->second.snapshot;
-    }
-    shard.lru.push_front(key);
-    shard.entries.emplace(key,
-                          Entry{std::move(snapshot), shard.lru.begin()});
-    while (shard.entries.size() > per_shard_capacity_) {
-      shard.entries.erase(shard.lru.back());
-      shard.lru.pop_back();
-    }
-    return shard.entries.find(key)->second.snapshot;
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<const core::AvailabilitySnapshot> snapshot;
-    std::list<uint64_t>::iterator position;
-  };
-  struct alignas(64) Shard {
-    std::mutex mutex;
-    std::list<uint64_t> lru;  ///< most-recent first
-    std::unordered_map<uint64_t, Entry> entries;
-  };
-
-  static uint64_t KeyFor(double w) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(w));
-    std::memcpy(&bits, &w, sizeof(bits));
-    return bits;
-  }
-
-  Shard& ShardFor(double w) {
-    // splitmix64 finalizer: the exponent-heavy double bits spread poorly
-    // by themselves.
-    uint64_t x = KeyFor(w);
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return shards_[x % shards_.size()];
-  }
-
-  size_t capacity_;
-  size_t per_shard_capacity_;
-  std::vector<Shard> shards_;
-};
 
 /// Shared state behind every Service handle and its sessions. No single
 /// service mutex: the named-model table is read-mostly behind a shared
@@ -159,17 +59,9 @@ struct ServiceState {
     stratrec.aggregator().index(&executor, config.execution.parallel_grain);
   }
 
-  /// The shared per-W snapshot: cache hit, or build (outside any shard
-  /// lock) and insert. Counts hits/misses on the caller's stats stripe.
-  std::shared_ptr<const core::AvailabilitySnapshot> SnapshotFor(double w) {
-    if (auto cached = snapshots.Find(w)) {
-      stats.Add(&ServiceStats::cache_hits);
-      return cached;
-    }
-    stats.Add(&ServiceStats::cache_misses);
-    auto built = stratrec.aggregator().index().BuildSnapshot(
-        w, &executor, config.execution.parallel_grain);
-    return snapshots.Insert(w, std::move(built));
+  /// The view the shared batch and sweep bodies run over.
+  Pipeline pipeline() {
+    return {config, stratrec, models, snapshots, stats, executor, nullptr};
   }
 
   /// Appends one already-encoded record, demoting I/O failures to an error
@@ -217,196 +109,6 @@ struct SessionState {
         id(std::move(id_in)),
         scheduler(std::move(scheduler_in)) {}
 };
-
-namespace {
-
-/// The batch pipeline body, run on a pool worker. `state` outlives every
-/// job: workers are joined (and the queue drained) before the rest of
-/// ServiceState is torn down.
-Result<BatchReport> ExecuteBatch(ServiceState* state,
-                                 const BatchRequest& request,
-                                 const std::string& id) {
-  const BatchDefaults& defaults = state->config.batch;
-  const std::string algorithm = request.algorithm.value_or(defaults.algorithm);
-  auto solver = AlgorithmRegistry::Global().FindBatch(algorithm);
-  if (!solver.ok()) return solver.status();
-  auto availability = state->Resolve(request.availability);
-  if (!availability.ok()) return availability.status();
-  // The pipeline (and the report) run at the quantized W, so nearby
-  // availabilities share one cached snapshot when the knob is on.
-  const double w = QuantizeAvailability(
-      *availability, state->config.cache.availability_quantum);
-
-  core::StratRecOptions options;
-  options.batch.objective = request.objective.value_or(defaults.objective);
-  options.batch.aggregation =
-      request.aggregation.value_or(defaults.aggregation);
-  options.batch.policy = request.policy.value_or(defaults.policy);
-  // The embarrassingly-parallel stages (workforce matrix, ADPaR fan-out)
-  // partition across the same pool this job runs on; ParallelFor's caller
-  // participates, so this is safe even on a single-threaded pool.
-  options.batch.executor = &state->executor;
-  options.batch.parallel_grain = state->config.execution.parallel_grain;
-  options.recommend_alternatives =
-      request.recommend_alternatives.value_or(defaults.recommend_alternatives);
-  options.batch_solver = std::move(*solver);
-  if (options.recommend_alternatives) {
-    // Only resolved when it will run, so an unknown adpar name cannot fail
-    // a batch that never invokes it — and resolved before the O(|S|)
-    // snapshot build, so a typo'd name fails fast without touching the
-    // cache.
-    const std::string adpar_name =
-        request.adpar_solver.value_or(defaults.adpar_solver);
-    auto adpar = AlgorithmRegistry::Global().FindAdpar(adpar_name);
-    if (!adpar.ok()) return adpar.status();
-    // Only the alternatives leg reads per-W parameters, so only it fetches
-    // a snapshot; batch-only jobs skip the whole O(|S|) block.
-    options.snapshot = state->SnapshotFor(w);
-    // The built-in exact solver has a snapshot-riding overload (prebuilt
-    // orderings + skyline pruning, bit-identical results); leaving the
-    // solver unset makes StratRec pick it. Every other backend gets the
-    // registry entry as before. Dispatching on the name is sound because
-    // the registry refuses duplicate registrations — "exact" always means
-    // the built-in.
-    if (adpar_name != "exact") options.adpar_solver = std::move(*adpar);
-  }
-
-  auto result = state->stratrec.ProcessBatchAtAvailability(
-      request.requests, w, options);
-  if (!result.ok()) return result.status();
-
-  BatchReport report;
-  report.request_id = id;
-  report.algorithm = algorithm;
-  report.availability = w;
-  report.result = std::move(*result);
-  state->stats.Add(&ServiceStats::batches);
-  state->stats.Add(&ServiceStats::requests_processed, request.requests.size());
-  return report;
-}
-
-/// The sweep body, run on a pool worker; the |targets| x |solvers| cells
-/// are independent jobs fanned out across the pool, each writing its own
-/// pre-sized slot (deterministic regardless of scheduling).
-Result<SweepReport> ExecuteSweep(ServiceState* state,
-                                 const SweepRequest& request,
-                                 const std::string& id) {
-  auto availability = state->Resolve(request.availability);
-  if (!availability.ok()) return availability.status();
-  const double w = QuantizeAvailability(
-      *availability, state->config.cache.availability_quantum);
-
-  std::vector<std::string> solvers = request.solvers;
-  if (solvers.empty()) solvers.push_back(state->config.batch.adpar_solver);
-  // Validate every solver name before the (potentially O(|S|)) snapshot
-  // build, so a typo fails fast and touches neither the cache nor the
-  // index. A null slot marks the built-in exact solver, filled in below
-  // once the snapshot exists.
-  std::vector<core::AdparSolverFn> solver_fns;
-  solver_fns.reserve(solvers.size());
-  for (const std::string& name : solvers) {
-    if (name == "exact") {
-      solver_fns.emplace_back();
-      continue;
-    }
-    auto solver = AlgorithmRegistry::Global().FindAdpar(name);
-    if (!solver.ok()) return solver.status();
-    solver_fns.push_back(std::move(*solver));
-  }
-  // The shared per-W block every cell searches; only each cell's k
-  // covered strategies reach the report.
-  auto snapshot = state->SnapshotFor(w);
-  for (core::AdparSolverFn& fn : solver_fns) {
-    if (fn) continue;
-    // The built-in exact solver rides the snapshot's prebuilt orderings
-    // and skyline pruning (bit-identical to the registry entry).
-    fn = [snapshot](const std::vector<core::ParamVector>&,
-                    const core::ParamVector& d, int k) {
-      return core::AdparExact(*snapshot, d, k);
-    };
-  }
-
-  SweepReport report;
-  report.request_id = id;
-  report.availability = w;
-
-  report.outcomes.resize(request.targets.size() * solvers.size());
-  state->executor.ParallelFor(
-      report.outcomes.size(), /*grain=*/1, [&](size_t begin, size_t end) {
-        for (size_t cell = begin; cell < end; ++cell) {
-          const size_t i = cell / solvers.size();
-          const size_t s = cell % solvers.size();
-          const core::DeploymentRequest& target = request.targets[i];
-          SweepOutcome& outcome = report.outcomes[cell];
-          outcome.target_id =
-              target.id.empty() ? "target-" + std::to_string(i) : target.id;
-          outcome.solver = solvers[s];
-          auto solved = solver_fns[s](snapshot->params(), target.thresholds,
-                                      target.k);
-          if (solved.ok()) {
-            outcome.result = std::move(*solved);
-          } else {
-            outcome.status = solved.status();
-          }
-        }
-      });
-  state->stats.Add(&ServiceStats::sweeps);
-  return report;
-}
-
-/// The shard-scan body: the scatter half of the router's scatter/gather.
-/// The availability arrives pre-resolved and pre-quantized from the router,
-/// so the snapshot cache key matches the unsharded path bit for bit.
-Result<ShardScanReport> ExecuteShardScan(ServiceState* state,
-                                         const ShardScanRequest& request,
-                                         const std::string& id) {
-  ShardScanReport report;
-  report.request_id = id;
-  report.availability = request.availability;
-
-  if (!request.requests.empty()) {
-    const core::WorkforceMatrix matrix = core::WorkforceMatrix::Compute(
-        request.requests, state->stratrec.aggregator().index(), request.policy,
-        &state->executor, state->config.execution.parallel_grain);
-    report.rows.reserve(request.requests.size());
-    for (size_t i = 0; i < request.requests.size(); ++i) {
-      ShardRequestScan row;
-      // k < 1 rows stay empty: the gather rejects them via ValidateRequest
-      // before reading any shard data, exactly like the unsharded path.
-      if (request.requests[i].k >= 1) {
-        auto top = matrix.TopStrategies(i, request.requests[i].k);
-        if (!top.ok()) return top.status();
-        row.feasible_count = top->feasible_count;
-        row.strategies = std::move(top->strategies);
-        row.requirements = std::move(top->requirements);
-      }
-      report.rows.push_back(std::move(row));
-    }
-  }
-
-  if (request.want_params || !request.skyband_ks.empty()) {
-    auto snapshot = state->SnapshotFor(request.availability);
-    if (request.want_params) report.params = snapshot->params();
-    report.skybands.reserve(request.skyband_ks.size());
-    for (int k : request.skyband_ks) {
-      ShardSkyband band;
-      band.k = k;
-      if (auto pruned = snapshot->PrunedFor(k)) {
-        band.by_cost = pruned->by_cost;
-        band.by_quality_desc = pruned->by_quality_desc;
-      } else {
-        // Pruning was a no-op for this k; serve the full orderings.
-        const core::AdparOrderings& orderings = snapshot->orderings();
-        band.by_cost = orderings.by_cost;
-        band.by_quality_desc = orderings.by_quality_desc;
-      }
-      report.skybands.push_back(std::move(band));
-    }
-  }
-  return report;
-}
-
-}  // namespace
 
 }  // namespace internal
 
@@ -486,7 +188,7 @@ Ticket<BatchReport> Service::SubmitBatchAsync(BatchRequest request) const {
           return;
         }
         auto outcome = internal::GuardJob([&]() {
-          return internal::ExecuteBatch(state, request, shared->id);
+          return internal::ExecuteBatch(state->pipeline(), request, shared->id);
         });
         // Tap before Finish: once the ticket is retrievable, its pair is in
         // the journal. Encoding runs here on the worker, lock-free.
@@ -527,7 +229,7 @@ Ticket<SweepReport> Service::RunSweepAsync(SweepRequest request) const {
           return;
         }
         auto outcome = internal::GuardJob([&]() {
-          return internal::ExecuteSweep(state, request, shared->id);
+          return internal::ExecuteSweep(state->pipeline(), request, shared->id);
         });
         if (state->journal) {
           state->Record(wire::EncodeSweepRecord(shared->id, request, outcome));
@@ -535,27 +237,6 @@ Ticket<SweepReport> Service::RunSweepAsync(SweepRequest request) const {
         shared->Finish(std::move(outcome));
       });
   return Ticket<SweepReport>(std::move(shared));
-}
-
-Ticket<ShardScanReport> Service::ScanShardAsync(ShardScanRequest request) const {
-  auto shared = std::make_shared<internal::TicketShared<ShardScanReport>>(
-      request.request_id.empty() ? state_->ids.Next("scan")
-                                 : request.request_id);
-  internal::ServiceState* state = state_.get();
-  state_->executor.Submit(
-      [state, shared, request = std::move(request)]() mutable {
-        if (!shared->BeginRun()) {
-          state->stats.Add(&ServiceStats::cancelled);
-          return;
-        }
-        auto outcome = internal::GuardJob([&]() {
-          return internal::ExecuteShardScan(state, request, shared->id);
-        });
-        // No journal tap: scans are a router-internal transport, and the
-        // router's own requests are what replay needs to reproduce.
-        shared->Finish(std::move(outcome));
-      });
-  return Ticket<ShardScanReport>(std::move(shared));
 }
 
 Result<BatchReport> Service::SubmitBatch(BatchRequest request) const {

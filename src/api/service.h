@@ -110,15 +110,6 @@ class Service {
   /// one W, the cells themselves fanned out across the pool.
   Ticket<SweepReport> RunSweepAsync(SweepRequest request) const;
 
-  /// Shard scan, asynchronous: the scatter half of the shard router's
-  /// scatter/gather (see src/router/shard_router.h). Computes per-request
-  /// workforce-row views, the shard's parameter block, and per-k ADPaR
-  /// candidate orderings at the request's availability — which is used
-  /// verbatim (no resolution or quantization; the router already did both).
-  /// Scans ride the same executor and snapshot cache as batches and sweeps
-  /// but are not journaled and bump neither the batch nor the sweep counter.
-  Ticket<ShardScanReport> ScanShardAsync(ShardScanRequest request) const;
-
   /// Synchronous wrappers: SubmitBatchAsync(request).Wait() / the sweep
   /// equivalent — same code path, same results, just blocking.
   Result<BatchReport> SubmitBatch(BatchRequest request) const;

@@ -88,11 +88,12 @@ Result<AdparResult> AdparExact(const std::vector<ParamVector>& strategies,
 /// full parameter list; `by_cost` (ascending cost, ties by index) and
 /// `by_quality_desc` (descending quality, ties by index) are orderings over
 /// any candidate subset that provably contains an optimal tight alternative
-/// (the whole list, a skyline-pruned subset, or a k-way merge of per-shard
-/// skybands). Covered strategies are re-selected against the full list, so
-/// every caller reports the same deterministic k-set. This is the funnel the
-/// classic and snapshot entry points already share; exporting it lets the
-/// shard router run the identical float operations over merged orderings.
+/// (the whole list or a skyline-pruned subset). Covered strategies are
+/// re-selected against the full list, so every caller reports the same
+/// deterministic k-set. Its one production caller is the stream scheduler,
+/// which maintains its own orderings incrementally
+/// (src/stream/stream_scheduler.h); the batch and sweep paths ride the
+/// snapshot AdparExact of src/core/catalog_index.h instead.
 Result<AdparResult> AdparExactOverOrderings(
     const std::vector<ParamVector>& strategies,
     const std::vector<size_t>& by_cost,

@@ -134,14 +134,22 @@ WorkforceMatrix WorkforceMatrix::Compute(
 WorkforceMatrix WorkforceMatrix::Compute(
     const std::vector<DeploymentRequest>& requests, const CatalogIndex& index,
     WorkforcePolicy policy, Executor* executor, size_t grain) {
-  WorkforceMatrix matrix(requests.size(), index.size());
+  return Compute(requests, index, 0, index.size(), policy, executor, grain);
+}
+
+WorkforceMatrix WorkforceMatrix::Compute(
+    const std::vector<DeploymentRequest>& requests, const CatalogIndex& index,
+    size_t begin, size_t end, WorkforcePolicy policy, Executor* executor,
+    size_t grain) {
+  WorkforceMatrix matrix(requests.size(), end - begin);
   const size_t cols = matrix.cols_;
-  const kernels::CoeffSoA soa{index.alphas(ParamAxis::kQuality).data(),
-                              index.betas(ParamAxis::kQuality).data(),
-                              index.alphas(ParamAxis::kCost).data(),
-                              index.betas(ParamAxis::kCost).data(),
-                              index.alphas(ParamAxis::kLatency).data(),
-                              index.betas(ParamAxis::kLatency).data()};
+  // The range's view of the SoA arrays: column j reads strategy begin + j.
+  const kernels::CoeffSoA soa{index.alphas(ParamAxis::kQuality).data() + begin,
+                              index.betas(ParamAxis::kQuality).data() + begin,
+                              index.alphas(ParamAxis::kCost).data() + begin,
+                              index.betas(ParamAxis::kCost).data() + begin,
+                              index.alphas(ParamAxis::kLatency).data() + begin,
+                              index.betas(ParamAxis::kLatency).data() + begin};
   // Row-major fill through the dispatched kernel, thresholds hoisted per
   // row. An executor partition may start or end mid-row, so each chunk is
   // split into row segments before the kernel call.

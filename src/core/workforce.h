@@ -89,6 +89,16 @@ class WorkforceMatrix {
       WorkforcePolicy policy = WorkforcePolicy::kMinimalWorkforce,
       Executor* executor = nullptr, size_t grain = 4096);
 
+  /// The matrix over strategies [begin, end) of `index` only: column j is
+  /// strategy begin + j, and every cell equals that column of the
+  /// whole-index fill. A shard router scans its ranges of one shared index
+  /// this way. Requires begin <= end <= index.size().
+  static WorkforceMatrix Compute(
+      const std::vector<DeploymentRequest>& requests,
+      const CatalogIndex& index, size_t begin, size_t end,
+      WorkforcePolicy policy = WorkforcePolicy::kMinimalWorkforce,
+      Executor* executor = nullptr, size_t grain = 4096);
+
   size_t num_requests() const { return rows_; }
   size_t num_strategies() const { return cols_; }
 

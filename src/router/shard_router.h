@@ -1,49 +1,48 @@
-// ShardRouter — one logical catalog partitioned across N in-process
-// Service shards, behind the same envelope API as a single Service.
+// ShardRouter — one logical catalog scanned as N contiguous strategy
+// ranges, behind the same envelope API as a single Service.
 //
-// The catalog is split into N contiguous strategy ranges (sizes differing
-// by at most one); each range backs its own Service with its own worker
-// pool, catalog index, and availability-snapshot cache. A batch or sweep is
-// answered by scatter/gather:
+// The router owns one core::StratRec over the whole catalog (one
+// CatalogIndex), one availability-snapshot cache, and one worker pool. The
+// catalog is split into N contiguous ranges of that index (sizes differing
+// by at most one); each range is scanned on its own replica pools:
 //
-//   scatter  every shard runs Service::ScanShardAsync at the router-resolved
-//            (and quantized) availability W — per-request workforce-row
-//            views, the shard's parameter block, and skyline-pruned ADPaR
-//            skybands, all in shard-local order,
-//   gather   the router k-way-merges the shard results back into global
-//            order — rows by (requirement, global index), skybands by
-//            (cost, global index) / (quality desc, global index) — runs the
-//            selection half of the batch solve (core::SolveBatchAggregated)
-//            or the merged-ordering ADPaR funnel
-//            (core::AdparExactOverOrderings), and assembles the report.
+//   router pool       tickets, availability resolution, the batch selection,
+//    |                ADPaR alternatives, sweeps, custom registry solvers
+//    +-- shard 0      strategies [o0, o1) of the index: replica pools 0..R-1
+//    +-- shard 1      strategies [o1, o2): replica pools 0..R-1
+//    +-- ...
 //
-// The merge rules are exactly the tie rules of the unsharded pipeline, and
-// every floating-point fold visits values in the same order, so a router
-// over {1, 2, 4} shards returns *byte-identical* reports to one unsharded
-// Service for the same request trace (property-tested in
-// tests/router_property_test.cc). Custom registry batch solvers (anything
-// beyond batchstrat / baseline-g / brute-force) cannot be scattered — the
-// router keeps one full catalog copy and runs them unsharded, still behind
-// the same API.
+// Only the row fold of the batch solve (paper Section 3.2) is sharded: for
+// the built-in algorithms (batchstrat / baseline-g / brute-force) every
+// shard fills its range of the workforce matrix
+// (core::WorkforceMatrix::Compute over [begin, end)) and returns each
+// request's feasible count and k cheapest strategies; the router k-way-merges
+// the rows by (requirement, global index) and runs the selection half of
+// the solve (core::SolveBatchAggregated). Everything else runs once, on the
+// router's own snapshot, through the batch and sweep bodies an unsharded
+// Service runs (src/api/pipeline.h). The row merge reproduces the unsharded
+// k-best lists and folds bit for bit, and the rest is the same code, so a
+// router over any shard count returns *byte-identical* reports to one
+// unsharded Service for the same request trace (property-tested in
+// tests/router_property_test.cc).
 //
 // Admission control for the serving tier: TryAdmit() compares the summed
-// executor queue-depth gauges (router + shards) against
+// executor queue-depth gauges (router pool + every replica pool) against
 // RouterConfig::max_queue_depth; the HTTP front end maps a refusal to
-// 429 + Retry-After. The router never journals — point the shard template's
-// journal at a path and it is deliberately stripped (N writers would
-// clobber one file, and scans are a transport, not a workload record).
+// 429 + Retry-After. The router never journals: a journal block in the
+// service template is ignored.
 //
-// Fault tolerance (PR 10): RouterConfig::replicas runs R identical copies
-// of every shard's Service. Scatter picks a starting replica per request
-// (seeded, deterministic), fails over to the next replica when an attempt
-// errors, exceeds replica_timeout_ms, or is killed by the installed
-// fault::FaultPlan ("router.shard.<s>.replica.<r>" sites), and optionally
-// hedges a straggling first attempt after hedge_after_ms. Replicas hold
-// identical state, so any replica's report is THE shard report and the
-// byte-identity property is preserved under arbitrary failover (extended
-// property test: replicas {1,2,3} x injected failures). Requests whose
-// deadline_ms budget expires while queued complete with kDeadlineExceeded
-// through the ticket cancel path instead of scattering.
+// Fault tolerance: RouterConfig::replicas runs R pools per shard over the
+// same range of the same index. A scatter picks a starting replica per
+// shard (seeded, deterministic), fails over to the next replica when an
+// attempt errors or is killed by the installed fault::FaultPlan
+// ("router.replica" / "router.shard.<s>.replica.<r>" sites), and optionally
+// hedges a straggling first attempt after hedge_after_ms. Every replica
+// scans identical data, so any replica's rows are THE shard's rows and
+// byte identity holds under arbitrary failover (property-tested with
+// replicas {1, 2, 3} x injected failures). Requests whose deadline_ms
+// budget expires while queued complete with kDeadlineExceeded through the
+// ticket cancel path instead of running.
 #ifndef STRATREC_ROUTER_SHARD_ROUTER_H_
 #define STRATREC_ROUTER_SHARD_ROUTER_H_
 
@@ -66,38 +65,28 @@ struct RouterConfig {
   /// Shard count; Create fails when it exceeds the catalog size (every
   /// shard needs at least one strategy).
   size_t shards = 2;
-  /// Copies of each shard's Service. Replicas are built from the identical
-  /// catalog slice and config, so any replica's scan report *is* the
-  /// shard's report — failover and hedging cannot perturb byte-identity.
-  /// Scatter picks a starting replica per request deterministically (seeded
-  /// by `replica_seed` and a router-local sequence number) and fails over
-  /// to the next replica on error, injected fault, or timeout. 1 (the
-  /// default) reproduces the unreplicated router exactly.
+  /// Pools per shard. Every replica scans the same range of the same
+  /// index, so any replica's rows *are* the shard's rows — failover and
+  /// hedging cannot perturb byte-identity. Scatter picks a starting replica
+  /// per shard deterministically (seeded by `replica_seed` and a
+  /// router-local sequence number) and fails over to the next replica on
+  /// error or injected fault. 1 (the default) runs one pool per shard.
   size_t replicas = 1;
   /// Seed of the deterministic replica picks; two routers with the same
   /// seed route the same request sequence to the same replicas.
   uint64_t replica_seed = 0;
-  /// Per-attempt timeout in ms on one replica's scan before failing over to
-  /// the next replica (the abandoned scan still completes on its shard pool;
-  /// its result is dropped). 0 = wait forever, so a dead-slow replica can
-  /// only be routed around via fault injection or hedging.
-  double replica_timeout_ms = 0.0;
   /// Hedging: when > 0 (and replicas > 1), a first attempt still pending
   /// after this many ms gets a duplicate scan on the next replica, and the
   /// shard takes whichever finishes first (stats().hedges_won counts hedge
   /// wins). 0 disables hedging.
   double hedge_after_ms = 0.0;
-  /// Template for the shard services *and* the router's own request
-  /// handling: `batch` defaults, the default `availability` spec, and the
-  /// cache quantum apply on the router (resolution happens exactly once,
-  /// like the unsharded path); `execution` and `cache` size every shard.
-  /// The journal block is stripped from shards — see the file comment.
+  /// The router's request handling, exactly as on a Service: `batch`
+  /// defaults, the default `availability` spec, and `cache` (the quantum
+  /// and the router's one snapshot cache). `execution` sizes the router
+  /// pool and every replica pool alike. `journal` is ignored.
   api::ServiceConfig service;
-  /// Worker threads of the router's gather pool (the pool tickets run on
-  /// and the ADPaR fan-out partitions across); 0 = hardware concurrency.
-  size_t router_threads = 0;
   /// Admission ceiling: TryAdmit() refuses when the summed queue-depth
-  /// gauges (router + shards) reach this. 0 = admit everything.
+  /// gauges (router + replica pools) reach this. 0 = admit everything.
   size_t max_queue_depth = 0;
 };
 
@@ -106,8 +95,8 @@ struct RouterConfig {
 /// thread-safe.
 class ShardRouter {
  public:
-  /// Validates the config, partitions the catalog, and spins up the shard
-  /// services plus the router pool.
+  /// Validates the config, builds the catalog index, splits it into shard
+  /// ranges, and spins up the replica pools plus the router pool.
   static Result<ShardRouter> Create(core::Catalog catalog,
                                     RouterConfig config = {});
 
@@ -115,16 +104,16 @@ class ShardRouter {
   /// semantics as Service::SubmitBatchAsync, byte-identical reports.
   api::Ticket<api::BatchReport> SubmitBatchAsync(
       api::BatchRequest request) const;
-  /// Sweep mode: every target x every named adpar backend at one W over the
-  /// merged catalog view.
+  /// Sweep mode: every target x every named adpar backend at one W, run on
+  /// the router's snapshot exactly as on a Service.
   api::Ticket<api::SweepReport> RunSweepAsync(api::SweepRequest request) const;
 
   /// Synchronous wrappers, mirroring Service.
   Result<api::BatchReport> SubmitBatch(api::BatchRequest request) const;
   Result<api::SweepReport> RunSweep(api::SweepRequest request) const;
 
-  /// Named availability models resolve on the router (shards never resolve
-  /// — they receive W verbatim), so registration is router-local.
+  /// Named availability models resolve on the router, so registration is
+  /// router-local.
   Status RegisterAvailabilityModel(std::string name,
                                    core::AvailabilityModel model) const;
 
@@ -141,11 +130,10 @@ class ShardRouter {
   /// Replicas per shard (RouterConfig::replicas after validation).
   size_t replicas() const;
   const RouterConfig& config() const;
-  /// Router-level counters (batches/sweeps/requests_processed/cancelled,
-  /// the admission pair, and the fault-tolerance counters
-  /// deadline_exceeded/failovers/hedges_won) plus the shard gauges,
-  /// cache/steal counters, and stream/snapshot counters summed across every
-  /// shard replica and the router pool.
+  /// The router's counters (batches/sweeps/requests_processed/cancelled,
+  /// the snapshot cache, the one index build, the admission pair, and
+  /// deadline_exceeded/failovers/hedges_won) plus the executor gauges and
+  /// steal counters summed over the router pool and every replica pool.
   api::ServiceStats stats() const;
 
  private:

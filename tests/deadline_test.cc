@@ -189,7 +189,7 @@ TEST(Deadline, RouterEnforcesDeadlinesOnItsOwnQueue) {
 
   RouterConfig config;
   config.shards = 2;
-  config.router_threads = 1;
+  config.service.execution.worker_threads = 1;
   auto router = ShardRouter::Create(SmallCatalog(), config);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
 

@@ -293,7 +293,7 @@ TEST(HttpServer, SaturatedQueueAnswers429WithRetryAfter) {
 
   RouterConfig config;
   config.shards = 1;
-  config.router_threads = 1;   // one worker: the gate parks the whole pool
+  config.service.execution.worker_threads = 1;  // the gate parks the pool
   config.max_queue_depth = 1;  // one queued job saturates admission
   Tier tier = StartTier(config);
 
@@ -453,7 +453,7 @@ TEST(HttpServerDrain, StopFlushesPipelinedResponsesAndRefusesNewConnects) {
 
   RouterConfig config;
   config.shards = 1;
-  config.router_threads = 1;
+  config.service.execution.worker_threads = 1;
   Tier tier = StartTier(config);
 
   auto client = Dial(tier.server);
@@ -516,7 +516,7 @@ TEST(HttpDeadline, ExpiredHeaderDeadlineIsA504) {
 
   RouterConfig config;
   config.shards = 1;
-  config.router_threads = 1;
+  config.service.execution.worker_threads = 1;
   Tier tier = StartTier(config);
 
   auto parked = Dial(tier.server);

@@ -11,6 +11,7 @@
 // failover must preserve byte identity too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <string>
@@ -168,7 +169,6 @@ TEST(RouterProperty, ShardedReportsAreByteIdenticalToUnsharded) {
       RouterConfig router_config;
       router_config.shards = shards;
       router_config.service = config;
-      router_config.router_threads = pool;
       auto router = ShardRouter::Create(catalog, router_config);
       ASSERT_TRUE(router.ok()) << router.status().ToString();
       EXPECT_EQ(router->shards(), shards);
@@ -230,7 +230,6 @@ TEST(RouterProperty, ReplicatedFailoverPreservesByteIdentity) {
       router_config.replicas = replicas;
       router_config.replica_seed = 0x51EC;
       router_config.service = config;
-      router_config.router_threads = pool;
       auto router = ShardRouter::Create(catalog, router_config);
       ASSERT_TRUE(router.ok()) << router.status().ToString();
       EXPECT_EQ(router->replicas(), replicas);
@@ -250,6 +249,106 @@ TEST(RouterProperty, ReplicatedFailoverPreservesByteIdentity) {
             << "replicas=" << replicas << " pool=" << pool;
         ASSERT_NE(plan, nullptr);
         EXPECT_GT(plan->TotalInjected(), 0u);
+      }
+    }
+  }
+}
+
+/// 60 strategies over 7 base profiles. Strategy j takes base profile
+/// (j - number of split points <= j) mod 7, where the split points are every
+/// shard boundary of 60 strategies into 2..5 shards. Each boundary thus sits
+/// between two copies of one profile, and every profile recurs in every
+/// shard, so requirements and parameters tie across shards everywhere.
+core::Catalog TiedCatalog() {
+  constexpr size_t kStrategies = 60;
+  std::vector<size_t> splits;
+  for (size_t shards = 2; shards <= 5; ++shards) {
+    for (size_t s = 1; s < shards; ++s) {
+      splits.push_back(s * kStrategies / shards);
+    }
+  }
+  std::sort(splits.begin(), splits.end());
+  splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
+  const core::Catalog base = WideCatalog();
+  core::Catalog catalog;
+  for (size_t j = 0; j < kStrategies; ++j) {
+    const size_t before = static_cast<size_t>(
+        std::upper_bound(splits.begin(), splits.end(), j) - splits.begin());
+    const size_t p = (j - before) % 7;
+    catalog.strategies.emplace_back("s" + std::to_string(j),
+                                    base.strategies[p].stages());
+    catalog.profiles.push_back(base.profiles[p]);
+  }
+  return catalog;
+}
+
+// The global tie rules under maximal ties: row merges break requirement
+// ties by global index, and alternatives and sweeps must pick the same
+// covered strategies among identical copies, at every shard count.
+TEST(RouterProperty, TiesAcrossShardBoundariesAreByteIdentical) {
+  const core::Catalog catalog = TiedCatalog();
+  std::vector<api::BatchRequest> batches;
+  for (const core::AggregationMode mode :
+       {core::AggregationMode::kSum, core::AggregationMode::kMax}) {
+    api::BatchRequest batch;
+    batch.requests = MixedRequests();
+    batch.requests.push_back({"d6", {0.30, 0.80, 0.90}, 9});
+    batch.requests.push_back({"d7", {0.20, 0.90, 0.95}, 13});
+    // Served at zero workforce by most strategies: its k-best list is the
+    // lowest global indices among ties spanning every shard.
+    batch.requests.push_back({"d8", {0.10, 0.95, 0.99}, 13});
+    batch.aggregation = mode;
+    batch.availability = api::AvailabilitySpec::Fixed(0.6);
+    batch.request_id =
+        mode == core::AggregationMode::kSum ? "b-tie-sum" : "b-tie-max";
+    batches.push_back(batch);
+  }
+  api::SweepRequest sweep;
+  sweep.targets = {{"t1", {0.9, 0.1, 0.1}, 1},
+                   {"t2", {0.5, 0.9, 0.9}, 2},
+                   {"t3", {0.7, 0.3, 0.4}, 6},
+                   {"t4", {0.95, 0.05, 0.05}, 12}};
+  sweep.solvers = {"exact", "paper-sweep", "baseline2"};
+  sweep.availability = api::AvailabilitySpec::Fixed(0.6);
+  sweep.request_id = "s-tie";
+
+  auto run = [&](const auto& tier) {
+    std::vector<std::string> out;
+    for (const api::BatchRequest& batch : batches) {
+      auto report = tier.SubmitBatch(batch);
+      out.push_back(report.ok() ? json::Dump(wire::Encode(*report))
+                                : report.status().ToString());
+    }
+    auto report = tier.RunSweep(sweep);
+    out.push_back(report.ok() ? json::Dump(wire::Encode(*report))
+                              : report.status().ToString());
+    return out;
+  };
+
+  for (const size_t pool : {size_t{1}, size_t{4}}) {
+    api::ServiceConfig config;
+    config.execution.worker_threads = pool;
+    auto unsharded = api::Service::Create(catalog, config);
+    ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
+    const std::vector<std::string> expected = run(*unsharded);
+    for (const std::string& report : expected) {
+      ASSERT_EQ(report.rfind("{", 0), 0u) << report;
+    }
+    // The trace must reach ADPaR, or the alternatives leg goes untested.
+    EXPECT_NE(expected[0].find("\"alternatives\":[{"), std::string::npos);
+
+    for (size_t shards = 1; shards <= 5; ++shards) {
+      RouterConfig router_config;
+      router_config.shards = shards;
+      router_config.service = config;
+      auto router = ShardRouter::Create(catalog, router_config);
+      ASSERT_TRUE(router.ok()) << router.status().ToString();
+      const std::vector<std::string> actual = run(*router);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i], expected[i])
+            << "case " << i << " diverged at shards=" << shards
+            << " pool=" << pool;
       }
     }
   }
@@ -276,7 +375,7 @@ TEST(RouterProperty, RouterCountsItsOwnTraffic) {
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.sweeps, 1u);
   EXPECT_EQ(stats.requests_processed, MixedRequests().size());
-  // Every scatter warms (or hits) the shard snapshot caches.
+  // The alternatives batch and the sweep each look up the router's cache.
   EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
 }
 

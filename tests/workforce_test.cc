@@ -3,7 +3,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
+#include "src/common/executor.h"
+#include "src/core/catalog_index.h"
+#include "src/core/kernels/kernels.h"
 #include "src/core/workforce.h"
 #include "src/workload/generators.h"
 
@@ -229,6 +234,61 @@ TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
     }
   }
   EXPECT_GT(long_rows, 0u);  // some rows really are cut down to k
+}
+
+// The range fill against the whole-index fill: column j of the range
+// [b, e) must equal column b + j of the full matrix, bit for bit, for
+// the whole range, one-wide ranges, and starts off the 4-wide AVX2 lane
+// grid, serially and partitioned across a pool (chunks then split rows).
+void ExpectRangeFillsMatchFullFill(kernels::DispatchLevel level) {
+  kernels::Configure(kernels::KernelConfig{level});
+  workload::Generator generator({}, 0x4A46'0001ull);
+  const size_t n = 37;
+  const CatalogIndex index =
+      CatalogIndex::Build(generator.Profiles(static_cast<int>(n)));
+  const auto requests = generator.RequestsWithRanges(
+      5, 3, {0.3, 0.9}, {0.3, 1.0}, {0.3, 1.0});
+  const std::pair<size_t, size_t> ranges[] = {
+      {0, n}, {0, 1}, {n - 1, n}, {5, 6}, {1, n},
+      {3, 30}, {6, 19}, {0, 13}, {13, n}, {9, 14}};
+  Executor pool(2);
+  size_t feasible = 0;
+  for (WorkforcePolicy policy : {WorkforcePolicy::kMinimalWorkforce,
+                                 WorkforcePolicy::kPaperMaxOfThree}) {
+    const auto full = WorkforceMatrix::Compute(requests, index, policy);
+    for (const auto& [begin, end] : ranges) {
+      for (Executor* executor : {static_cast<Executor*>(nullptr), &pool}) {
+        const auto part = WorkforceMatrix::Compute(requests, index, begin,
+                                                   end, policy, executor, 7);
+        ASSERT_EQ(part.num_requests(), requests.size());
+        ASSERT_EQ(part.num_strategies(), end - begin);
+        for (size_t i = 0; i < requests.size(); ++i) {
+          for (size_t j = 0; j < end - begin; ++j) {
+            const WorkforceCell& got = part.At(i, j);
+            const WorkforceCell& want = full.At(i, begin + j);
+            EXPECT_EQ(std::memcmp(&got.requirement, &want.requirement,
+                                  sizeof(double)),
+                      0)
+                << "range [" << begin << ", " << end << ") row " << i
+                << " column " << j;
+            EXPECT_EQ(got.feasible, want.feasible);
+            feasible += got.feasible ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible, 0u);  // the comparison covers real requirements
+  kernels::Configure(kernels::KernelConfig{});
+}
+
+TEST(WorkforceMatrixRange, RangeFillMatchesFullFillScalar) {
+  ExpectRangeFillsMatchFullFill(kernels::DispatchLevel::kScalar);
+}
+
+TEST(WorkforceMatrixRange, RangeFillMatchesFullFillAvx2) {
+  if (!kernels::Avx2Available()) GTEST_SKIP() << "no AVX2 on this host";
+  ExpectRangeFillsMatchFullFill(kernels::DispatchLevel::kAvx2);
 }
 
 }  // namespace
