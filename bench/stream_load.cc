@@ -3,10 +3,11 @@
 // implementations of the same rolling-BatchStrat semantics:
 //
 //   incremental    stream::StreamScheduler — executor-parallel pricing
-//                  over the CatalogIndex plus an IncrementalSnapshot that
-//                  absorbs arrivals/revocations/completions in O(1) and
-//                  re-estimates the per-W params block only when the
-//                  quantized availability moves;
+//                  over the CatalogIndex; arrivals/revocations/completions
+//                  never touch its per-W snapshot, and an availability
+//                  change drops it only when the quantized W moves (the
+//                  next ineligible arrival that wants an alternative
+//                  builds it again);
 //
 //   full rebuild   the PR-0 core::OnlineScheduler (serial pricing over
 //                  profile structs) with the per-availability derived
@@ -17,8 +18,9 @@
 // Both paths make bit-identical admission decisions (asserted per
 // scenario), so the events/sec ratio isolates the maintenance strategy.
 // A record/replay self-check then drives one journaled session through
-// the Service facade and replays the trace at 1/2/4/8 worker threads,
-// requiring byte-identical StreamUpdates at every pool size.
+// the Service facade, with every 10th arrival made ineligible so the ADPaR
+// leg serves alternatives, and replays the trace at 1/2/4/8 worker
+// threads, requiring byte-identical StreamUpdates at every pool size.
 //
 // Prints the usual ASCII table plus machine-readable JSON (stdout and
 // stream_load.json) so CI can assert incremental >= full rebuild.
@@ -273,9 +275,9 @@ DriveResult DriveFullRebuild(const std::vector<core::StrategyProfile>& profiles,
   }
   // The derived per-W state a naive stream tier keeps fresh by recomputing
   // it after every event: the batch path's own CatalogIndex::BuildSnapshot,
-  // exactly what a session without IncrementalSnapshot would call (the
-  // snapshot cache does not help — every event invalidates it). The O(1)
-  // absorption replaces precisely this allocation + O(|S|) re-estimation.
+  // exactly what a session that rebuilt its snapshot per event would call
+  // (the snapshot cache does not help — every event invalidates it). The
+  // O(1) absorption replaces precisely this allocation + O(|S|) estimation.
   std::shared_ptr<const core::AvailabilitySnapshot> snapshot;
   double w = kInitialAvailability;
   const auto start = std::chrono::steady_clock::now();
@@ -338,11 +340,15 @@ struct ReplayCheck {
 
 /// Records one journaled session through the Service facade, then replays
 /// the trace at several pool sizes: every StreamUpdate must come back byte
-/// for byte. Returns one row per pool size; exits on infrastructure
-/// failures (an unreadable trace is a bug, not a measurement).
+/// for byte. Every 10th recorded arrival keeps its id but asks for quality
+/// >= 0.97 at cost and latency <= 0.2, which the generated catalog cannot
+/// serve, so the trace carries ADPaR alternatives; `alternatives` receives
+/// how many recorded updates hold one. Returns one row per pool size; exits on
+/// infrastructure failures (an unreadable trace is a bug, not a
+/// measurement).
 std::vector<ReplayCheck> ReplaySelfCheck(
     const std::vector<core::StrategyProfile>& profiles,
-    const std::vector<Event>& events) {
+    const std::vector<Event>& events, size_t* alternatives) {
   const std::string journal_path = "stream_load.journal";
   std::remove(journal_path.c_str());
   {
@@ -363,11 +369,25 @@ std::vector<ReplayCheck> ReplaySelfCheck(
                    session.status().ToString().c_str());
       std::exit(1);
     }
+    workload::Generator ineligible({}, 0x1E11'61B1ull);
+    size_t arrivals = 0;
+    *alternatives = 0;
     for (const Event& event : events) {
       switch (event.kind) {
-        case api::StreamEvent::Kind::kArrival:
-          (void)session->Submit(api::StreamEvent::Arrival(event.request));
+        case api::StreamEvent::Kind::kArrival: {
+          core::DeploymentRequest request = event.request;
+          if (++arrivals % 10 == 0) {
+            request.thresholds =
+                ineligible
+                    .RequestsWithRanges(1, request.k, {0.97, 1.0}, {0.0, 0.2},
+                                        {0.0, 0.2})
+                    .front()
+                    .thresholds;
+          }
+          auto update = session->Submit(api::StreamEvent::Arrival(request));
+          if (update.ok() && update->has_alternative) ++*alternatives;
           break;
+        }
         case api::StreamEvent::Kind::kRevocation:
           (void)session->Submit(
               api::StreamEvent::Revocation(event.request_id));
@@ -488,11 +508,17 @@ int main(int argc, char** argv) {
   const std::vector<Event>& drift = scenarios.back().events;
   const size_t recorded =
       std::min<size_t>(replay_events, drift.size());
+  size_t alternatives = 0;
   const auto replay = ReplaySelfCheck(
-      profiles, std::vector<Event>(drift.begin(),
-                                   drift.begin() + static_cast<long>(recorded)));
+      profiles,
+      std::vector<Event>(drift.begin(),
+                         drift.begin() + static_cast<long>(recorded)),
+      &alternatives);
 
-  std::printf("\nreplay self-check (drift prefix, %zu events):\n", recorded);
+  std::printf(
+      "\nreplay self-check (drift prefix, %zu events, %zu with an ADPaR "
+      "alternative):\n",
+      recorded, alternatives);
   bool replay_ok = true;
   for (const ReplayCheck& check : replay) {
     replay_ok = replay_ok && check.ok;
@@ -502,6 +528,12 @@ int main(int argc, char** argv) {
   }
   if (!replay_ok) {
     std::fprintf(stderr, "replay self-check failed\n");
+    return 1;
+  }
+  if (alternatives == 0) {
+    std::fprintf(stderr,
+                 "replay self-check recorded no ADPaR alternative: the "
+                 "ineligible arrivals did not reach the alternatives leg\n");
     return 1;
   }
 

@@ -39,9 +39,10 @@ struct StreamDefaults {
   size_t max_pending = 64;
   /// Drain the pending queue greedily whenever capacity frees up.
   bool readmit_on_release = true;
-  /// Serve an ADPaR alternative for ineligible stream arrivals (the stream
-  /// twin of BatchDefaults::recommend_alternatives; off by default so
-  /// sessions that never ask behave exactly like before).
+  /// Serve an ADPaR alternative for ineligible stream arrivals: the solver
+  /// BatchDefaults::recommend_alternatives runs, on a snapshot the session
+  /// builds at its quantized W. Off by default, so a session that never
+  /// asks never builds the O(|S|) block.
   bool recommend_alternatives = false;
 
   bool operator==(const StreamDefaults&) const = default;

@@ -232,10 +232,10 @@ struct ServiceStats {
   /// Pending stream requests re-admitted by density-order drains after a
   /// revocation, completion, or availability raise freed capacity.
   size_t stream_reschedules = 0;
-  /// Incremental-snapshot maintenance across all stream sessions: events
-  /// absorbed in O(1) without re-estimating the per-W derived block vs
-  /// availability changes that moved the quantized W and invalidated it
-  /// (the block is re-estimated on its next ADPaR use).
+  /// Snapshot maintenance across all stream sessions: events absorbed in
+  /// O(1) that left a session's quantized W in place vs availability
+  /// changes that moved it and dropped the session's per-W snapshot (the
+  /// next ineligible arrival that wants an alternative builds it again).
   size_t snapshot_delta_updates = 0;
   size_t snapshot_rebuilds = 0;
   /// Deployment requests seen across batches and stream arrivals.

@@ -1,6 +1,5 @@
 #include "src/api/lifecycle.h"
 
-#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <utility>
@@ -8,12 +7,6 @@
 #include "src/common/executor.h"
 
 namespace stratrec::api::internal {
-
-double QuantizeAvailability(double w, double quantum) {
-  if (quantum <= 0.0) return w;
-  const double snapped = std::round(w / quantum) * quantum;
-  return snapped < 0.0 ? 0.0 : (snapped > 1.0 ? 1.0 : snapped);
-}
 
 bool DeadlineExpired(double deadline_ms,
                      std::chrono::steady_clock::time_point submitted) {

@@ -1,9 +1,9 @@
 // Request-lifecycle helpers shared by the two tiers that run envelope jobs
 // on their own executor, api::Service and router::ShardRouter: id minting,
-// named-model availability resolution and grid snapping, the dequeue-time
-// deadline check, the job exception guard, and the striped lifetime
-// counters behind stats(). One copy, so the router's answers and failure
-// outcomes stay byte-identical to an unsharded Service's.
+// named-model availability resolution, the dequeue-time deadline check, the
+// job exception guard, and the striped lifetime counters behind stats().
+// One copy, so the router's answers and failure outcomes stay
+// byte-identical to an unsharded Service's.
 #ifndef STRATREC_API_LIFECYCLE_H_
 #define STRATREC_API_LIFECYCLE_H_
 
@@ -26,11 +26,6 @@ class Executor;
 }  // namespace stratrec
 
 namespace stratrec::api::internal {
-
-/// Snaps `w` onto the availability grid of ServiceConfig::cache (no-op for
-/// quantum 0). Applied before the pipeline runs, so cache keys and reports
-/// see the same W.
-double QuantizeAvailability(double w, double quantum);
 
 /// Whether a request's relative deadline_ms budget ran out between
 /// submission and the moment a worker claimed its ticket. 0 = no deadline.

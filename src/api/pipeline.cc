@@ -45,8 +45,8 @@ Result<double> ResolveQuantized(const Pipeline& pipeline,
   if (!availability.ok()) return availability.status();
   // The pipeline (and the report) run at the quantized W, so nearby
   // availabilities share one cached snapshot when the knob is on.
-  return QuantizeAvailability(*availability,
-                              pipeline.config.cache.availability_quantum);
+  return core::QuantizeAvailability(*availability,
+                                    pipeline.config.cache.availability_quantum);
 }
 
 }  // namespace

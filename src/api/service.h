@@ -7,8 +7,10 @@
 //   SubmitBatch()  the Figure-1 batch pipeline (wraps core::StratRec),
 //   OpenStream()   a session over the Section-7 dynamic setting
 //                  (wraps stream::StreamScheduler behind a handle:
-//                  executor-parallel pricing over the CatalogIndex plus an
-//                  incrementally maintained per-availability snapshot),
+//                  executor-parallel pricing over the CatalogIndex, and
+//                  ADPaR alternatives from the batch path's solver on a
+//                  per-session snapshot rebuilt only when the quantized
+//                  availability moves),
 //   RunSweep()     the ADPaR solver family side by side, including the
 //                  paper's literal sweep (wraps adpar_paper_sweep.h).
 //

@@ -49,8 +49,8 @@ void FillTraceSteps(const std::vector<ParamVector>& strategies,
 /// The two-level sweep over a candidate subset, reading *values* only:
 /// `cost_sorted` holds the candidate parameter vectors ascending by cost and
 /// `quality_desc` their qualities descending — permuted contiguous copies of
-/// the ordering (AdparOrderings::by_cost_params / by_quality_desc_quality
-/// on the indexed path, built on the fly on the classic one). The sweep
+/// the ordering (AdparOrderings / PrunedOrderings on the snapshot path,
+/// gathered per call on the classic one). The sweep
 /// re-scans these arrays per quality candidate, so streaming contiguous
 /// memory instead of gathering through the index permutation is what makes
 /// large |S| affordable; the float operations per evaluated candidate are
@@ -133,26 +133,6 @@ SweepBest SweepValues(const std::vector<ParamVector>& cost_sorted,
     }
   }
   return best;
-}
-
-/// Builds the permuted value arrays SweepValues wants from an index-based
-/// ordering pair — one O(n) gather, paid once per call instead of once per
-/// quality candidate inside the sweep. The snapshot path skips even this
-/// (the arrays are cached on AdparOrderings / PrunedOrderings).
-SweepBest SweepOrderings(const std::vector<ParamVector>& strategies,
-                         const std::vector<size_t>& by_cost,
-                         const std::vector<size_t>& by_quality_desc,
-                         const ParamVector& request, size_t uk,
-                         AdparTrace* trace) {
-  std::vector<ParamVector> cost_sorted;
-  cost_sorted.reserve(by_cost.size());
-  for (size_t j : by_cost) cost_sorted.push_back(strategies[j]);
-  std::vector<double> quality_desc;
-  quality_desc.reserve(by_quality_desc.size());
-  for (size_t j : by_quality_desc) {
-    quality_desc.push_back(strategies[j].quality);
-  }
-  return SweepValues(cost_sorted, quality_desc, request, uk, trace);
 }
 
 Result<AdparResult> FinishSweep(const std::vector<ParamVector>& strategies,
@@ -242,24 +222,18 @@ Result<AdparResult> AdparExact(const std::vector<ParamVector>& strategies,
               return a < b;
             });
 
-  const SweepBest best =
-      SweepOrderings(strategies, by_cost, by_quality_desc, request,
-                     static_cast<size_t>(k), trace);
-  return FinishSweep(strategies, best, k);
-}
-
-Result<AdparResult> AdparExactOverOrderings(
-    const std::vector<ParamVector>& strategies,
-    const std::vector<size_t>& by_cost,
-    const std::vector<size_t>& by_quality_desc, const ParamVector& request,
-    int k) {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (strategies.size() < static_cast<size_t>(k)) {
-    return Status::Infeasible("fewer strategies than k");
+  // One O(n) gather into the permuted value arrays the sweep streams,
+  // paid once per call instead of once per quality candidate.
+  std::vector<ParamVector> cost_sorted;
+  cost_sorted.reserve(n);
+  for (size_t j : by_cost) cost_sorted.push_back(strategies[j]);
+  std::vector<double> quality_desc;
+  quality_desc.reserve(n);
+  for (size_t j : by_quality_desc) {
+    quality_desc.push_back(strategies[j].quality);
   }
-  const SweepBest best =
-      SweepOrderings(strategies, by_cost, by_quality_desc, request,
-                     static_cast<size_t>(k), /*trace=*/nullptr);
+  const SweepBest best = SweepValues(cost_sorted, quality_desc, request,
+                                     static_cast<size_t>(k), trace);
   return FinishSweep(strategies, best, k);
 }
 
@@ -285,7 +259,7 @@ Result<AdparResult> AdparExact(const AvailabilitySnapshot& snapshot,
                         : orderings.by_quality_desc_quality;
 
   // The snapshot caches the permuted value arrays, so the sweep starts
-  // without the per-call gather AdparExactOverOrderings pays.
+  // without the per-call gather the classic overload pays.
   const SweepBest best = SweepValues(cost_sorted, quality_desc, request,
                                      static_cast<size_t>(k),
                                      /*trace=*/nullptr);

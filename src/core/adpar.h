@@ -79,26 +79,12 @@ struct AdparTrace {
 
 /// Exact solver. Fails with kInfeasible when |S| < k and kInvalidArgument on
 /// malformed input (k < 1). `trace`, when non-null, is filled with the
-/// paper-style execution trace.
+/// paper-style execution trace. It sorts per call; the batch, sweep and
+/// stream paths call the snapshot overload in src/core/catalog_index.h,
+/// which reads prebuilt orderings and skips skyline-dominated candidates.
 Result<AdparResult> AdparExact(const std::vector<ParamVector>& strategies,
                                const ParamVector& request, int k,
                                AdparTrace* trace = nullptr);
-
-/// Exact solver over caller-supplied axis orderings. `strategies` is the
-/// full parameter list; `by_cost` (ascending cost, ties by index) and
-/// `by_quality_desc` (descending quality, ties by index) are orderings over
-/// any candidate subset that provably contains an optimal tight alternative
-/// (the whole list or a skyline-pruned subset). Covered strategies are
-/// re-selected against the full list, so every caller reports the same
-/// deterministic k-set. Its one production caller is the stream scheduler,
-/// which maintains its own orderings incrementally
-/// (src/stream/stream_scheduler.h); the batch and sweep paths ride the
-/// snapshot AdparExact of src/core/catalog_index.h instead.
-Result<AdparResult> AdparExactOverOrderings(
-    const std::vector<ParamVector>& strategies,
-    const std::vector<size_t>& by_cost,
-    const std::vector<size_t>& by_quality_desc, const ParamVector& request,
-    int k);
 
 /// A pluggable alternative-recommendation solver (AdparExact, the paper's
 /// literal sweep, the baselines, ...). StratRec and the api-layer registry

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <numeric>
 
 #include "src/core/kernels/kernels.h"
@@ -9,6 +10,13 @@
 
 namespace stratrec::core {
 
+namespace {
+
+/// Builds the complete AdparOrderings block for `params`: the by-cost and
+/// by-quality-descending index sorts, the bounded-probe skyline, and the
+/// capped dominator counts. Deterministic — every comparator is a total
+/// order with index tiebreaks — so any two builds over equal params produce
+/// identical vectors.
 void BuildAdparOrderings(const std::vector<ParamVector>& params,
                          AdparOrderings* out_ptr) {
   const size_t n = params.size();
@@ -102,6 +110,14 @@ void BuildAdparOrderings(const std::vector<ParamVector>& params,
   }
 }
 
+}  // namespace
+
+double QuantizeAvailability(double w, double quantum) {
+  if (quantum <= 0.0) return w;
+  const double snapped = std::round(w / quantum) * quantum;
+  return snapped < 0.0 ? 0.0 : (snapped > 1.0 ? 1.0 : snapped);
+}
+
 const AdparOrderings& AvailabilitySnapshot::orderings() const {
   std::call_once(orderings_once_,
                  [this] { BuildAdparOrderings(params_, &orderings_); });
@@ -124,31 +140,24 @@ std::shared_ptr<const PrunedOrderings> AvailabilitySnapshot::PrunedFor(
     return dominators[j] < static_cast<uint16_t>(k);
   };
   std::shared_ptr<PrunedOrderings> built;
-  std::vector<size_t> by_cost;
-  by_cost.reserve(full.by_cost.size());
+  std::vector<ParamVector> by_cost_params;
   for (size_t j : full.by_cost) {
-    if (keep(j)) by_cost.push_back(j);
+    if (keep(j)) by_cost_params.push_back(params_[j]);
   }
   // The k-skyband always retains at least k strategies (the k smallest
   // relaxation-space sums have fewer than k dominators each), so the
   // pruned sweep stays feasible whenever the full one is; the guard is
   // belt and braces. No survivors removed -> the full orderings are
   // already the candidate set.
-  if (by_cost.size() >= static_cast<size_t>(k) &&
-      by_cost.size() < full.by_cost.size()) {
+  if (by_cost_params.size() >= static_cast<size_t>(k) &&
+      by_cost_params.size() < full.by_cost.size()) {
     built = std::make_shared<PrunedOrderings>();
-    built->by_cost = std::move(by_cost);
-    built->by_quality_desc.reserve(built->by_cost.size());
+    built->by_cost_params = std::move(by_cost_params);
+    built->by_quality_desc_quality.reserve(built->by_cost_params.size());
     for (size_t j : full.by_quality_desc) {
-      if (keep(j)) built->by_quality_desc.push_back(j);
-    }
-    built->by_cost_params.reserve(built->by_cost.size());
-    for (size_t j : built->by_cost) {
-      built->by_cost_params.push_back(params_[j]);
-    }
-    built->by_quality_desc_quality.reserve(built->by_quality_desc.size());
-    for (size_t j : built->by_quality_desc) {
-      built->by_quality_desc_quality.push_back(params_[j].quality);
+      if (keep(j)) {
+        built->by_quality_desc_quality.push_back(params_[j].quality);
+      }
     }
   }
   std::lock_guard<std::mutex> lock(pruned_mutex_);

@@ -44,7 +44,8 @@ namespace stratrec::core {
 
 /// The ADPaR-facing slice of a snapshot: per-axis orderings plus the
 /// skyline-dominator prefilter. Built once per (catalog, W) and reused by
-/// every alternative-recommendation solve at that availability.
+/// every alternative-recommendation solve at that availability — batch
+/// alternatives, sweep cells and stream sessions alike.
 struct AdparOrderings {
   /// Strategy indices ascending by (cost, index).
   std::vector<size_t> by_cost;
@@ -77,32 +78,25 @@ struct AdparOrderings {
 /// k > the cap simply see no pruning (still correct, never wrong).
 inline constexpr uint16_t kSkylineDominatorCap = 64;
 
-/// Builds the complete AdparOrderings block for `params`: the by-cost and
-/// by-quality-descending index sorts, the bounded-probe skyline, and the
-/// capped dominator counts. Deterministic — every comparator is a total
-/// order with index tiebreaks — so any two builds over equal params produce
-/// identical vectors, regardless of what `out` previously held (the
-/// existing buffers are reused, which is what makes the stream layer's
-/// incremental re-sorts bit-identical to a fresh snapshot by construction).
-/// Shared by AvailabilitySnapshot::orderings() and stream::
-/// IncrementalSnapshot.
-void BuildAdparOrderings(const std::vector<ParamVector>& params,
-                         AdparOrderings* out);
-
 /// The orderings restricted to one cardinality's candidate subset
-/// (strategies not known-dominated by >= k others).
+/// (strategies not known-dominated by >= k others), as the permuted value
+/// arrays the sweep reads (see AdparOrderings).
 struct PrunedOrderings {
-  std::vector<size_t> by_cost;
-  std::vector<size_t> by_quality_desc;
-  /// Permuted value copies, as on AdparOrderings.
   std::vector<ParamVector> by_cost_params;
   std::vector<double> by_quality_desc_quality;
 };
 
+/// Snaps `w` onto an availability grid of step `quantum` (no-op for a
+/// quantum <= 0), clamped to [0, 1]. The batch and sweep paths key the
+/// snapshot cache on it (ServiceConfig::cache) and stream sessions build
+/// their snapshot at it, so every path solves at the same W bit for bit.
+double QuantizeAvailability(double w, double quantum);
+
 /// Immutable per-availability derived state. Obtained from
-/// CatalogIndex::BuildSnapshot (uncached) or the Service's snapshot cache;
-/// always held via shared_ptr<const ...> so batches, sweep cells, and
-/// ADPaR solves at one W share a single block.
+/// CatalogIndex::BuildSnapshot (uncached; each stream session holds its
+/// own) or the Service's snapshot cache; always held via
+/// shared_ptr<const ...> so batches, sweep cells, and ADPaR solves at one
+/// W share a single block.
 class AvailabilitySnapshot {
  public:
   double availability() const { return availability_; }

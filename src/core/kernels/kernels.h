@@ -4,13 +4,14 @@
 // as flat double arrays precisely so the three hot loops of the batch
 // pipeline could be vectorized:
 //
-//   * EstimateParams — the per-availability parameter block re-estimation
-//     (CatalogIndex::EstimateParamsInto; stream::IncrementalSnapshot calls
-//     it on every quantized-W move, so the streaming tier inherits the win),
+//   * EstimateParams — the per-availability parameter block estimation
+//     (CatalogIndex::EstimateParamsInto behind every BuildSnapshot: the
+//     batch cache's misses, and a stream session's first ineligible
+//     arrival after each quantized-W move),
 //   * FillWorkforceCells — the m x |S| WorkforceMatrix::Compute cell fill,
 //   * AnyDominates / CountDominators / CountDominatorsBounded — the
 //     relaxation-space dominance tests behind the skyline prefilter
-//     (BuildAdparOrderings) and DominanceCounts.
+//     (AvailabilitySnapshot::orderings()) and DominanceCounts.
 //
 // Two implementations exist for every kernel: a portable scalar one
 // (always compiled, the reference semantics) and an AVX2 one (4 double

@@ -62,22 +62,24 @@ Result<ArrivalOutcome> StreamScheduler::OnArrival(
     return Status::InvalidArgument("duplicate active request id: " +
                                    request.id);
   }
-  snapshot_.NoteAbsorbedEvent();
+  ++delta_updates_;
   ArrivalOutcome outcome;
   auto priced = Price(request);
   if (!priced.ok()) {
     stats_.rejected += 1;
     outcome.decision.kind = core::AdmissionDecision::Kind::kRejected;
-    // The stream twin of the batch pipeline's ADPaR leg: an ineligible
-    // request gets the closest satisfiable parameters, served from the
-    // incrementally maintained orderings. A failed solve (k > |S|) leaves
-    // the plain rejection — same containment as batch adpar_failures.
+    // The batch pipeline's ADPaR leg, on the session's own snapshot: an
+    // ineligible request gets the closest satisfiable parameters. A failed
+    // solve (k > |S|) leaves the plain rejection — same containment as
+    // batch adpar_failures.
     if (options_.recommend_alternatives &&
         priced.status().code() == StatusCode::kInfeasible) {
-      const core::AdparOrderings& orderings = snapshot_.orderings();
-      auto alternative = core::AdparExactOverOrderings(
-          snapshot_.params(), orderings.by_cost, orderings.by_quality_desc,
-          request.thresholds, request.k);
+      if (snapshot_ == nullptr) {
+        snapshot_ = index_->BuildSnapshot(quantized_w_, executor_,
+                                          options_.parallel_grain);
+      }
+      auto alternative =
+          core::AdparExact(*snapshot_, request.thresholds, request.k);
       if (alternative.ok()) {
         outcome.has_alternative = true;
         outcome.alternative = std::move(*alternative);
@@ -138,7 +140,7 @@ void StreamScheduler::DrainPending() {
 Status StreamScheduler::OnRevocation(const std::string& request_id) {
   auto it = active_.find(request_id);
   if (it != active_.end()) {
-    snapshot_.NoteAbsorbedEvent();
+    ++delta_updates_;
     used_ -= it->second.workforce;
     stats_.objective -= it->second.value;
     stats_.revoked += 1;
@@ -149,7 +151,7 @@ Status StreamScheduler::OnRevocation(const std::string& request_id) {
   for (auto pending_it = pending_.begin(); pending_it != pending_.end();
        ++pending_it) {
     if (pending_it->request.id == request_id) {
-      snapshot_.NoteAbsorbedEvent();
+      ++delta_updates_;
       pending_.erase(pending_it);
       stats_.revoked += 1;
       return Status::OK();
@@ -163,7 +165,7 @@ Status StreamScheduler::OnCompletion(const std::string& request_id) {
   if (it == active_.end()) {
     return Status::NotFound("request not active: " + request_id);
   }
-  snapshot_.NoteAbsorbedEvent();
+  ++delta_updates_;
   used_ -= it->second.workforce;
   stats_.completed += 1;
   active_.erase(it);
@@ -176,7 +178,15 @@ Status StreamScheduler::SetAvailability(double availability) {
     return Status::InvalidArgument("availability must lie in [0, 1]");
   }
   availability_ = availability;
-  snapshot_.Advance(availability);
+  const double quantized =
+      core::QuantizeAvailability(availability, options_.availability_quantum);
+  if (quantized == quantized_w_) {
+    ++delta_updates_;
+  } else {
+    quantized_w_ = quantized;
+    snapshot_ = nullptr;
+    ++rebuilds_;
+  }
   NoteUtilization();
   if (availability_ > used_) DrainPending();
   return Status::OK();

@@ -10,15 +10,19 @@
 //     WorkforceMatrix::Compute, whose 1 x |S| row partitions across the
 //     work-stealing executor via ParallelFor (bit-identical cells to the
 //     serial fill — the catalog_index property tests pin that);
-//   * per-availability derived state lives in an IncrementalSnapshot:
-//     arrivals/revocations/completions are absorbed in O(1), availability
-//     changes invalidate it only when the quantized W moves, and the
-//     params block and ADPaR orderings are rebuilt lazily, by the ADPaR
-//     leg that alone reads them;
+//   * per-availability derived state is a core::AvailabilitySnapshot the
+//     session holds privately: arrivals/revocations/completions never
+//     touch it (workforce pricing is availability-independent — W is
+//     capacity, not a pricing input), an availability change drops it only
+//     when the quantized W moves, and the first ineligible arrival after
+//     that builds it again — so a session that never recommends an
+//     alternative never holds the O(|S|) block;
 //   * ineligible arrivals (fewer than k feasible strategies) can carry an
-//     alternative recommendation (paper Section 4) served from the
-//     snapshot's orderings — the stream twin of the batch pipeline's
-//     ADPaR leg, off by default so existing sessions behave identically;
+//     alternative recommendation (paper Section 4) from the snapshot
+//     overload of core::AdparExact — the very solver the batch pipeline's
+//     ADPaR leg calls, so a stream alternative equals the batch one at the
+//     same quantized W by construction; off by default so existing
+//     sessions behave identically;
 //   * admission, the bounded pending queue, and the density-order drain
 //     ("rolling BatchStrat") keep OnlineScheduler's exact semantics —
 //     tests/stream_replay_test.cc locks the two schedulers' decisions
@@ -31,6 +35,7 @@
 #define STRATREC_STREAM_STREAM_SCHEDULER_H_
 
 #include <deque>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -38,9 +43,9 @@
 
 #include "src/common/executor.h"
 #include "src/core/adpar.h"
+#include "src/core/catalog_index.h"
 #include "src/core/online.h"
 #include "src/core/workforce.h"
-#include "src/stream/incremental_snapshot.h"
 
 namespace stratrec::stream {
 
@@ -107,9 +112,12 @@ class StreamScheduler {
   /// Pending requests re-admitted by density-order drains (each one a
   /// rescheduling of earlier-deferred work).
   size_t reschedules() const { return reschedules_; }
-  /// Snapshot maintenance counters (see IncrementalSnapshot).
-  size_t snapshot_delta_updates() const { return snapshot_.delta_updates(); }
-  size_t snapshot_rebuilds() const { return snapshot_.rebuilds(); }
+  /// Events that left the quantized W in place: arrivals, revocations,
+  /// completions, and availability changes within one grid cell.
+  size_t snapshot_delta_updates() const { return delta_updates_; }
+  /// Availability changes that moved the quantized W, dropping the
+  /// snapshot for the next ineligible arrival to rebuild.
+  size_t snapshot_rebuilds() const { return rebuilds_; }
 
  private:
   /// A priced request, whether serving (active map) or waiting (pending
@@ -126,8 +134,8 @@ class StreamScheduler {
         executor_(executor),
         options_(options),
         availability_(availability),
-        snapshot_(index, executor, availability,
-                  options.availability_quantum, options.parallel_grain) {}
+        quantized_w_(core::QuantizeAvailability(
+            availability, options.availability_quantum)) {}
 
   /// Prices a request: aggregated workforce + chosen strategies. The
   /// 1 x |S| workforce row partitions across the executor.
@@ -144,7 +152,13 @@ class StreamScheduler {
   Executor* executor_;
   StreamSchedulerOptions options_;
   double availability_ = 0.0;
-  IncrementalSnapshot snapshot_;
+  /// availability_ snapped onto the options' grid; the snapshot's W.
+  double quantized_w_ = 0.0;
+  /// Built at quantized_w_ by the first ineligible arrival that wants an
+  /// alternative; null until then and after every move of quantized_w_.
+  std::shared_ptr<const core::AvailabilitySnapshot> snapshot_;
+  size_t delta_updates_ = 0;
+  size_t rebuilds_ = 0;
   double used_ = 0.0;
   std::unordered_map<std::string, Entry> active_;
   std::deque<Entry> pending_;

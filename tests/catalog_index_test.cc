@@ -256,7 +256,6 @@ TEST(CatalogIndexProperty, AdparResultsCarryTheirStrategiesParams) {
     const CatalogIndex index = CatalogIndex::Build(profiles);
     const auto snapshot = index.BuildSnapshot(rng.Uniform());
     const std::vector<ParamVector>& params = snapshot->params();
-    const AdparOrderings& orderings = snapshot->orderings();
     const auto requests = generator.RequestsWithRanges(
         4, static_cast<int>(rng.UniformInt(1, 4)), {0.6, 1.0}, {0.0, 0.6},
         {0.0, 0.6});
@@ -266,9 +265,6 @@ TEST(CatalogIndexProperty, AdparResultsCarryTheirStrategiesParams) {
       const std::vector<std::pair<const char*, Result<AdparResult>>> solved = {
           {"snapshot", AdparExact(*snapshot, d, k)},
           {"exact", AdparExact(params, d, k)},
-          {"over-orderings",
-           AdparExactOverOrderings(params, orderings.by_cost,
-                                   orderings.by_quality_desc, d, k)},
           {"skyband", AdparExactSkyband(params, d, k)},
           {"paper-sweep", AdparPaperSweep(params, d, k)},
           {"brute", AdparBrute(params, d, k)},

@@ -1,8 +1,9 @@
-// Request-lifecycle helper tests (src/api/lifecycle.h): the one copy of
-// availability snapping, the dequeue-time deadline check, the job exception
-// guard, id minting, the named-model table and the striped lifetime
-// counters that api::Service and router::ShardRouter both run on, plus the
-// kStatsCounters table those counters walk.
+// Request-lifecycle helper tests (src/api/lifecycle.h): the dequeue-time
+// deadline check, the job exception guard, id minting, the named-model
+// table and the striped lifetime counters that api::Service and
+// router::ShardRouter both run on, plus the kStatsCounters table those
+// counters walk — and the one copy of availability snapping
+// (core::QuantizeAvailability) both tiers apply before a job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,9 +18,12 @@
 
 #include "src/api/lifecycle.h"
 #include "src/common/executor.h"
+#include "src/core/catalog_index.h"
 
 namespace stratrec::api::internal {
 namespace {
+
+using core::QuantizeAvailability;
 
 core::AvailabilityModel PaperModel() {
   // Paper Section 2.1: a 70% chance of 7% of workers and a 30% chance of

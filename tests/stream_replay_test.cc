@@ -1,10 +1,13 @@
-// Stream subsystem tests: the incremental snapshot's bit-equivalence with
-// fresh full rebuilds after arbitrary event interleavings, StreamScheduler's
+// Stream subsystem tests: a session's ADPaR alternatives equal the batch
+// path's solver on a fresh snapshot at the session's quantized W after
+// arbitrary event interleavings (and a batch's alternative through the
+// Service), the snapshot counters under sub-grid drift, StreamScheduler's
 // decision parity with the PR-0 OnlineScheduler, stream record -> replay
 // byte-identity across pool sizes, and replay over a compacted journal
 // chain (folded session prefixes are skipped, everything else reproduces).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -16,7 +19,6 @@
 #include "src/common/rng.h"
 #include "src/core/catalog_index.h"
 #include "src/core/online.h"
-#include "src/stream/incremental_snapshot.h"
 #include "src/stream/stream_scheduler.h"
 #include "src/workload/generators.h"
 
@@ -47,76 +49,161 @@ std::vector<core::DeploymentRequest> PoolRequests(uint64_t seed, int count,
   return requests;
 }
 
-void ExpectOrderingsEqual(const core::AdparOrderings& a,
-                          const core::AdparOrderings& b) {
-  EXPECT_EQ(a.by_cost, b.by_cost);
-  EXPECT_EQ(a.by_quality_desc, b.by_quality_desc);
-  EXPECT_EQ(a.skyline, b.skyline);
-  EXPECT_EQ(a.skyline_dominators, b.skyline_dominators);
+/// Requests the generated catalogs cannot serve (quality >= 0.97 at cost
+/// and latency <= 0.2), so each arrival is ineligible.
+std::vector<core::DeploymentRequest> IneligibleRequests(uint64_t seed,
+                                                        int count, int k) {
+  workload::Generator generator({}, seed);
+  auto requests = generator.RequestsWithRanges(count, k, {0.97, 1.0},
+                                               {0.0, 0.2}, {0.0, 0.2});
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].id = "ineligible-" + std::to_string(i);
+  }
+  return requests;
 }
 
 // ---------------------------------------------------------------------------
-// IncrementalSnapshot == full rebuild, property-checked.
+// Stream alternatives == the snapshot solver at the quantized W.
 // ---------------------------------------------------------------------------
 
-// After any interleaving of absorbed events and availability moves, the
-// incrementally maintained params block and (lazily re-sorted) orderings
-// must be bit-identical to a fresh CatalogIndex::BuildSnapshot at the same
-// quantized W — the invariant that makes stream replay deterministic.
-TEST(IncrementalSnapshot, MatchesFullRebuildAfterArbitraryInterleavings) {
+// After any interleaving of serviceable and ineligible arrivals, releases,
+// and availability jumps or drifts, every alternative a session serves
+// equals AdparExact on a fresh CatalogIndex::BuildSnapshot at the session's
+// quantized W — the invariant that makes stream replay deterministic and
+// stream alternatives match batch ones.
+TEST(StreamScheduler, AlternativesMatchFreshSnapshotsUnderInterleavings) {
   workload::Generator generator({}, 0x5EED'0001ull);
   const auto profiles = generator.Profiles(300);
   const core::CatalogIndex index = core::CatalogIndex::Build(profiles);
+  Executor executor(2);
 
   for (uint64_t trial = 0; trial < 8; ++trial) {
     Rng rng(0xABC0ull + trial);
-    // Half the trials quantize; half advance on any W move at all.
+    // Half the trials quantize; half move the snapshot on any W change.
     const double quantum = trial % 2 == 0 ? 0.05 : 0.0;
-    stream::IncrementalSnapshot snapshot(&index, nullptr, rng.Uniform(),
-                                         quantum);
-    for (int step = 0; step < 40; ++step) {
+    stream::StreamSchedulerOptions options;
+    options.recommend_alternatives = true;
+    options.availability_quantum = quantum;
+    auto scheduler = stream::StreamScheduler::Create(&index, &executor,
+                                                     rng.Uniform(), options);
+    ASSERT_TRUE(scheduler.ok());
+    const auto serviceable = PoolRequests(0xFEED'0200ull + trial, 40, 3);
+    const auto ineligible = IneligibleRequests(0xFEED'0300ull + trial, 40, 3);
+
+    std::vector<std::string> live;
+    size_t alternatives = 0;
+    for (int step = 0; step < 80; ++step) {
       const double roll = rng.Uniform();
       if (roll < 0.5) {
-        snapshot.NoteAbsorbedEvent();  // arrival / revocation / completion
-      } else if (roll < 0.8) {
-        snapshot.Advance(rng.Uniform());  // jump anywhere in [0, 1)
+        const auto& source = rng.Bernoulli(0.5) ? serviceable : ineligible;
+        core::DeploymentRequest request = source[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(source.size()) - 1))];
+        request.id = "req-" + std::to_string(step);
+        auto outcome = scheduler->OnArrival(request);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        if (outcome->decision.kind !=
+            core::AdmissionDecision::Kind::kRejected) {
+          live.push_back(request.id);
+        }
+        if (outcome->has_alternative) {
+          ++alternatives;
+          const auto fresh = index.BuildSnapshot(
+              core::QuantizeAvailability(scheduler->availability(), quantum));
+          auto expected =
+              core::AdparExact(*fresh, request.thresholds, request.k);
+          ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+          EXPECT_TRUE(outcome->alternative == *expected)
+              << "trial " << trial << " step " << step;
+        }
+      } else if (roll < 0.7 && !live.empty()) {
+        // Release a live request; completing a queued one fails, which the
+        // scheduler must absorb without touching the snapshot either.
+        const size_t i = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+        (void)(rng.Bernoulli(0.5) ? scheduler->OnRevocation(live[i])
+                                  : scheduler->OnCompletion(live[i]));
+        live[i] = live.back();
+        live.pop_back();
+      } else if (roll < 0.85) {
+        // Jump anywhere in [0, 1).
+        ASSERT_TRUE(scheduler->SetAvailability(rng.Uniform()).ok());
       } else {
-        // Small drift; under the quantum this absorbs without a rebuild.
-        snapshot.Advance(snapshot.quantized_availability() +
-                         rng.Uniform(-0.02, 0.02));
-      }
-      if (step % 7 == 0) {
-        const auto fresh =
-            index.BuildSnapshot(snapshot.quantized_availability());
-        EXPECT_EQ(snapshot.params(), fresh->params());
-        ExpectOrderingsEqual(snapshot.orderings(), fresh->orderings());
+        // Small drift; under the quantum this stays in the snapshot's cell.
+        const double w = std::clamp(
+            scheduler->availability() + rng.Uniform(-0.02, 0.02), 0.0, 1.0);
+        ASSERT_TRUE(scheduler->SetAvailability(w).ok());
       }
     }
-    const auto fresh = index.BuildSnapshot(snapshot.quantized_availability());
-    EXPECT_EQ(snapshot.params(), fresh->params());
-    ExpectOrderingsEqual(snapshot.orderings(), fresh->orderings());
-    EXPECT_GT(snapshot.delta_updates(), 0u);
+    EXPECT_GT(alternatives, 0u) << "trial " << trial;
+    EXPECT_GT(scheduler->snapshot_delta_updates(), 0u);
   }
 }
 
-TEST(IncrementalSnapshot, QuantumAbsorbsSubGridDrift) {
+TEST(StreamScheduler, QuantumAbsorbsSubGridDrift) {
   workload::Generator generator({}, 0x5EED'0002ull);
   const auto profiles = generator.Profiles(50);
   const core::CatalogIndex index = core::CatalogIndex::Build(profiles);
 
-  stream::IncrementalSnapshot snapshot(&index, nullptr, 0.5,
-                                       /*quantum=*/0.05);
-  EXPECT_FALSE(snapshot.Advance(0.51));  // same 0.05 cell
-  EXPECT_FALSE(snapshot.Advance(0.49));
-  EXPECT_EQ(snapshot.rebuilds(), 0u);
-  EXPECT_EQ(snapshot.delta_updates(), 2u);
-  EXPECT_TRUE(snapshot.Advance(0.60));  // genuinely moved
-  EXPECT_EQ(snapshot.rebuilds(), 1u);
-  // Compare at the snapshot's own quantized W: round(0.60 / 0.05) * 0.05 is
-  // one ulp above the literal 0.6, and the bit-identity contract is stated
-  // against BuildSnapshot(quantized_availability()).
-  EXPECT_EQ(snapshot.params(),
-            index.BuildSnapshot(snapshot.quantized_availability())->params());
+  stream::StreamSchedulerOptions options;
+  options.recommend_alternatives = true;
+  options.availability_quantum = 0.05;
+  auto scheduler =
+      stream::StreamScheduler::Create(&index, nullptr, 0.5, options);
+  ASSERT_TRUE(scheduler.ok());
+  ASSERT_TRUE(scheduler->SetAvailability(0.51).ok());  // same 0.05 cell
+  ASSERT_TRUE(scheduler->SetAvailability(0.49).ok());
+  EXPECT_EQ(scheduler->snapshot_rebuilds(), 0u);
+  EXPECT_EQ(scheduler->snapshot_delta_updates(), 2u);
+  ASSERT_TRUE(scheduler->SetAvailability(0.60).ok());  // genuinely moved
+  EXPECT_EQ(scheduler->snapshot_rebuilds(), 1u);
+  // The next alternative is solved at the session's quantized W:
+  // round(0.60 / 0.05) * 0.05 is one ulp above the literal 0.6, and the
+  // contract is stated against BuildSnapshot(QuantizeAvailability(w, q)).
+  const auto request = IneligibleRequests(0xFEED'0500ull, 1, 3).front();
+  auto outcome = scheduler->OnArrival(request);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_TRUE(outcome->has_alternative);
+  auto expected = core::AdparExact(
+      *index.BuildSnapshot(core::QuantizeAvailability(0.60, 0.05)),
+      request.thresholds, request.k);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(outcome->alternative == *expected);
+}
+
+// Through the Service, at one quantized W, a stream session and a batch
+// with alternatives on answer the same ineligible request with the same
+// AdparResult: both run the snapshot AdparExact.
+TEST(StreamScheduler, SessionAlternativeEqualsTheBatchAlternative) {
+  workload::Generator generator({}, 0x5EED'0007ull);
+  const auto profiles = generator.Profiles(500);
+  ServiceConfig config;
+  config.cache.availability_quantum = 0.05;
+  auto service = Service::Create(CatalogFromProfiles(profiles), config);
+  ASSERT_TRUE(service.ok());
+  const auto requests = IneligibleRequests(0xFEED'0400ull, 4, 3);
+
+  BatchRequest batch;
+  batch.requests = requests;
+  batch.availability = AvailabilitySpec::Fixed(0.53);
+  batch.recommend_alternatives = true;
+  auto report = service->SubmitBatch(batch);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->result.alternatives.size(), requests.size());
+
+  StreamOptions options;
+  options.availability = AvailabilitySpec::Fixed(0.53);
+  options.recommend_alternatives = true;
+  auto session = service->OpenStream(options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    auto update = session->Submit(StreamEvent::Arrival(requests[i]));
+    ASSERT_TRUE(update.ok()) << update.status().ToString();
+    ASSERT_TRUE(update->has_alternative) << requests[i].id;
+    const core::AlternativeRecommendation& batched =
+        report->result.alternatives[i];
+    EXPECT_EQ(batched.request_index, i);
+    EXPECT_TRUE(update->alternative == batched.result) << requests[i].id;
+  }
 }
 
 // ---------------------------------------------------------------------------
