@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/float_compare.h"
+#include "src/core/catalog_index.h"
 #include "src/core/knapsack.h"
 
 namespace stratrec::core {
@@ -84,6 +85,31 @@ Result<BatchResult> SolveBatchAggregated(
   return result;
 }
 
+AggregatedRequest AggregateRow(RowTopK row, int k, AggregationMode mode) {
+  AggregatedRequest out;
+  if (k < 1) return out;  // rejected by ValidateRequest before any read
+  auto requirement = row.Aggregate(k, mode);
+  if (!requirement.ok()) return out;  // fewer than k feasible strategies
+  out.eligible = true;
+  out.requirement = *requirement;
+  out.strategies = std::move(row.strategies);
+  return out;
+}
+
+std::vector<RowTopK> PriceBatch(const std::vector<DeploymentRequest>& requests,
+                                const std::vector<StrategyProfile>& profiles,
+                                const BatchOptions& options) {
+  if (options.use_catalog_index && options.catalog_index != nullptr) {
+    return PriceRows(requests, *options.catalog_index, 0,
+                     options.catalog_index->size(), options.policy,
+                     options.executor, options.parallel_grain);
+  }
+  const CatalogIndex index = CatalogIndex::Build(profiles, options.executor,
+                                                 options.parallel_grain);
+  return PriceRows(requests, index, 0, index.size(), options.policy,
+                   options.executor, options.parallel_grain);
+}
+
 Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
                                const std::vector<StrategyProfile>& profiles,
                                double available_workforce,
@@ -92,28 +118,13 @@ Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
   if (available_workforce < 0.0) {
     return Status::InvalidArgument("available workforce must be >= 0");
   }
-  const WorkforceMatrix matrix =
-      options.use_catalog_index && options.catalog_index != nullptr
-          ? WorkforceMatrix::Compute(requests, *options.catalog_index,
-                                     options.policy, options.executor,
-                                     options.parallel_grain)
-          : WorkforceMatrix::Compute(requests, profiles, options.policy,
-                                     options.executor,
-                                     options.parallel_grain);
-
-  // Fold each row once: the k-best list doubles as the aggregation order
-  // (the same fold AggregateRequirement runs) and as the commit-time
-  // strategy list.
+  // The k-best list doubles as the aggregation order and as the
+  // commit-time strategy list.
+  std::vector<RowTopK> rows = PriceBatch(requests, profiles, options);
   std::vector<AggregatedRequest> aggregated(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    auto top = matrix.TopStrategies(i, requests[i].k);
-    if (!top.ok()) continue;
-    auto requirement = top->Aggregate(requests[i].k, options.aggregation);
-    if (!requirement.ok()) continue;  // not eligible: fewer than k strategies
-    AggregatedRequest& row = aggregated[i];
-    row.eligible = true;
-    row.requirement = *requirement;
-    row.strategies = std::move(top->strategies);
+    aggregated[i] =
+        AggregateRow(std::move(rows[i]), requests[i].k, options.aggregation);
   }
   return SolveBatchAggregated(requests, aggregated, available_workforce,
                               options, algorithm);

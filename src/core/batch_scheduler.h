@@ -29,20 +29,22 @@ struct BatchOptions {
   Objective objective = Objective::kThroughput;
   AggregationMode aggregation = AggregationMode::kSum;
   WorkforcePolicy policy = WorkforcePolicy::kMinimalWorkforce;
-  /// When set, the embarrassingly-parallel stages (the m x |S| workforce
-  /// matrix, the per-request ADPaR fan-out) partition across this pool.
-  /// Null keeps every stage on the calling thread. Not owned; results are
-  /// bit-identical either way.
+  /// When set, the embarrassingly-parallel stages (the PriceRows units of
+  /// the m x |S| pricing, the per-request ADPaR fan-out) partition across
+  /// this pool. Null keeps every stage on the calling thread. Not owned;
+  /// results are bit-identical either way.
   Executor* executor = nullptr;
-  /// Minimum work items per chunk when `executor` is set.
+  /// Minimum work items per chunk when `executor` is set (cells for the
+  /// pricing, rounded up to whole PriceRows units).
   size_t parallel_grain = 4096;
-  /// Ride the catalog's SoA CatalogIndex in the built-in solvers' hot
-  /// loops. Results are bit-identical either way; off is the reference
-  /// path bench/catalog_index.cc compares against.
+  /// Ride the catalog's prebuilt SoA CatalogIndex in the built-in solvers'
+  /// hot loops. Results are bit-identical either way; off is the reference
+  /// path bench/catalog_index.cc compares against, which builds an index
+  /// from the profile list for each pricing call.
   bool use_catalog_index = true;
   /// The index itself, set by Aggregator::RunAtAvailability when
-  /// `use_catalog_index` is on (not owned). Solvers fall back to the
-  /// profile list when null.
+  /// `use_catalog_index` is on (not owned). When null, pricing builds an
+  /// index from the profile list for the call.
   const CatalogIndex* catalog_index = nullptr;
 };
 
@@ -107,14 +109,14 @@ Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
                                const BatchOptions& options,
                                BatchAlgorithm algorithm);
 
-/// One request's precomputed row aggregate: the input to the
-/// matrix-independent half of SolveBatch. `strategies` is the request's
-/// k-best list in WorkforceMatrix::KBestStrategies order (ascending
-/// requirement, ties by strategy index) and `requirement` the aggregated
-/// workforce over exactly that list; both are meaningless when `eligible`
-/// is false. The shard router assembles these by merging per-shard
-/// WorkforceMatrix::TopStrategies rows, which reproduces the unsharded
-/// values bit for bit.
+/// One request's precomputed row aggregate: the input to the selection
+/// half of SolveBatch. `strategies` is the request's k-best list in
+/// WorkforceMatrix::KBestStrategies order (ascending requirement, ties by
+/// strategy index) and `requirement` the aggregated workforce over exactly
+/// that list; both are meaningless when `eligible` is false. SolveBatch
+/// builds these from its PriceRows rows and the shard router from the
+/// MergeTopK of its shards' PriceRows rows, and both reproduce the dense
+/// matrix's values bit for bit.
 struct AggregatedRequest {
   bool eligible = false;
   double requirement = 0.0;
@@ -123,11 +125,24 @@ struct AggregatedRequest {
   bool operator==(const AggregatedRequest&) const = default;
 };
 
+/// The aggregate of one priced row for cardinality k: eligible iff k >= 1
+/// and at least k strategies are feasible, with `row`'s list taken over and
+/// folded by RowTopK::Aggregate.
+AggregatedRequest AggregateRow(RowTopK row, int k, AggregationMode mode);
+
+/// Every request's row over the whole catalog, priced by PriceRows with the
+/// options' policy, executor and grain: on `options.catalog_index` when
+/// `use_catalog_index` is on and it is set, otherwise on an index built
+/// from `profiles` for this call.
+std::vector<RowTopK> PriceBatch(const std::vector<DeploymentRequest>& requests,
+                                const std::vector<StrategyProfile>& profiles,
+                                const BatchOptions& options);
+
 /// The selection half of SolveBatch: validation, the knapsack, and the
-/// outcome commit, over caller-supplied row aggregates instead of a
-/// WorkforceMatrix. SolveBatch itself funnels here after aggregating its
-/// matrix, so a caller that supplies the same aggregates gets a bit-identical
-/// BatchResult. `aggregated` must be index-aligned with `requests`.
+/// outcome commit, over caller-supplied row aggregates. SolveBatch itself
+/// funnels here after aggregating its priced rows, so a caller that supplies
+/// the same aggregates gets a bit-identical BatchResult. `aggregated` must be
+/// index-aligned with `requests`.
 Result<BatchResult> SolveBatchAggregated(
     const std::vector<DeploymentRequest>& requests,
     const std::vector<AggregatedRequest>& aggregated,

@@ -23,24 +23,23 @@ Result<MultiObjectiveResult> SolveBatchWeighted(
         "BaselineG is defined by the pay-off ordering; use SolveBatch");
   }
 
-  const WorkforceMatrix matrix =
-      WorkforceMatrix::Compute(requests, profiles, options.policy,
-                               options.executor, options.parallel_grain);
+  std::vector<RowTopK> rows = PriceBatch(requests, profiles, options);
 
   MultiObjectiveResult result;
   result.batch.outcomes.resize(requests.size());
+  std::vector<AggregatedRequest> aggregated(requests.size());
   std::vector<KnapsackItem> items;
   for (size_t i = 0; i < requests.size(); ++i) {
     STRATREC_RETURN_NOT_OK(ValidateRequest(requests[i]));
     RequestOutcome& outcome = result.batch.outcomes[i];
     outcome.request_index = i;
-    auto requirement =
-        matrix.AggregateRequirement(i, requests[i].k, options.aggregation);
-    if (!requirement.ok()) continue;
+    aggregated[i] =
+        AggregateRow(std::move(rows[i]), requests[i].k, options.aggregation);
+    if (!aggregated[i].eligible) continue;
     outcome.eligible = true;
     KnapsackItem item;
     item.index = i;
-    item.weight = *requirement;
+    item.weight = aggregated[i].requirement;
     // The effort penalty can make an item's value negative; such items can
     // never improve the objective, so they are dropped up front (the greedy
     // guard requires non-negative values for its approximation bound).
@@ -67,8 +66,7 @@ Result<MultiObjectiveResult> SolveBatchWeighted(
     RequestOutcome& outcome = result.batch.outcomes[item.index];
     outcome.satisfied = true;
     outcome.workforce = item.weight;
-    auto best = matrix.KBestStrategies(item.index, requests[item.index].k);
-    if (best.ok()) outcome.strategies = std::move(*best);
+    outcome.strategies = aggregated[item.index].strategies;
     result.batch.total_objective += item.value;
     result.batch.workforce_used += item.weight;
     result.throughput += 1.0;

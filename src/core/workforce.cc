@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <new>
 
 #include "src/common/float_compare.h"
 #include "src/core/catalog_index.h"
@@ -44,6 +46,17 @@ ConstraintInterval AnalyzeConstraint(const LinearModel& model, double threshold,
     out.hi = out.equality;
   }
   return out;
+}
+
+/// The SoA coefficient arrays of `index` from strategy `first` on: entry j
+/// of every array is strategy first + j.
+kernels::CoeffSoA CoeffsFrom(const CatalogIndex& index, size_t first) {
+  return {index.alphas(ParamAxis::kQuality).data() + first,
+          index.betas(ParamAxis::kQuality).data() + first,
+          index.alphas(ParamAxis::kCost).data() + first,
+          index.betas(ParamAxis::kCost).data() + first,
+          index.alphas(ParamAxis::kLatency).data() + first,
+          index.betas(ParamAxis::kLatency).data() + first};
 }
 
 }  // namespace
@@ -134,22 +147,9 @@ WorkforceMatrix WorkforceMatrix::Compute(
 WorkforceMatrix WorkforceMatrix::Compute(
     const std::vector<DeploymentRequest>& requests, const CatalogIndex& index,
     WorkforcePolicy policy, Executor* executor, size_t grain) {
-  return Compute(requests, index, 0, index.size(), policy, executor, grain);
-}
-
-WorkforceMatrix WorkforceMatrix::Compute(
-    const std::vector<DeploymentRequest>& requests, const CatalogIndex& index,
-    size_t begin, size_t end, WorkforcePolicy policy, Executor* executor,
-    size_t grain) {
-  WorkforceMatrix matrix(requests.size(), end - begin);
+  WorkforceMatrix matrix(requests.size(), index.size());
   const size_t cols = matrix.cols_;
-  // The range's view of the SoA arrays: column j reads strategy begin + j.
-  const kernels::CoeffSoA soa{index.alphas(ParamAxis::kQuality).data() + begin,
-                              index.betas(ParamAxis::kQuality).data() + begin,
-                              index.alphas(ParamAxis::kCost).data() + begin,
-                              index.betas(ParamAxis::kCost).data() + begin,
-                              index.alphas(ParamAxis::kLatency).data() + begin,
-                              index.betas(ParamAxis::kLatency).data() + begin};
+  const kernels::CoeffSoA soa = CoeffsFrom(index, 0);
   // Row-major fill through the dispatched kernel, thresholds hoisted per
   // row. An executor partition may start or end mid-row, so each chunk is
   // split into row segments before the kernel call.
@@ -173,6 +173,129 @@ WorkforceMatrix WorkforceMatrix::Compute(
   return matrix;
 }
 
+RowTopK MergeTopK(std::span<const TopKRun> runs, int k) {
+  RowTopK row;
+  for (const TopKRun& run : runs) row.feasible_count += run.feasible_count;
+  const size_t take =
+      k < 1 ? 0 : std::min(row.feasible_count, static_cast<size_t>(k));
+  row.strategies.reserve(take);
+  row.requirements.reserve(take);
+  // A min-heap of the runs' heads by (requirement, merged index): the head
+  // of the popped run is the next entry of the merged list.
+  std::vector<size_t> cursor(runs.size(), 0);
+  auto later = [&](size_t a, size_t b) {
+    const double wa = runs[a].requirements[cursor[a]];
+    const double wb = runs[b].requirements[cursor[b]];
+    if (wa != wb) return wb < wa;
+    return runs[b].offset + runs[b].strategies[cursor[b]] <
+           runs[a].offset + runs[a].strategies[cursor[a]];
+  };
+  std::vector<size_t> heads;
+  heads.reserve(runs.size());
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (runs[r].size > 0) heads.push_back(r);
+  }
+  std::make_heap(heads.begin(), heads.end(), later);
+  // The union of the runs holds at least min(k, total feasible) entries, so
+  // the heap only runs dry early on malformed input.
+  while (row.strategies.size() < take && !heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    const size_t r = heads.back();
+    row.strategies.push_back(runs[r].offset + runs[r].strategies[cursor[r]]);
+    row.requirements.push_back(runs[r].requirements[cursor[r]]);
+    if (++cursor[r] < runs[r].size) {
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      heads.pop_back();
+    }
+  }
+  return row;
+}
+
+std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
+                               const CatalogIndex& index, size_t begin,
+                               size_t end, WorkforcePolicy policy,
+                               Executor* executor, size_t grain) {
+  const size_t width = end - begin;
+  const size_t chunks = (width + kPriceChunk - 1) / kPriceChunk;
+  const size_t units = requests.size() * chunks;
+  // Unit u prices chunk u % chunks of row u / chunks and keeps at most
+  // min(k, chunk width) entries, at slot[u] of the flat entry arrays.
+  std::vector<size_t> slot(units + 1, 0);
+  for (size_t u = 0; u < units; ++u) {
+    const int k = requests[u / chunks].k;
+    const size_t columns =
+        std::min(kPriceChunk, width - u % chunks * kPriceChunk);
+    slot[u + 1] =
+        slot[u] + (k < 1 ? 0 : std::min(columns, static_cast<size_t>(k)));
+  }
+  std::vector<size_t> feasible(units, 0);
+  std::vector<size_t> kept(units, 0);
+  std::vector<size_t> strategies(slot[units]);
+  std::vector<double> requirements(slot[units]);
+
+  auto price = [&](size_t first, size_t last) {
+    // Scratch left uninitialized: the kernel writes every cell the unit
+    // reads, and a candidate is written before it is read.
+    struct Candidate {
+      double requirement;
+      size_t strategy;  // within the range
+    };
+    alignas(WorkforceCell) std::byte
+        storage[kPriceChunk * sizeof(WorkforceCell)];
+    WorkforceCell* cells =
+        std::launder(reinterpret_cast<WorkforceCell*>(storage));
+    Candidate candidates[kPriceChunk];
+    for (size_t u = first; u < last; ++u) {
+      const size_t column = u % chunks * kPriceChunk;
+      const size_t n = std::min(kPriceChunk, width - column);
+      kernels::FillWorkforceCells(CoeffsFrom(index, begin + column), 0, n,
+                                  requests[u / chunks].thresholds, policy,
+                                  cells);
+      size_t count = 0;
+      for (size_t j = 0; j < n; ++j) {
+        candidates[count] = {cells[j].requirement, column + j};
+        count += cells[j].feasible ? 1 : 0;
+      }
+      const size_t take = std::min(count, slot[u + 1] - slot[u]);
+      if (take > 0) {
+        // Cheapest first, ties by index: the order TopStrategies sorts by.
+        std::partial_sort(candidates, candidates + take, candidates + count,
+                          [](const Candidate& a, const Candidate& b) {
+                            if (a.requirement != b.requirement) {
+                              return a.requirement < b.requirement;
+                            }
+                            return a.strategy < b.strategy;
+                          });
+      }
+      for (size_t t = 0; t < take; ++t) {
+        strategies[slot[u] + t] = candidates[t].strategy;
+        requirements[slot[u] + t] = candidates[t].requirement;
+      }
+      feasible[u] = count;
+      kept[u] = take;
+    }
+  };
+  if (executor != nullptr) {
+    executor->ParallelFor(units, (grain + kPriceChunk - 1) / kPriceChunk,
+                          price);
+  } else {
+    price(0, units);
+  }
+
+  std::vector<RowTopK> rows(requests.size());
+  std::vector<TopKRun> runs(chunks);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    for (size_t c = 0; c < chunks; ++c) {
+      const size_t u = i * chunks + c;
+      runs[c] = {feasible[u], 0, strategies.data() + slot[u],
+                 requirements.data() + slot[u], kept[u]};
+    }
+    rows[i] = MergeTopK(runs, requests[i].k);
+  }
+  return rows;
+}
+
 Result<std::vector<size_t>> WorkforceMatrix::KBestStrategies(size_t request,
                                                              int k) const {
   auto top = TopStrategies(request, k);
@@ -183,8 +306,7 @@ Result<std::vector<size_t>> WorkforceMatrix::KBestStrategies(size_t request,
   return std::move(top->strategies);
 }
 
-Result<WorkforceMatrix::RowTopK> WorkforceMatrix::TopStrategies(size_t request,
-                                                                int k) const {
+Result<RowTopK> WorkforceMatrix::TopStrategies(size_t request, int k) const {
   if (request >= rows_) return Status::OutOfRange("request index");
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   std::vector<size_t> feasible;
@@ -215,8 +337,7 @@ Result<WorkforceMatrix::RowTopK> WorkforceMatrix::TopStrategies(size_t request,
   return row;
 }
 
-Result<double> WorkforceMatrix::RowTopK::Aggregate(int k,
-                                                   AggregationMode mode) const {
+Result<double> RowTopK::Aggregate(int k, AggregationMode mode) const {
   if (feasible_count < static_cast<size_t>(k)) {
     return Status::Infeasible("fewer than k feasible strategies");
   }

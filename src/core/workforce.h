@@ -6,10 +6,19 @@
 // workforce needed to recommend k strategies — either the sum of the k
 // smallest requirements (the requester deploys with all k strategies) or the
 // k-th smallest (the requester picks one of the k).
+//
+// Step 2 reads only each row's feasible count and its k smallest
+// requirements, so the production pricer never materializes the matrix:
+// PriceRows fuses both steps over 4,096-column chunks (O(m * k) memory, not
+// O(m * |S|)) and k-way-merges the chunks with MergeTopK, the same merge the
+// shard router applies to its shards. WorkforceMatrix is the dense
+// reference: tests use it as the oracle, and the stream pricers still fill
+// their 1 x |S| row with it.
 #ifndef STRATREC_CORE_WORKFORCE_H_
 #define STRATREC_CORE_WORKFORCE_H_
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "src/common/executor.h"
@@ -63,7 +72,78 @@ WorkforceCell ComputeWorkforceCell(
     const StrategyProfile& profile, const ParamVector& thresholds,
     WorkforcePolicy policy = WorkforcePolicy::kMinimalWorkforce);
 
-/// The m x |S| workforce-requirement matrix.
+/// Partial view of one priced row: the total feasible count plus the
+/// min(k, feasible) cheapest strategies in KBestStrategies order (ascending
+/// requirement, ties by index) with their requirements. It never fails on a
+/// short row, because a chunk or a shard cannot know whether its siblings
+/// make up the difference. MergeTopK over the parts' rows reproduces the
+/// whole row's list exactly, because the whole row's k-best is always
+/// contained in the union of the parts' k-bests.
+struct RowTopK {
+  size_t feasible_count = 0;
+  std::vector<size_t> strategies;    ///< ascending (requirement, index)
+  std::vector<double> requirements;  ///< index-aligned with `strategies`
+
+  /// The aggregated requirement of a row scanned for cardinality k
+  /// (Figures 3b/3c): `requirements` summed in list order for kSum, the
+  /// last (k-th smallest) for kMax — the values AggregateRequirement
+  /// returns. Fails with kInfeasible when fewer than k strategies are
+  /// feasible.
+  Result<double> Aggregate(int k, AggregationMode mode) const;
+
+  bool operator==(const RowTopK&) const = default;
+};
+
+/// One sorted run of a row's cheapest strategies, as MergeTopK reads it:
+/// a part's feasible count and its kept entries, with `offset` added to
+/// every entry of `strategies` to make it an index of the merged row.
+struct TopKRun {
+  size_t feasible_count = 0;
+  size_t offset = 0;
+  const size_t* strategies = nullptr;    ///< ascending (requirement, index)
+  const double* requirements = nullptr;  ///< index-aligned with `strategies`
+  size_t size = 0;                       ///< entries in both arrays
+
+  /// The run over `row`, whose strategies start at `offset` of the merge.
+  static TopKRun Of(const RowTopK& row, size_t offset) {
+    return {row.feasible_count, offset, row.strategies.data(),
+            row.requirements.data(), row.strategies.size()};
+  }
+};
+
+/// K-way merge of one row's parts (disjoint strategy sets, each run holding
+/// its min(k, feasible) cheapest entries) into the whole row's RowTopK: the
+/// summed feasible count and the min(k, total) cheapest entries ordered by
+/// (requirement, merged index). k < 1 keeps no entries. Both lists are
+/// sized exactly, capacity included.
+RowTopK MergeTopK(std::span<const TopKRun> runs, int k);
+
+/// Columns of one PriceRows work unit: the unit fills this many cells into
+/// a stack buffer and keeps only its cheapest k.
+inline constexpr size_t kPriceChunk = 4096;
+
+/// The fused range pricer. For each request, the RowTopK that
+/// WorkforceMatrix::TopStrategies(i, k) returns on the dense matrix over
+/// strategies [begin, end) of `index`, with k = requests[i].k: strategies are
+/// indices within the range (strategy begin + j is entry j), and a row with
+/// k < 1 keeps its feasible count but no entries.
+///
+/// The work is split into (row, kPriceChunk-column chunk) units; each unit
+/// fills its cells through kernels::FillWorkforceCells and keeps its chunk's
+/// feasible count and cheapest min(k, feasible) entries in flat per-call
+/// arrays, and MergeTopK merges each row's chunks. With a non-null
+/// `executor` the units partition across the pool, at least `grain` cells
+/// per task (rounded up to whole units); null keeps the call on the calling
+/// thread. The result is bit-identical either way and under every kernel
+/// dispatch level. Requires begin <= end <= index.size().
+std::vector<RowTopK> PriceRows(
+    const std::vector<DeploymentRequest>& requests, const CatalogIndex& index,
+    size_t begin, size_t end,
+    WorkforcePolicy policy = WorkforcePolicy::kMinimalWorkforce,
+    Executor* executor = nullptr, size_t grain = 4096);
+
+/// The m x |S| workforce-requirement matrix: the dense reference PriceRows
+/// is tested against.
 class WorkforceMatrix {
  public:
   /// Builds the matrix for all (request, profile) pairs.
@@ -89,16 +169,6 @@ class WorkforceMatrix {
       WorkforcePolicy policy = WorkforcePolicy::kMinimalWorkforce,
       Executor* executor = nullptr, size_t grain = 4096);
 
-  /// The matrix over strategies [begin, end) of `index` only: column j is
-  /// strategy begin + j, and every cell equals that column of the
-  /// whole-index fill. A shard router scans its ranges of one shared index
-  /// this way. Requires begin <= end <= index.size().
-  static WorkforceMatrix Compute(
-      const std::vector<DeploymentRequest>& requests,
-      const CatalogIndex& index, size_t begin, size_t end,
-      WorkforcePolicy policy = WorkforcePolicy::kMinimalWorkforce,
-      Executor* executor = nullptr, size_t grain = 4096);
-
   size_t num_requests() const { return rows_; }
   size_t num_strategies() const { return cols_; }
 
@@ -117,30 +187,11 @@ class WorkforceMatrix {
   Result<double> AggregateRequirement(size_t request, int k,
                                       AggregationMode mode) const;
 
-  /// Partial view of one row for scatter/gather: the total feasible count
-  /// plus the min(k, feasible) cheapest strategies in KBestStrategies order
-  /// (ascending requirement, ties by index) with their requirements. Unlike
-  /// KBestStrategies this never fails on a short row — a shard cannot know
-  /// whether its siblings make up the difference. Merging per-shard rows by
-  /// (requirement, global index) reproduces the unsharded KBestStrategies
-  /// list exactly, because the global k-best is always contained in the
-  /// union of per-shard k-bests.
-  struct RowTopK {
-    size_t feasible_count = 0;
-    std::vector<size_t> strategies;    ///< ascending (requirement, index)
-    std::vector<double> requirements;  ///< index-aligned with `strategies`
-
-    /// The aggregated requirement of a row scanned for cardinality k
-    /// (Figures 3b/3c): `requirements` summed in list order for kSum, the
-    /// last (k-th smallest) for kMax — the values AggregateRequirement
-    /// returns. Fails with kInfeasible when fewer than k strategies are
-    /// feasible.
-    Result<double> Aggregate(int k, AggregationMode mode) const;
-
-    bool operator==(const RowTopK&) const = default;
-  };
-  /// Both lists are sized exactly min(k, feasible), capacity included, so
-  /// a caller that keeps them holds O(k) memory, not O(|S|).
+  /// Row `request`'s feasible count and its min(k, feasible) cheapest
+  /// strategies in KBestStrategies order. Unlike KBestStrategies this never
+  /// fails on a short row; it fails only on a bad row index or k < 1. Both
+  /// lists are sized exactly min(k, feasible), capacity included, so a
+  /// caller that keeps them holds O(k) memory, not O(|S|).
   Result<RowTopK> TopStrategies(size_t request, int k) const;
 
  private:

@@ -68,7 +68,7 @@ namespace {
 
 /// One shard's scan: per request, the range's feasible count and its
 /// min(k, feasible) cheapest strategies, indexed within the range.
-using RangeScan = std::vector<core::WorkforceMatrix::RowTopK>;
+using RangeScan = std::vector<core::RowTopK>;
 using ScanTicket = api::Ticket<RangeScan>;
 
 /// What every shard scans for one batch. Shared by every attempt of the
@@ -122,7 +122,7 @@ Status InjectedFailure(size_t s, size_t r) {
 }
 
 /// Shard s's range scan on replica r's pool, or nullopt when the fault
-/// plan kills the dispatch. The fill partitions across that pool.
+/// plan kills the dispatch. The pricing partitions across that pool.
 std::optional<ScanTicket> Dispatch(RouterState* state,
                                    std::shared_ptr<const ScanInput> input,
                                    size_t s, size_t r) {
@@ -131,21 +131,11 @@ std::optional<ScanTicket> Dispatch(RouterState* state,
   Executor* pool = &state->ReplicaPool(s, r);
   pool->Submit([state, s, pool, shared, input = std::move(input)] {
     shared->Finish(api::internal::GuardJob([&]() -> Result<RangeScan> {
-      const std::vector<core::DeploymentRequest>& requests = input->requests;
-      const core::WorkforceMatrix matrix = core::WorkforceMatrix::Compute(
-          requests, state->stratrec.aggregator().index(), state->offsets[s],
-          state->offsets[s + 1], input->policy, pool,
-          state->config.service.execution.parallel_grain);
-      RangeScan rows(requests.size());
-      for (size_t i = 0; i < requests.size(); ++i) {
-        // k < 1 rows stay empty: the selection rejects the batch before it
-        // reads any row, exactly like the unsharded path.
-        if (requests[i].k < 1) continue;
-        auto top = matrix.TopStrategies(i, requests[i].k);
-        if (!top.ok()) return top.status();
-        rows[i] = std::move(*top);
-      }
-      return rows;
+      return core::PriceRows(input->requests,
+                             state->stratrec.aggregator().index(),
+                             state->offsets[s], state->offsets[s + 1],
+                             input->policy, pool,
+                             state->config.service.execution.parallel_grain);
     }));
   });
   return api::internal::MakeTicket(std::move(shared));
@@ -233,51 +223,19 @@ Result<std::vector<RangeScan>> Scatter(
 }
 
 /// Merges one request's per-shard rows into the unsharded
-/// AggregatedRequest: eligible iff the summed feasible counts reach k, the
-/// k-best list k-way-merged by (requirement, global index), and the
-/// requirement folded over exactly that order — bit-identical to
-/// WorkforceMatrix::KBestStrategies + AggregateRequirement on the whole
-/// catalog, because the global k-best is contained in the union of
-/// per-shard k-bests and every shard list is already in merge order.
+/// AggregatedRequest: core::MergeTopK over the shards' runs (global index
+/// = offsets[s] + range index), folded by core::AggregateRow. The k-way
+/// merge is the one PriceRows applies to its chunks, so the result is
+/// bit-identical to pricing the whole catalog in one call.
 core::AggregatedRequest MergeRow(const std::vector<RangeScan>& scans,
                                  const std::vector<size_t>& offsets, size_t i,
                                  int k, core::AggregationMode mode) {
-  core::AggregatedRequest row;
-  if (k < 1) return row;  // rejected by ValidateRequest before any read
-  size_t feasible = 0;
-  for (const RangeScan& scan : scans) feasible += scan[i].feasible_count;
-  if (feasible < static_cast<size_t>(k)) return row;
-  row.eligible = true;
-  row.strategies.reserve(static_cast<size_t>(k));
-  std::vector<size_t> cursor(scans.size(), 0);
-  double last = 0.0;
-  for (int taken = 0; taken < k; ++taken) {
-    size_t best = scans.size();
-    for (size_t s = 0; s < scans.size(); ++s) {
-      const core::WorkforceMatrix::RowTopK& r = scans[s][i];
-      if (cursor[s] >= r.strategies.size()) continue;
-      if (best == scans.size()) {
-        best = s;
-        continue;
-      }
-      const core::WorkforceMatrix::RowTopK& b = scans[best][i];
-      const double wa = r.requirements[cursor[s]];
-      const double wb = b.requirements[cursor[best]];
-      const size_t ga = offsets[s] + r.strategies[cursor[s]];
-      const size_t gb = offsets[best] + b.strategies[cursor[best]];
-      if (wa < wb || (wa == wb && ga < gb)) best = s;
-    }
-    // `best` is always valid: the union of per-shard top-k lists holds at
-    // least min(k, total feasible) entries.
-    const core::WorkforceMatrix::RowTopK& r = scans[best][i];
-    const double requirement = r.requirements[cursor[best]];
-    row.strategies.push_back(offsets[best] + r.strategies[cursor[best]]);
-    if (mode == core::AggregationMode::kSum) row.requirement += requirement;
-    last = requirement;
-    ++cursor[best];
+  std::vector<core::TopKRun> runs;
+  runs.reserve(scans.size());
+  for (size_t s = 0; s < scans.size(); ++s) {
+    runs.push_back(core::TopKRun::Of(scans[s][i], offsets[s]));
   }
-  if (mode == core::AggregationMode::kMax) row.requirement = last;
-  return row;
+  return core::AggregateRow(core::MergeTopK(runs, k), k, mode);
 }
 
 /// The built-in `algorithm` as a sharded row fold: scatter the range scans,

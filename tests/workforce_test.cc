@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "src/common/executor.h"
@@ -236,59 +237,120 @@ TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
   EXPECT_GT(long_rows, 0u);  // some rows really are cut down to k
 }
 
-// The range fill against the whole-index fill: column j of the range
-// [b, e) must equal column b + j of the full matrix, bit for bit, for
-// the whole range, one-wide ranges, and starts off the 4-wide AVX2 lane
-// grid, serially and partitioned across a pool (chunks then split rows).
-void ExpectRangeFillsMatchFullFill(kernels::DispatchLevel level) {
+// PriceRows against the dense oracle: for every range [b, e) and row, the
+// whole-index matrix's feasible cells in [b, e), sorted by (requirement,
+// index) and cut to min(k, feasible), with indices relative to b. Compared
+// entry for entry, requirements bit for bit, at every pool size and grain.
+// Every profile appears three times in a row, so requirement ties straddle
+// most chunk edges, and the ranges sit on and off the chunk grid: whole,
+// one-wide, exactly one or two chunks, and three or more.
+void ExpectPriceRowsMatchesDenseOracle(kernels::DispatchLevel level) {
   kernels::Configure(kernels::KernelConfig{level});
-  workload::Generator generator({}, 0x4A46'0001ull);
-  const size_t n = 37;
-  const CatalogIndex index =
-      CatalogIndex::Build(generator.Profiles(static_cast<int>(n)));
-  const auto requests = generator.RequestsWithRanges(
-      5, 3, {0.3, 0.9}, {0.3, 1.0}, {0.3, 1.0});
+  workload::Generator generator({}, 0x4A46'0002ull);
+  std::vector<StrategyProfile> profiles;
+  for (const StrategyProfile& profile : generator.Profiles(4400)) {
+    profiles.insert(profiles.end(), 3, profile);
+  }
+  const size_t n = profiles.size();
+  const CatalogIndex index = CatalogIndex::Build(profiles);
+  const auto base = generator.RequestsWithRanges(6, 1, {0.3, 0.9},
+                                                 {0.3, 1.0}, {0.3, 1.0});
+  constexpr size_t kChunk = kPriceChunk;
   const std::pair<size_t, size_t> ranges[] = {
-      {0, n}, {0, 1}, {n - 1, n}, {5, 6}, {1, n},
-      {3, 30}, {6, 19}, {0, 13}, {13, n}, {9, 14}};
-  Executor pool(2);
-  size_t feasible = 0;
+      {0, n},          {1, n},
+      {5, 5 + 3 * kChunk + 7},  {2, 2 + 2 * kChunk},
+      {n - 1, n},      {7, 8},
+      {0, kChunk},     {4000, 4000 + kChunk + 1}};
+  Executor pool1(1);
+  Executor pool4(4);
+  size_t compared = 0;
+  size_t edge_ties = 0;  // equal requirements on both sides of a chunk edge
   for (WorkforcePolicy policy : {WorkforcePolicy::kMinimalWorkforce,
                                  WorkforcePolicy::kPaperMaxOfThree}) {
-    const auto full = WorkforceMatrix::Compute(requests, index, policy);
+    const auto dense = WorkforceMatrix::Compute(base, index, policy);
     for (const auto& [begin, end] : ranges) {
-      for (Executor* executor : {static_cast<Executor*>(nullptr), &pool}) {
-        const auto part = WorkforceMatrix::Compute(requests, index, begin,
-                                                   end, policy, executor, 7);
-        ASSERT_EQ(part.num_requests(), requests.size());
-        ASSERT_EQ(part.num_strategies(), end - begin);
+      // oracle[i]: row i's feasible range indices in (requirement, index)
+      // order.
+      std::vector<std::vector<size_t>> oracle(base.size());
+      for (size_t i = 0; i < base.size(); ++i) {
+        for (size_t j = begin; j < end; ++j) {
+          if (dense.At(i, j).feasible) oracle[i].push_back(j - begin);
+        }
+        auto requirement = [&](size_t j) {
+          return dense.At(i, begin + j).requirement;
+        };
+        std::sort(oracle[i].begin(), oracle[i].end(), [&](size_t a, size_t b) {
+          const double wa = requirement(a);
+          const double wb = requirement(b);
+          return wa != wb ? wa < wb : a < b;
+        });
+        for (size_t r = 1; r < oracle[i].size(); ++r) {
+          const size_t a = oracle[i][r - 1];
+          const size_t b = oracle[i][r];
+          if (requirement(a) == requirement(b) && a / kChunk != b / kChunk) {
+            ++edge_ties;
+          }
+        }
+      }
+      for (const int k_case : {0, 1, -1, -2, static_cast<int>(kChunk) + 3}) {
+        std::vector<DeploymentRequest> requests = base;
         for (size_t i = 0; i < requests.size(); ++i) {
-          for (size_t j = 0; j < end - begin; ++j) {
-            const WorkforceCell& got = part.At(i, j);
-            const WorkforceCell& want = full.At(i, begin + j);
-            EXPECT_EQ(std::memcmp(&got.requirement, &want.requirement,
-                                  sizeof(double)),
-                      0)
-                << "range [" << begin << ", " << end << ") row " << i
-                << " column " << j;
-            EXPECT_EQ(got.feasible, want.feasible);
-            feasible += got.feasible ? 1 : 0;
+          // -1: k = the row's feasible count; -2: one more than that.
+          const int feasible = static_cast<int>(oracle[i].size());
+          requests[i].k = k_case == -1   ? feasible
+                          : k_case == -2 ? feasible + 1
+                                         : k_case;
+        }
+        for (Executor* executor : {static_cast<Executor*>(nullptr),
+                                   &pool1, &pool4}) {
+          for (const size_t grain : {size_t{1}, size_t{4096}}) {
+            const std::vector<RowTopK> rows = PriceRows(
+                requests, index, begin, end, policy, executor, grain);
+            ASSERT_EQ(rows.size(), requests.size());
+            for (size_t i = 0; i < requests.size(); ++i) {
+              const RowTopK& row = rows[i];
+              const size_t take = std::min(
+                  oracle[i].size(),
+                  static_cast<size_t>(std::max(requests[i].k, 0)));
+              const std::string where =
+                  "range [" + std::to_string(begin) + ", " +
+                  std::to_string(end) + ") row " + std::to_string(i) +
+                  " k " + std::to_string(requests[i].k) + " grain " +
+                  std::to_string(grain);
+              EXPECT_EQ(row.feasible_count, oracle[i].size()) << where;
+              EXPECT_EQ(row.strategies,
+                        std::vector<size_t>(oracle[i].begin(),
+                                            oracle[i].begin() + take))
+                  << where;
+              EXPECT_EQ(row.strategies.capacity(), take) << where;
+              ASSERT_EQ(row.requirements.size(), row.strategies.size());
+              for (size_t r = 0; r < row.strategies.size(); ++r) {
+                const double want =
+                    dense.At(i, begin + row.strategies[r]).requirement;
+                EXPECT_EQ(std::memcmp(&row.requirements[r], &want,
+                                      sizeof(double)),
+                          0)
+                    << where << " entry " << r;
+              }
+              compared += take;
+            }
           }
         }
       }
     }
   }
-  EXPECT_GT(feasible, 0u);  // the comparison covers real requirements
+  EXPECT_GT(compared, 0u);   // the comparison covers real entries
+  EXPECT_GT(edge_ties, 0u);  // and ties the chunk merge must order
   kernels::Configure(kernels::KernelConfig{});
 }
 
-TEST(WorkforceMatrixRange, RangeFillMatchesFullFillScalar) {
-  ExpectRangeFillsMatchFullFill(kernels::DispatchLevel::kScalar);
+TEST(PriceRows, MatchesDenseOracleScalar) {
+  ExpectPriceRowsMatchesDenseOracle(kernels::DispatchLevel::kScalar);
 }
 
-TEST(WorkforceMatrixRange, RangeFillMatchesFullFillAvx2) {
+TEST(PriceRows, MatchesDenseOracleAvx2) {
   if (!kernels::Avx2Available()) GTEST_SKIP() << "no AVX2 on this host";
-  ExpectRangeFillsMatchFullFill(kernels::DispatchLevel::kAvx2);
+  ExpectPriceRowsMatchesDenseOracle(kernels::DispatchLevel::kAvx2);
 }
 
 }  // namespace
