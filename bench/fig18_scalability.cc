@@ -5,13 +5,18 @@
 //   (c) ADPaR-Exact varying k.
 // Implemented with google-benchmark; times are wall-clock per solve. The
 // batch panels go through stratrec::Service so the measured path is the one
-// production callers take (facade + registry dispatch included).
+// production callers take (facade + registry dispatch included). The
+// supporting micro-benchmarks time the dense m x |S| workforce matrix
+// (fill only) against core::PriceRows, the fused pricer production calls
+// (fill plus each row's k-best), at the same sizes and pool sizes.
 #include <benchmark/benchmark.h>
 
 #include "src/api/catalog.h"
 #include "src/api/service.h"
 #include "src/common/executor.h"
 #include "src/core/adpar.h"
+#include "src/core/catalog_index.h"
+#include "src/core/workforce.h"
 #include "src/workload/generators.h"
 
 namespace {
@@ -165,6 +170,40 @@ void BM_WorkforceMatrixParallel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkforceMatrixParallel)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PriceRows(benchmark::State& state) {
+  // The production pricer on the BM_WorkforceMatrix inputs: the same rows
+  // the matrix's TopStrategies folds, without materializing the matrix.
+  const int num_s = static_cast<int>(state.range(0));
+  workload::Generator generator({}, 0xF16'18ull + 5);
+  const auto index = core::CatalogIndex::Build(generator.Profiles(num_s));
+  const auto requests = generator.Requests(10, 10);
+  for (auto _ : state) {
+    auto rows = core::PriceRows(requests, index, 0, index.size(),
+                                core::WorkforcePolicy::kMinimalWorkforce);
+    benchmark::DoNotOptimize(rows);
+  }
+}
+BENCHMARK(BM_PriceRows)->Arg(1000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PriceRowsParallel(benchmark::State& state) {
+  // PriceRows partitioned across an executor pool; compare against
+  // BM_WorkforceMatrixParallel at the same pool size.
+  const int num_s = 100000;
+  stratrec::Executor executor(static_cast<size_t>(state.range(0)));
+  workload::Generator generator({}, 0xF16'18ull + 5);
+  const auto index = core::CatalogIndex::Build(generator.Profiles(num_s));
+  const auto requests = generator.Requests(10, 10);
+  for (auto _ : state) {
+    auto rows = core::PriceRows(requests, index, 0, index.size(),
+                                core::WorkforcePolicy::kMinimalWorkforce,
+                                &executor, /*grain=*/4096);
+    benchmark::DoNotOptimize(rows);
+  }
+}
+BENCHMARK(BM_PriceRowsParallel)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -54,9 +54,10 @@ struct StreamDefaults {
 struct ExecutionConfig {
   /// Worker threads of the service pool; 0 means hardware concurrency.
   size_t worker_threads = 0;
-  /// Minimum cells per chunk when the m x |S| workforce matrix is
-  /// partitioned across the pool. Small matrices stay single-chunk (and
-  /// therefore run on the submitting worker without any fan-out overhead).
+  /// Minimum cells per task when the m x |S| pricing (core::PriceRows) is
+  /// partitioned across the pool, rounded up to whole 4,096-column units.
+  /// A batch of one unit stays single-task (and therefore runs on the
+  /// submitting worker without any fan-out overhead).
   /// Sweep cells and per-request ADPaR solves are whole solver runs — far
   /// heavier than a matrix cell — so those always fan out one job per item,
   /// independent of this knob.

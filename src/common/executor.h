@@ -28,9 +28,9 @@
 // claimed from one shared cursor, so the caller drains work exactly like a
 // thief and a task that is itself running on a pool worker can fan out
 // sub-work without risking deadlock — even on a single-threaded pool the
-// caller runs every chunk itself. This is what lets WorkforceMatrix::
-// Compute and RunSweep partition across the same pool that runs their
-// enclosing ticket.
+// caller runs every chunk itself. This is what lets core::PriceRows (the
+// batch pricing and every shard scan) and RunSweep partition across the
+// same pool that runs their enclosing ticket.
 //
 // Observability: QueueDepth() reports injection + per-worker deque totals
 // (one consistent number, the same the Service journals in ServiceStats);

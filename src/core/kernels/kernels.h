@@ -8,7 +8,8 @@
 //     (CatalogIndex::EstimateParamsInto behind every BuildSnapshot: the
 //     batch cache's misses, and a stream session's first ineligible
 //     arrival after each quantized-W move),
-//   * FillWorkforceCells — the m x |S| WorkforceMatrix::Compute cell fill,
+//   * FillWorkforceCells — the workforce cell fill behind PriceRows (one
+//     4,096-cell chunk at a time) and the dense WorkforceMatrix::Compute,
 //   * AnyDominates / CountDominators / CountDominatorsBounded — the
 //     relaxation-space dominance tests behind the skyline prefilter
 //     (AvailabilitySnapshot::orderings()) and DominanceCounts.
@@ -114,9 +115,11 @@ void EstimateParams(const CoeffSoA& soa, double w, size_t begin, size_t end,
 // ---------------------------------------------------------------------------
 
 /// cells[j] = ComputeWorkforceCell(profile_j, thresholds, policy) for j in
-/// [begin, end), with profile_j read from the SoA arrays. `cells` is the
-/// full index-aligned row (typically one WorkforceMatrix row); `thresholds`
-/// is loop-invariant — hoist the per-request lookup before calling.
+/// [begin, end), with profile_j read from the SoA arrays. `cells` is
+/// index-aligned with the SoA arrays: PriceRows offsets the SoA pointers
+/// to its chunk and fills a chunk-sized stack buffer from 0, the dense
+/// WorkforceMatrix::Compute fills whole rows. `thresholds` is
+/// loop-invariant — hoist the per-request lookup before calling.
 void FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                         const ParamVector& thresholds, WorkforcePolicy policy,
                         WorkforceCell* cells);

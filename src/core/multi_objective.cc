@@ -1,6 +1,7 @@
 #include "src/core/multi_objective.h"
 
 #include <cmath>
+#include <utility>
 
 #include "src/core/knapsack.h"
 
@@ -66,7 +67,7 @@ Result<MultiObjectiveResult> SolveBatchWeighted(
     RequestOutcome& outcome = result.batch.outcomes[item.index];
     outcome.satisfied = true;
     outcome.workforce = item.weight;
-    outcome.strategies = aggregated[item.index].strategies;
+    outcome.strategies = std::move(aggregated[item.index].strategies);
     result.batch.total_objective += item.value;
     result.batch.workforce_used += item.weight;
     result.throughput += 1.0;

@@ -230,7 +230,6 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
         slot[u] + (k < 1 ? 0 : std::min(columns, static_cast<size_t>(k)));
   }
   std::vector<size_t> feasible(units, 0);
-  std::vector<size_t> kept(units, 0);
   std::vector<size_t> strategies(slot[units]);
   std::vector<double> requirements(slot[units]);
 
@@ -273,7 +272,6 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
         requirements[slot[u] + t] = candidates[t].requirement;
       }
       feasible[u] = count;
-      kept[u] = take;
     }
   };
   if (executor != nullptr) {
@@ -289,7 +287,8 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
     for (size_t c = 0; c < chunks; ++c) {
       const size_t u = i * chunks + c;
       runs[c] = {feasible[u], 0, strategies.data() + slot[u],
-                 requirements.data() + slot[u], kept[u]};
+                 requirements.data() + slot[u],
+                 std::min(feasible[u], slot[u + 1] - slot[u])};
     }
     rows[i] = MergeTopK(runs, requests[i].k);
   }

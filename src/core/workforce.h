@@ -103,12 +103,6 @@ struct TopKRun {
   const size_t* strategies = nullptr;    ///< ascending (requirement, index)
   const double* requirements = nullptr;  ///< index-aligned with `strategies`
   size_t size = 0;                       ///< entries in both arrays
-
-  /// The run over `row`, whose strategies start at `offset` of the merge.
-  static TopKRun Of(const RowTopK& row, size_t offset) {
-    return {row.feasible_count, offset, row.strategies.data(),
-            row.requirements.data(), row.strategies.size()};
-  }
 };
 
 /// K-way merge of one row's parts (disjoint strategy sets, each run holding
@@ -143,7 +137,7 @@ std::vector<RowTopK> PriceRows(
     Executor* executor = nullptr, size_t grain = 4096);
 
 /// The m x |S| workforce-requirement matrix: the dense reference PriceRows
-/// is tested against.
+/// is tested against (the stream pricers still fold its 1 x |S| row).
 class WorkforceMatrix {
  public:
   /// Builds the matrix for all (request, profile) pairs.

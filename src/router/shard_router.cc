@@ -233,7 +233,9 @@ core::AggregatedRequest MergeRow(const std::vector<RangeScan>& scans,
   std::vector<core::TopKRun> runs;
   runs.reserve(scans.size());
   for (size_t s = 0; s < scans.size(); ++s) {
-    runs.push_back(core::TopKRun::Of(scans[s][i], offsets[s]));
+    const core::RowTopK& row = scans[s][i];
+    runs.push_back({row.feasible_count, offsets[s], row.strategies.data(),
+                    row.requirements.data(), row.strategies.size()});
   }
   return core::AggregateRow(core::MergeTopK(runs, k), k, mode);
 }

@@ -12,13 +12,14 @@
 //    +-- shard 1      strategies [o1, o2): replica pools 0..R-1
 //    +-- ...
 //
-// Only the row fold of the batch solve (paper Section 3.2) is sharded: for
+// Only the pricing of the batch solve (paper Section 3.2) is sharded: for
 // the built-in algorithms (batchstrat / baseline-g / brute-force) every
-// shard fills its range of the workforce matrix
-// (core::WorkforceMatrix::Compute over [begin, end)) and returns each
-// request's feasible count and k cheapest strategies; the router k-way-merges
-// the rows by (requirement, global index) and runs the selection half of
-// the solve (core::SolveBatchAggregated). Everything else runs once, on the
+// shard prices its range of the index (core::PriceRows over [begin, end),
+// which never materializes the workforce matrix) and returns each
+// request's feasible count and k cheapest strategies; the router merges
+// the rows by (requirement, global index) with core::MergeTopK — the merge
+// PriceRows applies to its own chunks — and runs the selection half of the
+// solve (core::SolveBatchAggregated). Everything else runs once, on the
 // router's own snapshot, through the batch and sweep bodies an unsharded
 // Service runs (src/api/pipeline.h). The row merge reproduces the unsharded
 // k-best lists and folds bit for bit, and the rest is the same code, so a

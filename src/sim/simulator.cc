@@ -33,7 +33,11 @@ constexpr double kMaxW = 0.95;
 constexpr double kServiceTimeLo = 0.5;
 constexpr double kServiceTimeHi = 2.5;
 
-std::string TenantTag(size_t tenant) { return "t" + std::to_string(tenant); }
+std::string TenantTag(size_t tenant) {
+  std::string tag = "t";
+  tag += std::to_string(tenant);
+  return tag;
+}
 
 /// One tenant: a Service (optionally wrapped in a stream session), its
 /// request generator, and the stream-mode live set.

@@ -75,7 +75,8 @@ std::vector<core::DeploymentRequest> Generator::RequestsWithRanges(
   requests.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
     core::DeploymentRequest request;
-    request.id = "d" + std::to_string(i + 1);
+    request.id = "d";
+    request.id += std::to_string(i + 1);
     request.thresholds.quality = rng_.Uniform(quality.lo, quality.hi);
     request.thresholds.cost = rng_.Uniform(cost.lo, cost.hi);
     request.thresholds.latency = rng_.Uniform(latency.lo, latency.hi);

@@ -21,6 +21,8 @@
 #include "src/api/service.h"
 #include "src/common/fault.h"
 #include "src/common/json.h"
+#include "src/core/batch_scheduler.h"
+#include "src/core/workforce.h"
 #include "src/router/shard_router.h"
 
 namespace stratrec {
@@ -254,24 +256,43 @@ TEST(RouterProperty, ReplicatedFailoverPreservesByteIdentity) {
   }
 }
 
-/// 60 strategies over 7 base profiles. Strategy j takes base profile
-/// (j - number of split points <= j) mod 7, where the split points are every
-/// shard boundary of 60 strategies into 2..5 shards. Each boundary thus sits
+/// The first strategy of every shard when `n` strategies split into
+/// `shards` the way ShardRouter::Create splits them (sizes differing by at
+/// most one, larger shards first); element `shards` is n.
+std::vector<size_t> ShardOffsets(size_t n, size_t shards) {
+  std::vector<size_t> offsets(shards + 1, 0);
+  for (size_t s = 0; s < shards; ++s) {
+    offsets[s + 1] = offsets[s] + n / shards + (s < n % shards ? 1 : 0);
+  }
+  return offsets;
+}
+
+/// `n` strategies over 7 base profiles. Strategy j takes base profile
+/// (j - number of split points <= j) mod 7, so every split point sits
 /// between two copies of one profile, and every profile recurs in every
-/// shard, so requirements and parameters tie across shards everywhere.
-core::Catalog TiedCatalog() {
-  constexpr size_t kStrategies = 60;
+/// shard and chunk: requirements and parameters tie across every edge.
+/// The split points are the shard edges for every count in
+/// `shard_counts`, plus, when `chunk_edges` is set, every PriceRows chunk
+/// edge inside each of those shards.
+core::Catalog TiedCatalog(size_t n, const std::vector<size_t>& shard_counts,
+                          bool chunk_edges) {
   std::vector<size_t> splits;
-  for (size_t shards = 2; shards <= 5; ++shards) {
-    for (size_t s = 1; s < shards; ++s) {
-      splits.push_back(s * kStrategies / shards);
+  for (const size_t shards : shard_counts) {
+    const std::vector<size_t> offsets = ShardOffsets(n, shards);
+    for (size_t s = 0; s < shards; ++s) {
+      if (s > 0) splits.push_back(offsets[s]);
+      if (!chunk_edges) continue;
+      for (size_t edge = offsets[s] + core::kPriceChunk;
+           edge < offsets[s + 1]; edge += core::kPriceChunk) {
+        splits.push_back(edge);
+      }
     }
   }
   std::sort(splits.begin(), splits.end());
   splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
   const core::Catalog base = WideCatalog();
   core::Catalog catalog;
-  for (size_t j = 0; j < kStrategies; ++j) {
+  for (size_t j = 0; j < n; ++j) {
     const size_t before = static_cast<size_t>(
         std::upper_bound(splits.begin(), splits.end(), j) - splits.begin());
     const size_t p = (j - before) % 7;
@@ -282,73 +303,139 @@ core::Catalog TiedCatalog() {
   return catalog;
 }
 
+/// The batch stage of `report` recomputed from the dense matrix: each
+/// row's KBestStrategies and AggregateRequirement, then the selection half
+/// of the solve.
+Result<core::BatchResult> DenseOracle(const core::Catalog& catalog,
+                                      const api::BatchRequest& batch,
+                                      const api::BatchReport& report) {
+  const auto dense =
+      core::WorkforceMatrix::Compute(batch.requests, catalog.profiles);
+  core::BatchOptions options;
+  options.aggregation = *batch.aggregation;
+  std::vector<core::AggregatedRequest> aggregated(batch.requests.size());
+  for (size_t i = 0; i < batch.requests.size(); ++i) {
+    const int k = batch.requests[i].k;
+    auto requirement = dense.AggregateRequirement(i, k, options.aggregation);
+    auto strategies = dense.KBestStrategies(i, k);
+    if (!requirement.ok() || !strategies.ok()) continue;
+    aggregated[i] = {true, *requirement, std::move(*strategies)};
+  }
+  return core::SolveBatchAggregated(batch.requests, aggregated,
+                                    report.availability, options,
+                                    core::BatchAlgorithm::kBatchStrat);
+}
+
 // The global tie rules under maximal ties: row merges break requirement
 // ties by global index, and alternatives and sweeps must pick the same
-// covered strategies among identical copies, at every shard count.
+// covered strategies among identical copies, at every shard count. The
+// second catalog gives every shard three or more PriceRows chunks with
+// copies of one profile on both sides of every chunk and shard edge, and
+// one request whose k-best list runs across chunk edges, so both merge
+// tiers (chunks within a shard, then shards) order ties; its batches are
+// also checked against the dense-matrix oracle.
 TEST(RouterProperty, TiesAcrossShardBoundariesAreByteIdentical) {
-  const core::Catalog catalog = TiedCatalog();
-  std::vector<api::BatchRequest> batches;
-  for (const core::AggregationMode mode :
-       {core::AggregationMode::kSum, core::AggregationMode::kMax}) {
-    api::BatchRequest batch;
-    batch.requests = MixedRequests();
-    batch.requests.push_back({"d6", {0.30, 0.80, 0.90}, 9});
-    batch.requests.push_back({"d7", {0.20, 0.90, 0.95}, 13});
-    // Served at zero workforce by most strategies: its k-best list is the
-    // lowest global indices among ties spanning every shard.
-    batch.requests.push_back({"d8", {0.10, 0.95, 0.99}, 13});
-    batch.aggregation = mode;
-    batch.availability = api::AvailabilitySpec::Fixed(0.6);
-    batch.request_id =
-        mode == core::AggregationMode::kSum ? "b-tie-sum" : "b-tie-max";
-    batches.push_back(batch);
-  }
-  api::SweepRequest sweep;
-  sweep.targets = {{"t1", {0.9, 0.1, 0.1}, 1},
-                   {"t2", {0.5, 0.9, 0.9}, 2},
-                   {"t3", {0.7, 0.3, 0.4}, 6},
-                   {"t4", {0.95, 0.05, 0.05}, 12}};
-  sweep.solvers = {"exact", "paper-sweep", "baseline2"};
-  sweep.availability = api::AvailabilitySpec::Fixed(0.6);
-  sweep.request_id = "s-tie";
-
-  auto run = [&](const auto& tier) {
-    std::vector<std::string> out;
-    for (const api::BatchRequest& batch : batches) {
-      auto report = tier.SubmitBatch(batch);
-      out.push_back(report.ok() ? json::Dump(wire::Encode(*report))
-                                : report.status().ToString());
-    }
-    auto report = tier.RunSweep(sweep);
-    out.push_back(report.ok() ? json::Dump(wire::Encode(*report))
-                              : report.status().ToString());
-    return out;
+  // 3 * 8,225 strategies: every shard of a 1-, 2- or 3-way split is wider
+  // than two chunks.
+  constexpr size_t kChunked = 3 * (2 * core::kPriceChunk + 33);
+  struct Input {
+    core::Catalog catalog;
+    std::vector<size_t> shard_counts;
+    std::vector<core::DeploymentRequest> extra_requests;
+    bool sweep;  // the sweep solvers are too slow for the wide catalog
   };
-
-  for (const size_t pool : {size_t{1}, size_t{4}}) {
-    api::ServiceConfig config;
-    config.execution.worker_threads = pool;
-    auto unsharded = api::Service::Create(catalog, config);
-    ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
-    const std::vector<std::string> expected = run(*unsharded);
-    for (const std::string& report : expected) {
-      ASSERT_EQ(report.rfind("{", 0), 0u) << report;
+  const Input inputs[] = {
+      {TiedCatalog(60, {2, 3, 4, 5}, false), {1, 2, 3, 4, 5}, {}, true},
+      {TiedCatalog(kChunked, {1, 2, 3}, true),
+       {1, 2, 3},
+       {{"d9", {0.10, 0.95, 0.99}, static_cast<int>(core::kPriceChunk) + 5}},
+       false}};
+  for (const Input& input : inputs) {
+    const core::Catalog& catalog = input.catalog;
+    std::vector<api::BatchRequest> batches;
+    for (const core::AggregationMode mode :
+         {core::AggregationMode::kSum, core::AggregationMode::kMax}) {
+      api::BatchRequest batch;
+      batch.requests = MixedRequests();
+      batch.requests.push_back({"d6", {0.30, 0.80, 0.90}, 9});
+      batch.requests.push_back({"d7", {0.20, 0.90, 0.95}, 13});
+      // Served at zero workforce by most strategies: its k-best list is the
+      // lowest global indices among ties spanning every shard.
+      batch.requests.push_back({"d8", {0.10, 0.95, 0.99}, 13});
+      batch.requests.insert(batch.requests.end(),
+                            input.extra_requests.begin(),
+                            input.extra_requests.end());
+      batch.aggregation = mode;
+      batch.availability = api::AvailabilitySpec::Fixed(0.6);
+      batch.request_id =
+          mode == core::AggregationMode::kSum ? "b-tie-sum" : "b-tie-max";
+      batches.push_back(batch);
     }
-    // The trace must reach ADPaR, or the alternatives leg goes untested.
-    EXPECT_NE(expected[0].find("\"alternatives\":[{"), std::string::npos);
+    api::SweepRequest sweep;
+    sweep.targets = {{"t1", {0.9, 0.1, 0.1}, 1},
+                     {"t2", {0.5, 0.9, 0.9}, 2},
+                     {"t3", {0.7, 0.3, 0.4}, 6},
+                     {"t4", {0.95, 0.05, 0.05}, 12}};
+    sweep.solvers = {"exact", "paper-sweep", "baseline2"};
+    sweep.availability = api::AvailabilitySpec::Fixed(0.6);
+    sweep.request_id = "s-tie";
 
-    for (size_t shards = 1; shards <= 5; ++shards) {
-      RouterConfig router_config;
-      router_config.shards = shards;
-      router_config.service = config;
-      auto router = ShardRouter::Create(catalog, router_config);
-      ASSERT_TRUE(router.ok()) << router.status().ToString();
-      const std::vector<std::string> actual = run(*router);
-      ASSERT_EQ(actual.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(actual[i], expected[i])
-            << "case " << i << " diverged at shards=" << shards
+    auto run = [&](const auto& tier) {
+      std::vector<std::string> out;
+      for (const api::BatchRequest& batch : batches) {
+        auto report = tier.SubmitBatch(batch);
+        out.push_back(report.ok() ? json::Dump(wire::Encode(*report))
+                                  : report.status().ToString());
+      }
+      if (input.sweep) {
+        auto report = tier.RunSweep(sweep);
+        out.push_back(report.ok() ? json::Dump(wire::Encode(*report))
+                                  : report.status().ToString());
+      }
+      return out;
+    };
+
+    for (const size_t pool : {size_t{1}, size_t{4}}) {
+      api::ServiceConfig config;
+      config.execution.worker_threads = pool;
+      auto unsharded = api::Service::Create(catalog, config);
+      ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
+      const std::vector<std::string> expected = run(*unsharded);
+      for (const std::string& report : expected) {
+        ASSERT_EQ(report.rfind("{", 0), 0u) << report;
+      }
+      // The trace must reach ADPaR, or the alternatives leg goes untested.
+      EXPECT_NE(expected[0].find("\"alternatives\":[{"), std::string::npos);
+      for (const api::BatchRequest& batch : batches) {
+        auto report = unsharded->SubmitBatch(batch);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        auto oracle = DenseOracle(catalog, batch, *report);
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        EXPECT_EQ(*oracle, report->result.aggregator.batch)
+            << batch.request_id << " |S|=" << catalog.profiles.size()
             << " pool=" << pool;
+        if (!input.extra_requests.empty()) {
+          // The wide request is served, so its list spans chunk edges.
+          EXPECT_EQ(report->result.aggregator.batch.outcomes.back()
+                        .strategies.size(),
+                    core::kPriceChunk + 5);
+        }
+      }
+
+      for (const size_t shards : input.shard_counts) {
+        RouterConfig router_config;
+        router_config.shards = shards;
+        router_config.service = config;
+        auto router = ShardRouter::Create(catalog, router_config);
+        ASSERT_TRUE(router.ok()) << router.status().ToString();
+        const std::vector<std::string> actual = run(*router);
+        ASSERT_EQ(actual.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(actual[i], expected[i])
+              << "case " << i << " diverged at |S|="
+              << catalog.profiles.size() << " shards=" << shards
+              << " pool=" << pool;
+        }
       }
     }
   }
