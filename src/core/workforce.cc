@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
-#include <new>
 
 #include "src/common/float_compare.h"
 #include "src/core/catalog_index.h"
@@ -234,16 +232,11 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
   std::vector<double> requirements(slot[units]);
 
   auto price = [&](size_t first, size_t last) {
-    // Scratch left uninitialized: the kernel writes every cell the unit
-    // reads, and a candidate is written before it is read.
     struct Candidate {
-      double requirement;
-      size_t strategy;  // within the range
+      double requirement = 0.0;
+      size_t strategy = 0;  // within the range
     };
-    alignas(WorkforceCell) std::byte
-        storage[kPriceChunk * sizeof(WorkforceCell)];
-    WorkforceCell* cells =
-        std::launder(reinterpret_cast<WorkforceCell*>(storage));
+    WorkforceCell cells[kPriceChunk];
     Candidate candidates[kPriceChunk];
     for (size_t u = first; u < last; ++u) {
       const size_t column = u % chunks * kPriceChunk;
