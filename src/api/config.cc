@@ -61,11 +61,12 @@ Status ValidateConfig(const ServiceConfig& config) {
           "compaction would never fold anything");
     }
   }
-  if (config.journal.compact_after_segments > kMaxWireInteger ||
+  if (config.journal.max_segment_bytes > kMaxWireInteger ||
+      config.journal.compact_after_segments > kMaxWireInteger ||
       config.journal.retain_segments > kMaxWireInteger) {
     return Status::InvalidArgument(
-        "journal compaction knobs exceed 2^53 and would not round-trip the "
-        "wire codec");
+        "journal segment and compaction knobs exceed 2^53 and would not "
+        "round-trip the wire codec");
   }
   return Status::OK();
 }

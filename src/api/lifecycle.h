@@ -1,9 +1,8 @@
-// Request-lifecycle helpers shared by the two tiers that run envelope jobs
-// on their own executor, api::Service and router::ShardRouter: id minting,
-// named-model availability resolution, the dequeue-time deadline check, the
-// job exception guard, and the striped lifetime counters behind stats().
-// One copy, so the router's answers and failure outcomes stay
-// byte-identical to an unsharded Service's.
+// Request-lifecycle helpers of the one runtime both public handles wrap
+// (api::internal::ServiceState in src/api/pipeline.h, behind api::Service
+// and router::ShardRouter): id minting, named-model availability
+// resolution, the dequeue-time deadline check, the job exception guard,
+// and the striped lifetime counters behind stats().
 #ifndef STRATREC_API_LIFECYCLE_H_
 #define STRATREC_API_LIFECYCLE_H_
 

@@ -1,9 +1,13 @@
-// The batch and sweep bodies shared by the two tiers that run envelope jobs,
-// api::Service and router::ShardRouter, plus the availability-snapshot cache
-// they read. One copy, so a router's reports are an unsharded Service's by
-// construction: the only per-tier input is the solver a built-in batch
-// algorithm runs with (the router's folds shard rows; see
-// src/router/shard_router.h).
+// The one runtime behind both public handles, api::Service and
+// router::ShardRouter: the catalog and its index, the snapshot cache, the
+// id sequence, the named models, the striped counters, the journal tap and
+// the worker pool, plus the one ticket protocol (SubmitJob) and the one
+// stats fold (Stats) both handles call. SubmitJob runs the batch and sweep
+// bodies in pipeline.cc. The only per-tier input is the solver a built-in
+// batch algorithm runs with: a Service keeps the registry entry, and a
+// router installs its sharded row fold (src/router/shard_router.h). One
+// copy, so a router's reports, failure outcomes and counters are an
+// unsharded Service's by construction.
 #ifndef STRATREC_API_PIPELINE_H_
 #define STRATREC_API_PIPELINE_H_
 
@@ -21,8 +25,14 @@
 #include "src/api/config.h"
 #include "src/api/envelope.h"
 #include "src/api/lifecycle.h"
+#include "src/api/ticket.h"
+#include "src/common/executor.h"
 #include "src/core/catalog_index.h"
 #include "src/core/stratrec.h"
+
+namespace stratrec {
+class JournalWriter;
+}  // namespace stratrec
 
 namespace stratrec::api::internal {
 
@@ -120,37 +130,61 @@ class SnapshotCache {
   std::vector<Shard> shards_;
 };
 
-/// What the batch and sweep bodies read from the tier running them. Each
-/// tier builds one per job over its own state, which outlives the job.
-struct Pipeline {
-  const ServiceConfig& config;
-  /// The whole catalog: its aggregator and index.
-  const core::StratRec& stratrec;
-  const ModelTable& models;
-  SnapshotCache& snapshots;
-  StripedStats& stats;
-  /// The pool the job runs on; the workforce fill, the ADPaR fan-out and
-  /// the sweep cells partition across it.
-  Executor& executor;
+/// The runtime. Member order is the teardown contract, since members are
+/// destroyed in reverse:
+///   - `executor` goes first, and its drain runs still-queued tickets while
+///     the journal and `builtin_solver` (a router's replica pools) are
+///     alive;
+///   - `builtin_solver` goes next, and a router's replica pools drain
+///     abandoned hedge scans while the index inside `stratrec` is alive.
+struct ServiceState {
+  ServiceConfig config;
+  /// The whole catalog: its aggregator and index. ProcessBatch is const and
+  /// therefore safe under concurrent jobs without locking.
+  core::StratRec stratrec;
+
+  IdSequence ids;
+  ModelTable models;
+  StripedStats stats;
+  /// Availability-keyed snapshot cache (ServiceConfig::cache).
+  SnapshotCache snapshots;
+  /// Record/replay tap; null when JournalConfig::path is empty, and always
+  /// on a router. Workers encode their own records and append under the
+  /// writer's short file lock.
+  std::shared_ptr<JournalWriter> journal;
   /// The solver a built-in batch algorithm ("batchstrat", "baseline-g",
-  /// "brute-force") runs with. Null keeps the registry entry (a Service);
-  /// the router supplies its sharded row fold.
+  /// "brute-force") runs with. Null keeps the registry entry (a Service); a
+  /// router installs its sharded row fold, which owns the replica pools.
   std::function<core::BatchSolverFn(core::BatchAlgorithm)> builtin_solver;
+  /// The pool every ticket runs on; the pricing, the ADPaR fan-out and the
+  /// sweep cells partition across it.
+  Executor executor;
+
+  /// Spins up the pool and builds the catalog's index across it, so every
+  /// hot loop rides the index from the first job.
+  ServiceState(ServiceConfig config_in, core::StratRec stratrec_in,
+               std::shared_ptr<JournalWriter> journal_in);
+
+  /// Enqueues one envelope job on `executor`. The ticket id is the
+  /// request's own id, or a minted "batch-"/"sweep-" one. The job runs, in
+  /// order: the claim (a ticket Cancel() won counts in `cancelled`), the
+  /// dequeue-time deadline (`deadline_exceeded`), the guarded batch or
+  /// sweep body, and the journal tap before Finish wakes the waiter.
+  Ticket<BatchReport> SubmitJob(BatchRequest request);
+  Ticket<SweepReport> SubmitJob(SweepRequest request);
+
+  /// The striped counters plus this pool's gauges, the index build time and
+  /// the kernel dispatch level.
+  ServiceStats Stats() const;
+
+  Result<double> Resolve(const AvailabilitySpec& spec) const {
+    return models.Resolve(spec, config.availability);
+  }
+
+  /// Appends one already-encoded record, demoting I/O failures to an error
+  /// log: a full disk must not fail the request whose work succeeded.
+  void Record(const std::string& line) const;
 };
-
-/// The Figure-1 batch pipeline, run on a pool worker: registry lookups,
-/// availability resolution and grid snapping, the batch solve, and ADPaR
-/// alternatives over the cached snapshot at W.
-Result<BatchReport> ExecuteBatch(const Pipeline& pipeline,
-                                 const BatchRequest& request,
-                                 const std::string& id);
-
-/// The sweep, run on a pool worker: every target x every named ADPaR
-/// backend over the cached snapshot at W, the cells fanned out across the
-/// pool, each writing its own pre-sized slot.
-Result<SweepReport> ExecuteSweep(const Pipeline& pipeline,
-                                 const SweepRequest& request,
-                                 const std::string& id);
 
 }  // namespace stratrec::api::internal
 

@@ -1,87 +1,18 @@
 #include "src/api/service.h"
 
-#include <chrono>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/api/codec.h"
-#include "src/api/lifecycle.h"
 #include "src/api/pipeline.h"
-#include "src/common/executor.h"
 #include "src/common/journal.h"
-#include "src/common/logging.h"
-#include "src/core/kernels/kernels.h"
 #include "src/stream/stream_scheduler.h"
 
 namespace stratrec::api {
 
 namespace internal {
-
-/// Shared state behind every Service handle and its sessions. No single
-/// service mutex: the named-model table is read-mostly behind a shared
-/// mutex, counters are striped atomics, and sessions carry their own lock.
-struct ServiceState {
-  ServiceConfig config;
-  /// The wrapped batch pipeline; its aggregator owns the catalog (the
-  /// service keeps no second copy). ProcessBatch is const and therefore
-  /// safe under concurrent jobs without locking.
-  core::StratRec stratrec;
-
-  IdSequence ids;
-  ModelTable models;
-  StripedStats stats;
-
-  /// Availability-keyed snapshot cache (ServiceConfig::cache).
-  SnapshotCache snapshots;
-
-  /// Record/replay tap (null when JournalConfig::path is empty). Workers
-  /// encode their own records and append under the writer's short file
-  /// lock; declared before `executor` so it outlives the queue drain.
-  std::shared_ptr<JournalWriter> journal;
-
-  /// The worker pool every async ticket runs on and the pipeline stages
-  /// partition across. Declared last on purpose: it is destroyed first, and
-  /// its destructor drains still-queued tickets while the rest of this
-  /// state is alive.
-  Executor executor;
-
-  ServiceState(ServiceConfig config_in, core::StratRec stratrec_in,
-               std::shared_ptr<JournalWriter> journal_in)
-      : config(std::move(config_in)),
-        stratrec(std::move(stratrec_in)),
-        snapshots(config.cache),
-        journal(std::move(journal_in)),
-        executor(config.execution.worker_threads) {
-    // Build the catalog's SoA index once, up front, partitioned across the
-    // fresh pool — every batch/sweep hot loop rides it from the first job.
-    stratrec.aggregator().index(&executor, config.execution.parallel_grain);
-  }
-
-  /// The view the shared batch and sweep bodies run over.
-  Pipeline pipeline() {
-    return {config, stratrec, models, snapshots, stats, executor, nullptr};
-  }
-
-  /// Appends one already-encoded record, demoting I/O failures to an error
-  /// log: a full disk must not fail the request whose work succeeded.
-  void Record(const std::string& line) const {
-    const Status appended = journal->Append(line);
-    if (!appended.ok()) {
-      LogMessage(LogLevel::kError,
-                 "journal record dropped: " + appended.ToString());
-    }
-  }
-
-  const std::vector<core::StrategyProfile>& profiles() const {
-    return stratrec.aggregator().profiles();
-  }
-
-  Result<double> Resolve(const AvailabilitySpec& spec) const {
-    return models.Resolve(spec, config.availability);
-  }
-};
 
 /// One stream session: the (not thread-safe) stream scheduler plus its own
 /// lock and a reference keeping the owning service alive. The scheduler's
@@ -157,86 +88,11 @@ Result<Service> Service::Create(std::vector<core::Strategy> strategies,
 }
 
 Ticket<BatchReport> Service::SubmitBatchAsync(BatchRequest request) const {
-  auto shared = std::make_shared<internal::TicketShared<BatchReport>>(
-      request.request_id.empty() ? state_->ids.Next("batch")
-                                 : request.request_id);
-  internal::ServiceState* state = state_.get();
-  const auto submitted = std::chrono::steady_clock::now();
-  state_->executor.Submit(
-      [state, shared, submitted, request = std::move(request)]() mutable {
-        if (!shared->BeginRun()) {
-          state->stats.Add(&ServiceStats::cancelled);
-          if (state->journal && state->config.journal.record_cancelled) {
-            state->Record(wire::EncodeBatchRecord(
-                shared->id, request,
-                Status::Cancelled("ticket " + shared->id +
-                                  " cancelled before execution")));
-          }
-          return;
-        }
-        // Deadline check after the claim: expired work completes with
-        // kDeadlineExceeded instead of executing, and the counter/journal
-        // side effects land before Finish wakes the waiter.
-        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
-          state->stats.Add(&ServiceStats::deadline_exceeded);
-          const Status expired = internal::ExpiredStatus(shared->id);
-          if (state->journal && state->config.journal.record_cancelled) {
-            state->Record(
-                wire::EncodeBatchRecord(shared->id, request, expired));
-          }
-          shared->Finish(expired);
-          return;
-        }
-        auto outcome = internal::GuardJob([&]() {
-          return internal::ExecuteBatch(state->pipeline(), request, shared->id);
-        });
-        // Tap before Finish: once the ticket is retrievable, its pair is in
-        // the journal. Encoding runs here on the worker, lock-free.
-        if (state->journal) {
-          state->Record(wire::EncodeBatchRecord(shared->id, request, outcome));
-        }
-        shared->Finish(std::move(outcome));
-      });
-  return Ticket<BatchReport>(std::move(shared));
+  return state_->SubmitJob(std::move(request));
 }
 
 Ticket<SweepReport> Service::RunSweepAsync(SweepRequest request) const {
-  auto shared = std::make_shared<internal::TicketShared<SweepReport>>(
-      request.request_id.empty() ? state_->ids.Next("sweep")
-                                 : request.request_id);
-  internal::ServiceState* state = state_.get();
-  const auto submitted = std::chrono::steady_clock::now();
-  state_->executor.Submit(
-      [state, shared, submitted, request = std::move(request)]() mutable {
-        if (!shared->BeginRun()) {
-          state->stats.Add(&ServiceStats::cancelled);
-          if (state->journal && state->config.journal.record_cancelled) {
-            state->Record(wire::EncodeSweepRecord(
-                shared->id, request,
-                Status::Cancelled("ticket " + shared->id +
-                                  " cancelled before execution")));
-          }
-          return;
-        }
-        if (internal::DeadlineExpired(request.deadline_ms, submitted)) {
-          state->stats.Add(&ServiceStats::deadline_exceeded);
-          const Status expired = internal::ExpiredStatus(shared->id);
-          if (state->journal && state->config.journal.record_cancelled) {
-            state->Record(
-                wire::EncodeSweepRecord(shared->id, request, expired));
-          }
-          shared->Finish(expired);
-          return;
-        }
-        auto outcome = internal::GuardJob([&]() {
-          return internal::ExecuteSweep(state->pipeline(), request, shared->id);
-        });
-        if (state->journal) {
-          state->Record(wire::EncodeSweepRecord(shared->id, request, outcome));
-        }
-        shared->Finish(std::move(outcome));
-      });
-  return Ticket<SweepReport>(std::move(shared));
+  return state_->SubmitJob(std::move(request));
 }
 
 Result<BatchReport> Service::SubmitBatch(BatchRequest request) const {
@@ -307,22 +163,14 @@ const std::vector<core::Strategy>& Service::strategies() const {
 }
 
 const std::vector<core::StrategyProfile>& Service::profiles() const {
-  return state_->profiles();
+  return state_->stratrec.aggregator().profiles();
 }
 
 const ServiceConfig& Service::config() const { return state_->config; }
 
 size_t Service::worker_threads() const { return state_->executor.threads(); }
 
-ServiceStats Service::stats() const {
-  ServiceStats out = state_->stats.Snapshot();
-  internal::AddExecutorGauges(state_->executor, &out);
-  out.index_build_nanos = static_cast<size_t>(
-      state_->stratrec.aggregator().index_build_nanos());
-  out.kernel_dispatch =
-      core::kernels::DispatchLevelName(core::kernels::ActiveDispatchLevel());
-  return out;
-}
+ServiceStats Service::stats() const { return state_->Stats(); }
 
 Status Service::RecordStatsSnapshot() const {
   if (!state_->journal) {

@@ -20,8 +20,10 @@
 // Wait / TryGet / Cancel / OnComplete (see ticket.h). The synchronous
 // methods are thin wrappers (SubmitBatch == SubmitBatchAsync(...).Wait()),
 // so every caller funnels through one code path, and the pipeline itself is
-// parallel: the workforce matrix and the sweep cross-product partition
-// across the same pool.
+// parallel: the pricing (core::PriceRows) and the sweep cross-product
+// partition across the same pool. The handle wraps the runtime in
+// src/api/pipeline.h, the same one a router::ShardRouter wraps, so both
+// tiers share one ticket protocol and one stats fold.
 //
 // With ServiceConfig::journal configured, the service records itself: a
 // config + catalog record at Create, then one wire-codec line per finished

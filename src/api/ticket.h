@@ -45,8 +45,6 @@
 
 namespace stratrec::api {
 
-class Service;
-
 template <typename T>
 class Ticket;
 
@@ -56,9 +54,9 @@ template <typename T>
 struct TicketShared;
 
 /// Constructs a Ticket over existing shared state. The ticket constructor
-/// is private to keep arbitrary callers from minting handles; the shard
-/// router (and any future in-process tier that completes its own jobs)
-/// builds tickets through this factory instead of befriending Ticket.
+/// is private to keep arbitrary callers from minting handles; every ticket
+/// (the runtime's envelope jobs and the router's shard scans) is built
+/// through this factory.
 template <typename T>
 Ticket<T> MakeTicket(std::shared_ptr<TicketShared<T>> shared);
 
@@ -240,7 +238,6 @@ class Ticket {
 
  private:
   using Shared = internal::TicketShared<T>;
-  friend class Service;
   template <typename U>
   friend Ticket<U> internal::MakeTicket(
       std::shared_ptr<internal::TicketShared<U>> shared);

@@ -7,56 +7,40 @@
 #include <utility>
 #include <vector>
 
-#include "src/api/lifecycle.h"
 #include "src/api/pipeline.h"
 #include "src/common/executor.h"
 #include "src/common/fault.h"
-#include "src/core/kernels/kernels.h"
 #include "src/core/workforce.h"
 
 namespace stratrec::router {
 
 namespace internal {
 
-/// Shared state behind every ShardRouter handle. Declaration order is the
-/// teardown contract: the router pool is destroyed first and drains its
-/// queued tickets while the replica pools exist; the replica pools then
-/// drain abandoned hedge scans while the index (inside `stratrec`) and
-/// `offsets` exist.
+/// The routing state behind every ShardRouter handle: the shard ranges of
+/// the runtime's index and the replica pools that scan them. The runtime
+/// owns it through its builtin_solver hook, so the runtime's member order
+/// (src/api/pipeline.h) is also the router's teardown contract.
 struct RouterState {
+  /// The runtime every router ticket runs on; it owns this state.
+  api::internal::ServiceState& runtime;
   RouterConfig config;
-  /// The whole catalog: one index backs every shard range, and
-  /// alternatives, sweeps and custom solvers run over it unsharded.
-  core::StratRec stratrec;
   /// offsets[s] = global index of shard s's first strategy; offsets[N] =
   /// catalog size. Row j of shard s's scan is global strategy offsets[s] + j.
   std::vector<size_t> offsets;
-
-  api::internal::IdSequence ids;
-  api::internal::ModelTable models;
-  api::internal::StripedStats stats;
-  api::internal::SnapshotCache snapshots;
   /// Scatter sequence number feeding the deterministic replica picks.
   std::atomic<uint64_t> scatter_seq{0};
-
   /// replica_pools[s * replicas + r] scans shard s for replica r.
   std::vector<std::unique_ptr<Executor>> replica_pools;
-  Executor executor;
 
-  RouterState(RouterConfig config_in, core::StratRec stratrec_in,
+  RouterState(api::internal::ServiceState& runtime_in, RouterConfig config_in,
               std::vector<size_t> offsets_in)
-      : config(std::move(config_in)),
-        stratrec(std::move(stratrec_in)),
-        offsets(std::move(offsets_in)),
-        snapshots(config.service.cache),
-        executor(config.service.execution.worker_threads) {
+      : runtime(runtime_in),
+        config(std::move(config_in)),
+        offsets(std::move(offsets_in)) {
     const size_t threads = config.service.execution.worker_threads;
     for (size_t i = 0; i < config.shards * config.replicas; ++i) {
       replica_pools.push_back(std::make_unique<Executor>(threads));
     }
-    // One index build, partitioned across the router pool, before any job.
-    stratrec.aggregator().index(&executor,
-                                config.service.execution.parallel_grain);
   }
 
   Executor& ReplicaPool(size_t s, size_t r) {
@@ -122,20 +106,22 @@ Status InjectedFailure(size_t s, size_t r) {
 }
 
 /// Shard s's range scan on replica r's pool, or nullopt when the fault
-/// plan kills the dispatch. The pricing partitions across that pool.
+/// plan kills the dispatch. The pricing partitions across that pool. The
+/// scan copies its range and grain, so an abandoned one reads nothing of
+/// the routing state: only the index.
 std::optional<ScanTicket> Dispatch(RouterState* state,
                                    std::shared_ptr<const ScanInput> input,
                                    size_t s, size_t r) {
   if (ReplicaKilled(s, r)) return std::nullopt;
   auto shared = std::make_shared<api::internal::TicketShared<RangeScan>>("");
   Executor* pool = &state->ReplicaPool(s, r);
-  pool->Submit([state, s, pool, shared, input = std::move(input)] {
+  pool->Submit([index = &state->runtime.stratrec.aggregator().index(),
+                begin = state->offsets[s], end = state->offsets[s + 1],
+                grain = state->runtime.config.execution.parallel_grain, pool,
+                shared, input = std::move(input)] {
     shared->Finish(api::internal::GuardJob([&]() -> Result<RangeScan> {
-      return core::PriceRows(input->requests,
-                             state->stratrec.aggregator().index(),
-                             state->offsets[s], state->offsets[s + 1],
-                             input->policy, pool,
-                             state->config.service.execution.parallel_grain);
+      return core::PriceRows(input->requests, *index, begin, end,
+                             input->policy, pool, grain);
     }));
   });
   return api::internal::MakeTicket(std::move(shared));
@@ -158,7 +144,7 @@ Result<RangeScan> GatherShard(RouterState* state,
                                  ": every replica attempt failed");
   for (size_t attempt = 0; attempt < n; ++attempt) {
     const size_t r = (first_replica + attempt) % n;
-    if (attempt > 0) state->stats.Add(&api::ServiceStats::failovers);
+    if (attempt > 0) state->runtime.stats.Add(&api::ServiceStats::failovers);
     std::optional<ScanTicket> ticket =
         attempt == 0 ? std::move(primary) : Dispatch(state, input, s, r);
     if (!ticket.has_value()) {
@@ -178,7 +164,7 @@ Result<RangeScan> GatherShard(RouterState* state,
         if (outcome.has_value()) break;
         outcome = hedge->WaitFor(Ms(0.5));
         if (outcome.has_value()) {
-          state->stats.Add(&api::ServiceStats::hedges_won);
+          state->runtime.stats.Add(&api::ServiceStats::hedges_won);
         }
       }
     }
@@ -263,42 +249,6 @@ core::BatchSolverFn ShardedSolver(RouterState* state,
   };
 }
 
-/// The router's view for the shared batch and sweep bodies.
-api::internal::Pipeline PipelineOf(RouterState* state) {
-  return {state->config.service, state->stratrec, state->models,
-          state->snapshots,      state->stats,    state->executor,
-          [state](core::BatchAlgorithm algorithm) {
-            return ShardedSolver(state, algorithm);
-          }};
-}
-
-/// Submits one envelope job on the router pool: the same claim, cancel
-/// and dequeue-time deadline protocol as a Service ticket.
-template <typename Report, typename Request, typename Body>
-api::Ticket<Report> SubmitJob(RouterState* state, Request request,
-                              const char* prefix, Body body) {
-  auto shared = std::make_shared<api::internal::TicketShared<Report>>(
-      request.request_id.empty() ? state->ids.Next(prefix)
-                                 : request.request_id);
-  const auto submitted = std::chrono::steady_clock::now();
-  state->executor.Submit(
-      [state, shared, submitted, body, request = std::move(request)] {
-        if (!shared->BeginRun()) {
-          state->stats.Add(&api::ServiceStats::cancelled);
-          return;
-        }
-        // Counter before Finish, so stats read after Wait() see it.
-        if (api::internal::DeadlineExpired(request.deadline_ms, submitted)) {
-          state->stats.Add(&api::ServiceStats::deadline_exceeded);
-          shared->Finish(api::internal::ExpiredStatus(shared->id));
-          return;
-        }
-        shared->Finish(api::internal::GuardJob(
-            [&] { return body(PipelineOf(state), request, shared->id); }));
-      });
-  return api::internal::MakeTicket(std::move(shared));
-}
-
 }  // namespace
 
 }  // namespace internal
@@ -337,20 +287,30 @@ Result<ShardRouter> ShardRouter::Create(core::Catalog catalog,
 
   auto stratrec = core::StratRec::Create(std::move(catalog));
   if (!stratrec.ok()) return stratrec.status();
-  return ShardRouter(std::make_shared<internal::RouterState>(
-      std::move(config), std::move(*stratrec), std::move(offsets)));
+  // The router never journals, so its runtime gets no journal writer.
+  auto runtime = std::make_shared<api::internal::ServiceState>(
+      config.service, std::move(*stratrec), /*journal_in=*/nullptr);
+  auto routing = std::make_shared<internal::RouterState>(
+      *runtime, std::move(config), std::move(offsets));
+  internal::RouterState* state = routing.get();
+  runtime->builtin_solver = [routing = std::move(routing)](
+                                core::BatchAlgorithm algorithm) {
+    return internal::ShardedSolver(routing.get(), algorithm);
+  };
+  // The handle points at the routing state and shares the runtime's
+  // ownership, since the runtime owns the routing state.
+  return ShardRouter(
+      std::shared_ptr<internal::RouterState>(std::move(runtime), state));
 }
 
 api::Ticket<api::BatchReport> ShardRouter::SubmitBatchAsync(
     api::BatchRequest request) const {
-  return internal::SubmitJob<api::BatchReport>(
-      state_.get(), std::move(request), "batch", api::internal::ExecuteBatch);
+  return state_->runtime.SubmitJob(std::move(request));
 }
 
 api::Ticket<api::SweepReport> ShardRouter::RunSweepAsync(
     api::SweepRequest request) const {
-  return internal::SubmitJob<api::SweepReport>(
-      state_.get(), std::move(request), "sweep", api::internal::ExecuteSweep);
+  return state_->runtime.SubmitJob(std::move(request));
 }
 
 Result<api::BatchReport> ShardRouter::SubmitBatch(
@@ -364,20 +324,20 @@ Result<api::SweepReport> ShardRouter::RunSweep(api::SweepRequest request) const 
 
 Status ShardRouter::RegisterAvailabilityModel(
     std::string name, core::AvailabilityModel model) const {
-  return state_->models.Register(std::move(name), std::move(model));
+  return state_->runtime.models.Register(std::move(name), std::move(model));
 }
 
 bool ShardRouter::TryAdmit() const {
   if (state_->config.max_queue_depth == 0) return true;
-  size_t depth = state_->executor.QueueDepth();
+  size_t depth = state_->runtime.executor.QueueDepth();
   for (const auto& pool : state_->replica_pools) depth += pool->QueueDepth();
   if (depth < state_->config.max_queue_depth) return true;
-  state_->stats.Add(&api::ServiceStats::rejected_requests);
+  state_->runtime.stats.Add(&api::ServiceStats::rejected_requests);
   return false;
 }
 
 void ShardRouter::NoteRetryAfterHint() const {
-  state_->stats.Add(&api::ServiceStats::retry_after_hints);
+  state_->runtime.stats.Add(&api::ServiceStats::retry_after_hints);
 }
 
 size_t ShardRouter::shards() const { return state_->config.shards; }
@@ -387,15 +347,10 @@ size_t ShardRouter::replicas() const { return state_->config.replicas; }
 const RouterConfig& ShardRouter::config() const { return state_->config; }
 
 api::ServiceStats ShardRouter::stats() const {
-  api::ServiceStats out = state_->stats.Snapshot();
-  api::internal::AddExecutorGauges(state_->executor, &out);
+  api::ServiceStats out = state_->runtime.Stats();
   for (const auto& pool : state_->replica_pools) {
     api::internal::AddExecutorGauges(*pool, &out);
   }
-  out.index_build_nanos = static_cast<size_t>(
-      state_->stratrec.aggregator().index_build_nanos());
-  out.kernel_dispatch =
-      core::kernels::DispatchLevelName(core::kernels::ActiveDispatchLevel());
   return out;
 }
 

@@ -1,10 +1,13 @@
 // ShardRouter — one logical catalog scanned as N contiguous strategy
 // ranges, behind the same envelope API as a single Service.
 //
-// The router owns one core::StratRec over the whole catalog (one
-// CatalogIndex), one availability-snapshot cache, and one worker pool. The
-// catalog is split into N contiguous ranges of that index (sizes differing
-// by at most one); each range is scanned on its own replica pools:
+// A router is a Service with a sharded solver. It wraps the same runtime as
+// api::Service (src/api/pipeline.h): one core::StratRec over the whole
+// catalog (one CatalogIndex), one availability-snapshot cache, one worker
+// pool, one ticket protocol and one stats fold. What the router adds is
+// routing, held by the runtime as its built-in batch solver. The catalog
+// is split into N contiguous ranges of that index (sizes differing by at
+// most one); each range is scanned on its own replica pools:
 //
 //   router pool       tickets, availability resolution, the batch selection,
 //    |                ADPaR alternatives, sweeps, custom registry solvers
@@ -20,11 +23,11 @@
 // the rows by (requirement, global index) with core::MergeTopK — the merge
 // PriceRows applies to its own chunks — and runs the selection half of the
 // solve (core::SolveBatchAggregated). Everything else runs once, on the
-// router's own snapshot, through the batch and sweep bodies an unsharded
-// Service runs (src/api/pipeline.h). The row merge reproduces the unsharded
-// k-best lists and folds bit for bit, and the rest is the same code, so a
-// router over any shard count returns *byte-identical* reports to one
-// unsharded Service for the same request trace (property-tested in
+// router's own snapshot, through the runtime an unsharded Service runs.
+// The row merge reproduces the unsharded k-best lists and folds bit for
+// bit, and the rest is the same code, so a router over any shard count
+// returns *byte-identical* reports and counters to one unsharded Service
+// for the same request trace (property-tested in
 // tests/router_property_test.cc).
 //
 // Admission control for the serving tier: TryAdmit() compares the summed
@@ -41,9 +44,10 @@
 // hedges a straggling first attempt after hedge_after_ms. Every replica
 // scans identical data, so any replica's rows are THE shard's rows and
 // byte identity holds under arbitrary failover (property-tested with
-// replicas {1, 2, 3} x injected failures). Requests whose deadline_ms
-// budget expires while queued complete with kDeadlineExceeded through the
-// ticket cancel path instead of running.
+// replicas {1, 2, 3} x injected failures, and hedging with replicas
+// {2, 3}). Requests whose deadline_ms budget expires while queued complete
+// with kDeadlineExceeded through the runtime's ticket protocol instead of
+// running.
 #ifndef STRATREC_ROUTER_SHARD_ROUTER_H_
 #define STRATREC_ROUTER_SHARD_ROUTER_H_
 

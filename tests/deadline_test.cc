@@ -1,18 +1,22 @@
 // Deadline propagation tests: a request's relative deadline_ms budget is
 // enforced when a worker dequeues the job — expired work completes with
 // kDeadlineExceeded through the ticket cancel path (never starts solving),
-// counted in stats().deadline_exceeded, on both the Service and the
-// ShardRouter tiers. Also pins the ticket building blocks the fault-tolerant
-// tiers ride on: WaitFor (non-consuming on timeout) and CancelWith (explicit
-// error outcome).
+// counted in stats().deadline_exceeded. Also pins the ticket building
+// blocks the fault-tolerant tiers ride on: WaitFor (non-consuming on
+// timeout) and CancelWith (explicit error outcome). Every case is one typed
+// body run against both tiers, an unsharded Service and a 2-shard
+// ShardRouter.
 //
-// Determinism: a registry backend blocks the one-worker pool behind a gate,
-// so "queued past the deadline" is provable, not timing-dependent.
+// Determinism: a registry backend blocks the tier's one-worker pool behind
+// a gate (a custom-registry solve runs unsharded on the router pool, so it
+// blocks a router's one worker too), so "queued past the deadline" is
+// provable, not timing-dependent.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -106,21 +110,44 @@ BatchRequest GateBatch() {
   return batch;
 }
 
-TEST(Deadline, ExpiredQueuedBatchCompletesWithDeadlineExceeded) {
+/// The tier under test over SmallCatalog, with a one-worker pool.
+template <typename Tier>
+Result<Tier> OneWorkerTier();
+
+template <>
+Result<Service> OneWorkerTier<Service>() {
+  ServiceConfig config;
+  config.execution.worker_threads = 1;
+  return Service::Create(SmallCatalog(), config);
+}
+
+template <>
+Result<ShardRouter> OneWorkerTier<ShardRouter>() {
+  RouterConfig config;
+  config.shards = 2;
+  config.service.execution.worker_threads = 1;
+  return ShardRouter::Create(SmallCatalog(), config);
+}
+
+template <typename Tier>
+class Deadline : public ::testing::Test {};
+
+using Tiers = ::testing::Types<Service, ShardRouter>;
+TYPED_TEST_SUITE(Deadline, Tiers);
+
+TYPED_TEST(Deadline, ExpiredQueuedBatchCompletesWithDeadlineExceeded) {
   RegisterGateBackendOnce();
   TheGate().Reset();
 
-  ServiceConfig config;
-  config.execution.worker_threads = 1;
-  auto service = Service::Create(SmallCatalog(), config);
-  ASSERT_TRUE(service.ok());
+  auto tier = OneWorkerTier<TypeParam>();
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
 
-  auto blocking = service->SubmitBatchAsync(GateBatch());
+  auto blocking = tier->SubmitBatchAsync(GateBatch());
   TheGate().AwaitEntered();
 
   BatchRequest doomed_request = SmallBatch();
   doomed_request.deadline_ms = 5.0;
-  auto doomed = service->SubmitBatchAsync(std::move(doomed_request));
+  auto doomed = tier->SubmitBatchAsync(std::move(doomed_request));
 
   // WaitFor on a still-queued job: times out, consumes nothing.
   EXPECT_FALSE(doomed.WaitFor(std::chrono::milliseconds(1)).has_value());
@@ -137,28 +164,26 @@ TEST(Deadline, ExpiredQueuedBatchCompletesWithDeadlineExceeded) {
   EXPECT_NE(outcome.status().message().find("deadline expired"),
             std::string::npos);
 
-  const ServiceStats stats = service->stats();
+  const ServiceStats stats = tier->stats();
   EXPECT_EQ(stats.deadline_exceeded, 1u);
   EXPECT_EQ(stats.batches, 1u);  // the expired job never counts as solved
 }
 
-TEST(Deadline, ExpiredQueuedSweepCompletesWithDeadlineExceeded) {
+TYPED_TEST(Deadline, ExpiredQueuedSweepCompletesWithDeadlineExceeded) {
   RegisterGateBackendOnce();
   TheGate().Reset();
 
-  ServiceConfig config;
-  config.execution.worker_threads = 1;
-  auto service = Service::Create(SmallCatalog(), config);
-  ASSERT_TRUE(service.ok());
+  auto tier = OneWorkerTier<TypeParam>();
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
 
-  auto blocking = service->SubmitBatchAsync(GateBatch());
+  auto blocking = tier->SubmitBatchAsync(GateBatch());
   TheGate().AwaitEntered();
 
   SweepRequest sweep;
   sweep.targets = {{"t1", {0.9, 0.1, 0.1}, 1}};
   sweep.availability = AvailabilitySpec::Fixed(0.8);
   sweep.deadline_ms = 5.0;
-  auto doomed = service->RunSweepAsync(std::move(sweep));
+  auto doomed = tier->RunSweepAsync(std::move(sweep));
 
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   TheGate().Release();
@@ -167,64 +192,35 @@ TEST(Deadline, ExpiredQueuedSweepCompletesWithDeadlineExceeded) {
   auto outcome = doomed.Wait();
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(service->stats().deadline_exceeded, 1u);
+  const ServiceStats stats = tier->stats();
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.sweeps, 0u);
 }
 
-TEST(Deadline, GenerousDeadlineCompletesNormally) {
-  auto service = Service::Create(SmallCatalog(), {});
-  ASSERT_TRUE(service.ok());
+TYPED_TEST(Deadline, GenerousDeadlineCompletesNormally) {
+  auto tier = OneWorkerTier<TypeParam>();
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
 
   BatchRequest batch = SmallBatch();
   batch.deadline_ms = 60'000.0;
-  auto ticket = service->SubmitBatchAsync(std::move(batch));
+  auto ticket = tier->SubmitBatchAsync(std::move(batch));
   auto outcome = ticket.WaitFor(std::chrono::seconds(30));
   ASSERT_TRUE(outcome.has_value());
   ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
-  EXPECT_EQ(service->stats().deadline_exceeded, 0u);
+  EXPECT_EQ(tier->stats().deadline_exceeded, 0u);
 }
 
-TEST(Deadline, RouterEnforcesDeadlinesOnItsOwnQueue) {
+TYPED_TEST(Deadline, CancelWithCompletesQueuedWorkWithTheGivenStatus) {
   RegisterGateBackendOnce();
   TheGate().Reset();
 
-  RouterConfig config;
-  config.shards = 2;
-  config.service.execution.worker_threads = 1;
-  auto router = ShardRouter::Create(SmallCatalog(), config);
-  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  auto tier = OneWorkerTier<TypeParam>();
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
 
-  // A custom-registry solve runs unsharded on the router pool, so the gate
-  // provably blocks the router's one worker.
-  auto blocking = router->SubmitBatchAsync(GateBatch());
+  auto blocking = tier->SubmitBatchAsync(GateBatch());
   TheGate().AwaitEntered();
 
-  BatchRequest doomed_request = SmallBatch();
-  doomed_request.deadline_ms = 5.0;
-  auto doomed = router->SubmitBatchAsync(std::move(doomed_request));
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  TheGate().Release();
-  ASSERT_TRUE(blocking.Wait().ok());
-
-  auto outcome = doomed.Wait();
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(router->stats().deadline_exceeded, 1u);
-}
-
-TEST(Ticket, CancelWithCompletesQueuedWorkWithTheGivenStatus) {
-  RegisterGateBackendOnce();
-  TheGate().Reset();
-
-  ServiceConfig config;
-  config.execution.worker_threads = 1;
-  auto service = Service::Create(SmallCatalog(), config);
-  ASSERT_TRUE(service.ok());
-
-  auto blocking = service->SubmitBatchAsync(GateBatch());
-  TheGate().AwaitEntered();
-
-  auto queued = service->SubmitBatchAsync(SmallBatch());
+  auto queued = tier->SubmitBatchAsync(SmallBatch());
   EXPECT_TRUE(
       queued.CancelWith(Status::DeadlineExceeded("manual kill")));
   EXPECT_FALSE(queued.CancelWith(Status::Internal("second wins nothing")));
@@ -234,8 +230,16 @@ TEST(Ticket, CancelWithCompletesQueuedWorkWithTheGivenStatus) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(outcome.status().message(), "manual kill");
 
+  // The one worker takes the injection queue in order, so once a later
+  // job finishes it has dequeued the withdrawn one and counted it.
+  auto later = tier->SubmitBatchAsync(SmallBatch());
   TheGate().Release();
   ASSERT_TRUE(blocking.Wait().ok());
+  ASSERT_TRUE(later.Wait().ok());
+  const ServiceStats stats = tier->stats();
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.deadline_exceeded, 0u);
+  EXPECT_EQ(stats.batches, 2u);
 }
 
 }  // namespace

@@ -6,9 +6,10 @@
 // built-in batch algorithms, both aggregation modes, the custom-solver
 // fallback ("weighted"), alternatives on and off, multiple ADPaR backends,
 // in-band infeasibility (k > |S|), and whole-batch validation failures
-// (k < 1), plus sweeps over the solver family. A second leg re-runs the
-// trace with replicas {1, 2, 3} per shard under injected replica failures:
-// failover must preserve byte identity too.
+// (k < 1), plus sweeps over the solver family. Further legs re-run the
+// trace with replicas {1, 2, 3} per shard under injected replica failures,
+// and with replicas {2, 3} under hedging: failover and hedged scans must
+// preserve byte identity too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,9 +29,10 @@
 namespace stratrec {
 namespace {
 
-core::Catalog WideCatalog() {
-  // Ten strategies so the four-shard split is 3/3/2/2; coefficients from a
-  // fixed seed, clamped into the normalized space by EstimateParams.
+core::Catalog WideCatalog(int n = 10) {
+  // Ten strategies by default, so the four-shard split is 3/3/2/2;
+  // coefficients from a fixed seed, clamped into the normalized space by
+  // EstimateParams.
   static const char* kStages[] = {
       "SIM-COL-CRO", "SIM-COL-HYB", "SIM-IND-CRO", "SIM-IND-HYB",
       "SEQ-COL-CRO", "SEQ-COL-HYB", "SEQ-IND-CRO", "SEQ-IND-HYB",
@@ -38,7 +40,7 @@ core::Catalog WideCatalog() {
   std::mt19937 rng(20200614);  // SIGMOD'20
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   core::Catalog catalog;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < n; ++i) {
     catalog.strategies.push_back(
         {"s" + std::to_string(i),
          core::ParseStageName(kStages[i % 8]).value()});
@@ -133,16 +135,23 @@ std::vector<api::SweepRequest> SweepTrace() {
   return trace;
 }
 
-/// Runs the whole trace and flattens every outcome to comparable text:
+/// Runs the batch trace and flattens every outcome to comparable text:
 /// the encoded report for OK, the status string otherwise.
 template <typename Tier>
-std::vector<std::string> RunTrace(const Tier& tier) {
+std::vector<std::string> RunBatches(const Tier& tier) {
   std::vector<std::string> out;
   for (const api::BatchRequest& request : BatchTrace()) {
     auto report = tier.SubmitBatch(request);
     out.push_back(report.ok() ? json::Dump(wire::Encode(*report))
                               : report.status().ToString());
   }
+  return out;
+}
+
+/// RunBatches, then the sweep trace flattened the same way.
+template <typename Tier>
+std::vector<std::string> RunTrace(const Tier& tier) {
+  std::vector<std::string> out = RunBatches(tier);
   for (const api::SweepRequest& request : SweepTrace()) {
     auto report = tier.RunSweep(request);
     out.push_back(report.ok() ? json::Dump(wire::Encode(*report))
@@ -251,6 +260,48 @@ TEST(RouterProperty, ReplicatedFailoverPreservesByteIdentity) {
             << "replicas=" << replicas << " pool=" << pool;
         ASSERT_NE(plan, nullptr);
         EXPECT_GT(plan->TotalInjected(), 0u);
+      }
+    }
+  }
+}
+
+// Hedging must not bend the anchor either. With a 1 ns hedge timeout, a
+// first attempt not already finished when its gather starts gets a
+// duplicate scan on the next replica, and the shard takes whichever
+// finishes first. At 20,000 strategies a range scan far outlasts the
+// dispatch of the other shard, so hedges launch. Sweeps scan no shards, so
+// the trace is the batches. The router is dropped right after the last
+// Wait(), so the losing scans still running drain in its teardown.
+TEST(RouterProperty, HedgedScansPreserveByteIdentity) {
+  fault::ClearGlobalFaultPlan();
+  const core::Catalog catalog = WideCatalog(20'000);
+  for (const size_t pool : {size_t{1}, size_t{4}}) {
+    api::ServiceConfig config;
+    config.execution.worker_threads = pool;
+
+    auto unsharded = api::Service::Create(catalog, config);
+    ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
+    const std::vector<std::string> expected = RunBatches(*unsharded);
+
+    for (const size_t replicas : {size_t{2}, size_t{3}}) {
+      std::vector<std::string> actual;
+      {
+        RouterConfig router_config;
+        router_config.shards = 2;
+        router_config.replicas = replicas;
+        router_config.replica_seed = 0x4ED6E;
+        router_config.hedge_after_ms = 1e-6;
+        router_config.service = config;
+        auto router = ShardRouter::Create(catalog, router_config);
+        ASSERT_TRUE(router.ok()) << router.status().ToString();
+        actual = RunBatches(*router);
+        EXPECT_EQ(router->stats().failovers, 0u);
+      }
+      ASSERT_EQ(actual.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i], expected[i])
+            << "trace case " << i << " diverged at replicas=" << replicas
+            << " pool=" << pool;
       }
     }
   }
@@ -447,23 +498,47 @@ TEST(RouterProperty, RouterCountsItsOwnTraffic) {
   config.service.execution.worker_threads = 2;
   auto router = ShardRouter::Create(WideCatalog(), config);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
+  auto service = api::Service::Create(WideCatalog(), config.service);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   api::BatchRequest batch;
   batch.requests = MixedRequests();
   batch.availability = api::AvailabilitySpec::Fixed(0.8);
   ASSERT_TRUE(router->SubmitBatch(batch).ok());
+  ASSERT_TRUE(service->SubmitBatch(batch).ok());
 
   api::SweepRequest sweep;
   sweep.targets = {{"t1", {0.9, 0.1, 0.1}, 1}};
   sweep.availability = api::AvailabilitySpec::Fixed(0.8);
   ASSERT_TRUE(router->RunSweep(sweep).ok());
+  ASSERT_TRUE(service->RunSweep(sweep).ok());
+
+  // The mixed trace adds failing batches and sweep cells, and both tiers
+  // count the same traffic.
+  RunTrace(*router);
+  RunTrace(*service);
 
   const api::ServiceStats stats = router->stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.sweeps, 1u);
-  EXPECT_EQ(stats.requests_processed, MixedRequests().size());
+  EXPECT_EQ(stats.batches, 1u + BatchTrace().size() - 1);  // b-invalid-k fails
+  EXPECT_EQ(stats.sweeps, 1u + SweepTrace().size());
   // The alternatives batch and the sweep each look up the router's cache.
   EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
+
+  // Every counter matches the unsharded Service's. The gauges a tier
+  // samples at stats() time are its own: pool depth and activity, the
+  // executors' steal and local-hit counts, and the index build time.
+  const api::ServiceStats expected = service->stats();
+  const std::vector<std::string> gauges = {"queue_depth", "active_workers",
+                                           "steals", "local_hits",
+                                           "index_build_nanos"};
+  for (const api::StatsCounter& counter : api::kStatsCounters) {
+    if (std::find(gauges.begin(), gauges.end(), counter.name) !=
+        gauges.end()) {
+      continue;
+    }
+    EXPECT_EQ(stats.*counter.member, expected.*counter.member) << counter.name;
+  }
+  EXPECT_EQ(stats.kernel_dispatch, expected.kernel_dispatch);
 }
 
 TEST(RouterProperty, ServiceAssignedIdsMatchTheUnshardedFormat) {

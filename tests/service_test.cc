@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <functional>
 #include <thread>
+#include <utility>
 
 #include "src/api/catalog.h"
 #include "src/api/codec.h"
@@ -65,6 +68,50 @@ TEST(ServiceCreate, ValidatesCatalogAndConfig) {
             StatusCode::kInvalidArgument);
 
   EXPECT_TRUE(Service::Create(Table1Catalog()).ok());
+
+  // Every size knob stops at 2^53, the largest integer the wire codec
+  // carries exactly. The next double above it (2^53 + 2) fails at Create;
+  // the cap itself is accepted and journals a config record that reads
+  // back.
+  constexpr size_t kCap = size_t{1} << 53;
+  using Setter = std::function<void(ServiceConfig&, size_t)>;
+  const std::vector<std::pair<const char*, Setter>> knobs = {
+      {"stream.max_pending",
+       [](ServiceConfig& c, size_t v) { c.stream.max_pending = v; }},
+      {"execution.parallel_grain",
+       [](ServiceConfig& c, size_t v) { c.execution.parallel_grain = v; }},
+      {"cache.snapshot_capacity",
+       [](ServiceConfig& c, size_t v) { c.cache.snapshot_capacity = v; }},
+      {"journal.max_segment_bytes",
+       [](ServiceConfig& c, size_t v) { c.journal.max_segment_bytes = v; }},
+      {"journal.compact_after_segments",
+       [](ServiceConfig& c, size_t v) {
+         c.journal.max_segment_bytes = size_t{1} << 20;  // rotation on
+         c.journal.compact_after_segments = v;
+       }},
+      {"journal.retain_segments",
+       [](ServiceConfig& c, size_t v) { c.journal.retain_segments = v; }},
+  };
+  const std::string path =
+      ::testing::TempDir() + "stratrec_size_knob_cap.journal";
+  for (const auto& [name, set] : knobs) {
+    ServiceConfig over;
+    set(over, kCap + 2);
+    EXPECT_EQ(Service::Create(Table1Catalog(), over).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+
+    ServiceConfig at;
+    at.journal.path = path;
+    set(at, kCap);
+    std::remove(path.c_str());
+    ASSERT_TRUE(Service::Create(Table1Catalog(), at).ok()) << name;
+    auto trace = wire::ReadTraceFile(path);
+    ASSERT_TRUE(trace.ok()) << name << ": " << trace.status().ToString();
+    ASSERT_TRUE(trace->has_config) << name;
+    EXPECT_EQ(trace->config, at) << name;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ServiceBatch, ReproducesPaperExample1) {
