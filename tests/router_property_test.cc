@@ -271,7 +271,11 @@ TEST(RouterProperty, ReplicatedFailoverPreservesByteIdentity) {
 // finishes first. At 20,000 strategies a range scan far outlasts the
 // dispatch of the other shard, so hedges launch. Sweeps scan no shards, so
 // the trace is the batches. The router is dropped right after the last
-// Wait(), so the losing scans still running drain in its teardown.
+// Wait(), so the losing scans still running drain in its teardown. The
+// last batch skips alternatives: its selection ends right after the
+// primary scans, so its losing hedges are still scanning at the drop. A
+// teardown that freed the index before the replica pools fails here under
+// ASan.
 TEST(RouterProperty, HedgedScansPreserveByteIdentity) {
   fault::ClearGlobalFaultPlan();
   const core::Catalog catalog = WideCatalog(20'000);
@@ -296,6 +300,9 @@ TEST(RouterProperty, HedgedScansPreserveByteIdentity) {
         ASSERT_TRUE(router.ok()) << router.status().ToString();
         actual = RunBatches(*router);
         EXPECT_EQ(router->stats().failovers, 0u);
+        api::BatchRequest last = BatchTrace().front();
+        last.recommend_alternatives = false;
+        ASSERT_TRUE(router->SubmitBatch(last).ok());
       }
       ASSERT_EQ(actual.size(), expected.size());
       for (size_t i = 0; i < expected.size(); ++i) {
