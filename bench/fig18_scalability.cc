@@ -8,7 +8,9 @@
 // production callers take (facade + registry dispatch included). The
 // supporting micro-benchmarks time the dense m x |S| workforce matrix
 // (fill only) against core::PriceRows, the fused pricer production calls
-// (fill plus each row's k-best), at the same sizes and pool sizes.
+// (fill plus each row's k-best), at the same sizes and pool sizes, and
+// PriceRows alone in the perfbench 1M batch shape, on a paper-sign catalog
+// and on a mixed-sign one.
 #include <benchmark/benchmark.h>
 
 #include "src/api/catalog.h"
@@ -186,6 +188,51 @@ void BM_PriceRows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PriceRows)->Arg(1000)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The perfbench http-batch-1m-sharded batch shape: 8 requests, k = 6, its
+/// threshold ranges.
+std::vector<core::DeploymentRequest> PerfbenchBatch(
+    workload::Generator* generator) {
+  return generator->RequestsWithRanges(8, 6, {0.50, 0.80}, {0.60, 1.0},
+                                       {0.60, 1.0});
+}
+
+void BM_PriceRowsPerfbenchShape(benchmark::State& state) {
+  // Every generator strategy has the paper's slope signs (quality and cost
+  // rise with availability, latency falls), so the AVX2 kernel takes its
+  // short path on every 4-lane group.
+  const int num_s = static_cast<int>(state.range(0));
+  workload::Generator generator({}, 0xF16'18ull + 7);
+  const auto index = core::CatalogIndex::Build(generator.Profiles(num_s));
+  const auto requests = PerfbenchBatch(&generator);
+  for (auto _ : state) {
+    auto rows = core::PriceRows(requests, index, 0, index.size(),
+                                core::WorkforcePolicy::kMinimalWorkforce);
+    benchmark::DoNotOptimize(rows);
+  }
+}
+BENCHMARK(BM_PriceRowsPerfbenchShape)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PriceRowsMixedSigns(benchmark::State& state) {
+  // The same shape with every other latency slope flipped: no 4-lane group
+  // has the paper's signs, so the AVX2 kernel runs its general chain.
+  const int num_s = static_cast<int>(state.range(0));
+  workload::Generator generator({}, 0xF16'18ull + 7);
+  auto profiles = generator.Profiles(num_s);
+  for (size_t j = 1; j < profiles.size(); j += 2) {
+    profiles[j].latency.alpha = -profiles[j].latency.alpha;
+  }
+  const auto index = core::CatalogIndex::Build(profiles);
+  const auto requests = PerfbenchBatch(&generator);
+  for (auto _ : state) {
+    auto rows = core::PriceRows(requests, index, 0, index.size(),
+                                core::WorkforcePolicy::kMinimalWorkforce);
+    benchmark::DoNotOptimize(rows);
+  }
+}
+BENCHMARK(BM_PriceRowsMixedSigns)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PriceRowsParallel(benchmark::State& state) {

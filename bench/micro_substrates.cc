@@ -2,14 +2,16 @@
 //
 // The kernel section times each dispatched kernel twice — forced scalar,
 // then the active dispatch level — and reports throughput (cells/sec for
-// the workforce-matrix fill, comparisons/sec for dominance, params/sec for
-// estimation) plus the simd_speedup ratio; CI asserts the ratio never drops
-// below 1 on AVX2 runners. The substrate section ports the original R-tree /
-// skyband / knapsack / OLS / k-smallest micro-benchmarks. Results land in
-// micro_substrates.json (override with argv[1]).
+// the workforce cell fill and for the pricer's select scan, comparisons/sec
+// for dominance, params/sec for estimation) plus the simd_speedup ratio; CI
+// asserts the ratio never drops below 0.95 on AVX2 runners. The substrate
+// section ports the original R-tree / skyband / knapsack / OLS / k-smallest
+// micro-benchmarks. Results land in micro_substrates.json (override with
+// argv[1]).
 //
 // Hand-rolled timing (calibrated repetition loops over steady_clock, no
 // google-benchmark dependency) so the perf CI job can build and run it.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -119,6 +121,28 @@ std::vector<KernelRow> RunKernelBenches() {
                                 core::WorkforcePolicy::kPaperMaxOfThree,
                                 cells.data());
     Escape(cells.data());
+  }));
+
+  // The pricer's scan: the 1M perfbench workload's mid thresholds under the
+  // default policy, against the 6th-cheapest feasible requirement as the
+  // bound, so every cell is priced and counted and only 5 are kept.
+  const core::ParamVector batch_thresholds{0.65, 0.8, 0.8};
+  kernels::FillWorkforceCells(soa, 0, kN, batch_thresholds,
+                              core::WorkforcePolicy::kMinimalWorkforce,
+                              cells.data());
+  std::vector<double> feasible;
+  for (const core::WorkforceCell& cell : cells) {
+    if (cell.feasible) feasible.push_back(cell.requirement);
+  }
+  std::nth_element(feasible.begin(), feasible.begin() + 5, feasible.end());
+  const double bound = feasible[5];
+  std::vector<kernels::SelectedCell> selected(kN);
+  rows.push_back(BenchKernel("select_workforce_cells", "cells", kN, [&] {
+    size_t size = 0;
+    Escape(kernels::SelectWorkforceCells(
+        soa, 0, kN, batch_thresholds, core::WorkforcePolicy::kMinimalWorkforce,
+        bound, 0, selected.data(), &size));
+    Escape(selected.data());
   }));
 
   std::vector<core::ParamVector> params(kN);

@@ -6,6 +6,7 @@
 //
 // Run: ./build/examples/example_adpar_walkthrough
 #include <cstdio>
+#include <string>
 
 #include "src/api/catalog.h"
 #include "src/api/service.h"
@@ -16,6 +17,17 @@ using stratrec::AsciiTable;
 using stratrec::FormatDouble;
 namespace api = stratrec::api;
 namespace core = stratrec::core;
+
+namespace {
+
+/// The paper's 1-based strategy name: index 0 is "s1".
+std::string StrategyName(size_t index) {
+  std::string name = "s";
+  name += std::to_string(index + 1);
+  return name;
+}
+
+}  // namespace
 
 int main() {
   // Table 1's strategies and the unsatisfiable request d2.
@@ -45,7 +57,7 @@ int main() {
   std::printf("Step 1 - required relaxation per strategy and parameter:\n");
   AsciiTable step1({"strategy", "cost", "quality", "latency"});
   for (const auto& rel : trace.relaxations) {
-    step1.AddRow({"s" + std::to_string(rel.strategy + 1),
+    step1.AddRow({StrategyName(rel.strategy),
                   FormatDouble(rel.by_axis[1], 2),
                   FormatDouble(rel.by_axis[0], 2),
                   FormatDouble(rel.by_axis[2], 2)});
@@ -58,7 +70,7 @@ int main() {
   AsciiTable step2({"R (relaxation)", "I (strategy)", "D (parameter)"});
   for (const auto& entry : trace.sorted) {
     step2.AddRow({FormatDouble(entry.relaxation, 2),
-                  "s" + std::to_string(entry.strategy + 1),
+                  StrategyName(entry.strategy),
                   core::ParamAxisName(entry.axis)});
   }
   step2.Print();
@@ -103,7 +115,7 @@ int main() {
     std::string names;
     for (size_t j : outcome.result.strategies) {
       if (!names.empty()) names += ",";
-      names += "s" + std::to_string(j + 1);
+      names += StrategyName(j);
     }
     finals.AddRow({outcome.solver, outcome.result.alternative.ToString(),
                    FormatDouble(outcome.result.distance, 4), names});

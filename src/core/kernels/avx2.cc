@@ -98,6 +98,108 @@ inline __m256d FoldEqualityMax(__m256d candidate, const AxisVec& axis) {
 /// Lane mask (all-ones / all-zero per lane) -> 4-bit mask.
 inline int MaskBits(__m256d m) { return _mm256_movemask_pd(m); }
 
+/// Four cells of ComputeWorkforceCell: the feasibility lane mask, and the
+/// requirement, meaningful on feasible lanes only (FillWorkforceCells
+/// blends +inf into the others).
+struct CellsVec {
+  __m256d feasible;
+  __m256d requirement;
+};
+
+/// The general chain: any slope signs, either policy. FillWorkforceCells
+/// runs it on every group. Forced inline, like the short path below: GCC 12
+/// emits a helper with two callers out of line, and a call per group that
+/// returns through memory cost stream-drift-100k ~12% of its throughput.
+[[gnu::always_inline]] inline CellsVec PriceGroup(
+    const CoeffSoA& soa, size_t j, const ParamVector& thresholds,
+    WorkforcePolicy policy) {
+  const __m256d vzero = _mm256_setzero_pd();
+  const __m256d vone = _mm256_set1_pd(1.0);
+  const __m256d vneg_inf = _mm256_set1_pd(-kInf);
+  const __m256d veps = _mm256_set1_pd(kEps);
+  const AxisVec quality = AnalyzeAxisVec</*kLowerBound=*/true>(
+      soa.quality_alpha, soa.quality_beta, j, thresholds.quality);
+  const AxisVec cost = AnalyzeAxisVec</*kLowerBound=*/false>(
+      soa.cost_alpha, soa.cost_beta, j, thresholds.cost);
+  const AxisVec latency = AnalyzeAxisVec</*kLowerBound=*/false>(
+      soa.latency_alpha, soa.latency_beta, j, thresholds.latency);
+
+  // lo = max{quality.lo, cost.lo, latency.lo, 0}, hi = min{..., 1} in the
+  // scalar chain order (see ComputeWorkforceCell).
+  __m256d lo = quality.lo;
+  lo = _mm256_blendv_pd(lo, cost.lo, _mm256_cmp_pd(lo, cost.lo, _CMP_LT_OQ));
+  lo = _mm256_blendv_pd(lo, latency.lo,
+                        _mm256_cmp_pd(lo, latency.lo, _CMP_LT_OQ));
+  lo = _mm256_blendv_pd(lo, vzero, _mm256_cmp_pd(lo, vzero, _CMP_LT_OQ));
+  __m256d hi = quality.hi;
+  hi = _mm256_blendv_pd(hi, cost.hi, _mm256_cmp_pd(cost.hi, hi, _CMP_LT_OQ));
+  hi = _mm256_blendv_pd(hi, latency.hi,
+                        _mm256_cmp_pd(latency.hi, hi, _CMP_LT_OQ));
+  hi = _mm256_blendv_pd(hi, vone, _mm256_cmp_pd(vone, hi, _CMP_LT_OQ));
+
+  // feasible = all three constraints satisfiable && ApproxLe(lo, hi).
+  const __m256d interval_ok =
+      _mm256_cmp_pd(lo, _mm256_add_pd(hi, veps), _CMP_LE_OQ);
+  const __m256d feasible = _mm256_and_pd(
+      _mm256_and_pd(quality.feasible, cost.feasible),
+      _mm256_and_pd(latency.feasible, interval_ok));
+
+  if (policy == WorkforcePolicy::kMinimalWorkforce) return {feasible, lo};
+  // kPaperMaxOfThree: max over the equality solutions, clamped into
+  // [lo, hi]; the interval floor when no model is invertible.
+  __m256d candidate = vneg_inf;
+  candidate = FoldEqualityMax(candidate, quality);
+  candidate = FoldEqualityMax(candidate, cost);
+  candidate = FoldEqualityMax(candidate, latency);
+  // Clamp(candidate, lo, hi) = v < lo ? lo : (v > hi ? hi : v).
+  __m256d clamped = _mm256_blendv_pd(
+      candidate, hi, _mm256_cmp_pd(candidate, hi, _CMP_GT_OQ));
+  clamped = _mm256_blendv_pd(clamped, lo,
+                             _mm256_cmp_pd(candidate, lo, _CMP_LT_OQ));
+  return {feasible,
+          _mm256_blendv_pd(clamped, lo,
+                           _mm256_cmp_pd(candidate, vneg_inf, _CMP_EQ_OQ))};
+}
+
+/// (t - beta) / alpha for 4 strategies: one axis's equality solution.
+inline __m256d EqualityVec(const double* alpha, const double* beta, size_t j,
+                           double threshold) {
+  return _mm256_div_pd(
+      _mm256_sub_pd(_mm256_set1_pd(threshold), _mm256_loadu_pd(beta + j)),
+      _mm256_loadu_pd(alpha + j));
+}
+
+/// The short path: kMinimalWorkforce on 4 strategies that all have the
+/// paper's slope signs (quality and cost alpha > 0, latency alpha < 0).
+/// Every axis then has an equality solution on a known side: quality and
+/// latency give floors, cost a ceiling, and every axis is satisfiable. So
+/// the per-axis zero and sign masks drop out, and the general chain's
+/// other operands are the constants 0 (cost's floor) and +inf (the quality
+/// and latency ceilings). The compares below are PriceGroup's, in its
+/// order, with those constants in place; the latency ceiling's step,
+/// +inf < hi, is always false and is left out. So the bits match.
+[[gnu::always_inline]] inline CellsVec PricePaperSignsGroup(
+    const CoeffSoA& soa, size_t j, const ParamVector& thresholds) {
+  const __m256d vzero = _mm256_setzero_pd();
+  const __m256d vone = _mm256_set1_pd(1.0);
+  const __m256d vinf = _mm256_set1_pd(kInf);
+  const __m256d veps = _mm256_set1_pd(kEps);
+  const __m256d quality = EqualityVec(soa.quality_alpha, soa.quality_beta, j,
+                                      thresholds.quality);
+  const __m256d cost =
+      EqualityVec(soa.cost_alpha, soa.cost_beta, j, thresholds.cost);
+  const __m256d latency = EqualityVec(soa.latency_alpha, soa.latency_beta, j,
+                                      thresholds.latency);
+  __m256d lo = quality;
+  lo = _mm256_blendv_pd(lo, vzero, _mm256_cmp_pd(lo, vzero, _CMP_LT_OQ));
+  lo = _mm256_blendv_pd(lo, latency, _mm256_cmp_pd(lo, latency, _CMP_LT_OQ));
+  lo = _mm256_blendv_pd(lo, vzero, _mm256_cmp_pd(lo, vzero, _CMP_LT_OQ));
+  __m256d hi =
+      _mm256_blendv_pd(vinf, cost, _mm256_cmp_pd(cost, vinf, _CMP_LT_OQ));
+  hi = _mm256_blendv_pd(hi, vone, _mm256_cmp_pd(vone, hi, _CMP_LT_OQ));
+  return {_mm256_cmp_pd(lo, _mm256_add_pd(hi, veps), _CMP_LE_OQ), lo};
+}
+
 /// Dominance mask for 4 SoA points against a broadcast query point.
 inline int DominatesMask(const PointSoA& pts, size_t i, __m256d qq,
                          __m256d qc, __m256d ql) {
@@ -150,63 +252,14 @@ void Avx2EstimateParams(const CoeffSoA& soa, double w, size_t begin,
 void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                             const ParamVector& thresholds,
                             WorkforcePolicy policy, WorkforceCell* cells) {
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vone = _mm256_set1_pd(1.0);
   const __m256d vinf = _mm256_set1_pd(kInf);
-  const __m256d vneg_inf = _mm256_set1_pd(-kInf);
-  const __m256d veps = _mm256_set1_pd(kEps);
   size_t j = begin;
   alignas(32) double req[4];
   for (; j + 4 <= end; j += 4) {
-    const AxisVec quality = AnalyzeAxisVec</*kLowerBound=*/true>(
-        soa.quality_alpha, soa.quality_beta, j, thresholds.quality);
-    const AxisVec cost = AnalyzeAxisVec</*kLowerBound=*/false>(
-        soa.cost_alpha, soa.cost_beta, j, thresholds.cost);
-    const AxisVec latency = AnalyzeAxisVec</*kLowerBound=*/false>(
-        soa.latency_alpha, soa.latency_beta, j, thresholds.latency);
-
-    // lo = max{quality.lo, cost.lo, latency.lo, 0}, hi = min{..., 1} in the
-    // scalar chain order (see ComputeWorkforceCell).
-    __m256d lo = quality.lo;
-    lo = _mm256_blendv_pd(lo, cost.lo, _mm256_cmp_pd(lo, cost.lo, _CMP_LT_OQ));
-    lo = _mm256_blendv_pd(lo, latency.lo,
-                          _mm256_cmp_pd(lo, latency.lo, _CMP_LT_OQ));
-    lo = _mm256_blendv_pd(lo, vzero, _mm256_cmp_pd(lo, vzero, _CMP_LT_OQ));
-    __m256d hi = quality.hi;
-    hi = _mm256_blendv_pd(hi, cost.hi, _mm256_cmp_pd(cost.hi, hi, _CMP_LT_OQ));
-    hi = _mm256_blendv_pd(hi, latency.hi,
-                          _mm256_cmp_pd(latency.hi, hi, _CMP_LT_OQ));
-    hi = _mm256_blendv_pd(hi, vone, _mm256_cmp_pd(vone, hi, _CMP_LT_OQ));
-
-    // feasible = all three constraints satisfiable && ApproxLe(lo, hi).
-    const __m256d interval_ok =
-        _mm256_cmp_pd(lo, _mm256_add_pd(hi, veps), _CMP_LE_OQ);
-    const __m256d feasible = _mm256_and_pd(
-        _mm256_and_pd(quality.feasible, cost.feasible),
-        _mm256_and_pd(latency.feasible, interval_ok));
-
-    __m256d requirement;
-    if (policy == WorkforcePolicy::kMinimalWorkforce) {
-      requirement = lo;
-    } else {
-      // kPaperMaxOfThree: max over the equality solutions, clamped into
-      // [lo, hi]; the interval floor when no model is invertible.
-      __m256d candidate = vneg_inf;
-      candidate = FoldEqualityMax(candidate, quality);
-      candidate = FoldEqualityMax(candidate, cost);
-      candidate = FoldEqualityMax(candidate, latency);
-      // Clamp(candidate, lo, hi) = v < lo ? lo : (v > hi ? hi : v).
-      __m256d clamped = _mm256_blendv_pd(
-          candidate, hi, _mm256_cmp_pd(candidate, hi, _CMP_GT_OQ));
-      clamped = _mm256_blendv_pd(clamped, lo,
-                                 _mm256_cmp_pd(candidate, lo, _CMP_LT_OQ));
-      requirement = _mm256_blendv_pd(
-          clamped, lo, _mm256_cmp_pd(candidate, vneg_inf, _CMP_EQ_OQ));
-    }
-    requirement = _mm256_blendv_pd(vinf, requirement, feasible);
-
-    _mm256_store_pd(req, requirement);
-    const int feasible_bits = MaskBits(feasible);
+    const CellsVec group = PriceGroup(soa, j, thresholds, policy);
+    _mm256_store_pd(req,
+                    _mm256_blendv_pd(vinf, group.requirement, group.feasible));
+    const int feasible_bits = MaskBits(group.feasible);
     for (int lane = 0; lane < 4; ++lane) {
       WorkforceCell& cell = cells[j + static_cast<size_t>(lane)];
       cell.requirement = req[lane];
@@ -214,6 +267,52 @@ void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
     }
   }
   for (; j < end; ++j) cells[j] = CellOne(soa, j, thresholds, policy);
+}
+
+size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
+                                const ParamVector& thresholds,
+                                WorkforcePolicy policy, double bound,
+                                size_t first, SelectedCell* out, size_t* size) {
+  // A local copy: stores to `out` cannot alias it, so the thresholds stay
+  // in registers across the loop.
+  const ParamVector t = thresholds;
+  const bool minimal = policy == WorkforcePolicy::kMinimalWorkforce;
+  const __m256d vzero = _mm256_setzero_pd();
+  const __m256d vbound = _mm256_set1_pd(bound);
+  size_t feasible = 0;
+  size_t kept = *size;
+  size_t j = begin;
+  alignas(32) double req[4];
+  for (; j + 4 <= end; j += 4) {
+    const __m256d paper_signs = _mm256_and_pd(
+        _mm256_and_pd(_mm256_cmp_pd(_mm256_loadu_pd(soa.quality_alpha + j),
+                                    vzero, _CMP_GT_OQ),
+                      _mm256_cmp_pd(_mm256_loadu_pd(soa.cost_alpha + j),
+                                    vzero, _CMP_GT_OQ)),
+        _mm256_cmp_pd(_mm256_loadu_pd(soa.latency_alpha + j), vzero,
+                      _CMP_LT_OQ));
+    const CellsVec group = minimal && MaskBits(paper_signs) == 0xF
+                               ? PricePaperSignsGroup(soa, j, t)
+                               : PriceGroup(soa, j, t, policy);
+    const int feasible_bits = MaskBits(group.feasible);
+    feasible += static_cast<size_t>(
+        __builtin_popcount(static_cast<unsigned>(feasible_bits)));
+    const unsigned keep = static_cast<unsigned>(
+        feasible_bits &
+        MaskBits(_mm256_cmp_pd(group.requirement, vbound, _CMP_LT_OQ)));
+    if (keep == 0) continue;
+    // Branch-free compaction: every lane is written at out[kept], and only
+    // a kept lane advances past its slot. At most 3 entries past the kept
+    // ones are touched, all within the caller's end - begin.
+    _mm256_store_pd(req, group.requirement);
+    for (int lane = 0; lane < 4; ++lane) {
+      out[kept] = {req[lane], first + j + static_cast<size_t>(lane)};
+      kept += (keep >> lane) & 1;
+    }
+  }
+  *size = kept;
+  return feasible + ScalarSelectWorkforceCells(soa, j, end, thresholds, policy,
+                                               bound, first, out, size);
 }
 
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {
@@ -296,6 +395,14 @@ void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                             const ParamVector& thresholds,
                             WorkforcePolicy policy, WorkforceCell* cells) {
   ScalarFillWorkforceCells(soa, begin, end, thresholds, policy, cells);
+}
+
+size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
+                                const ParamVector& thresholds,
+                                WorkforcePolicy policy, double bound,
+                                size_t first, SelectedCell* out, size_t* size) {
+  return ScalarSelectWorkforceCells(soa, begin, end, thresholds, policy, bound,
+                                    first, out, size);
 }
 
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {

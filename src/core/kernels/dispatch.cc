@@ -109,6 +109,18 @@ void FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
   }
 }
 
+size_t SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
+                            const ParamVector& thresholds,
+                            WorkforcePolicy policy, double bound, size_t first,
+                            SelectedCell* out, size_t* size) {
+  if (Level() == DispatchLevel::kAvx2) {
+    return internal::Avx2SelectWorkforceCells(soa, begin, end, thresholds,
+                                              policy, bound, first, out, size);
+  }
+  return internal::ScalarSelectWorkforceCells(soa, begin, end, thresholds,
+                                              policy, bound, first, out, size);
+}
+
 bool AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {
   if (Level() == DispatchLevel::kAvx2) {
     return internal::Avx2AnyDominates(pts, n, q);

@@ -1,18 +1,35 @@
 // Explicit-width SIMD kernels for the SoA hot loops (runtime dispatched).
 //
 // The CatalogIndex refactor laid the per-axis linear-model coefficients out
-// as flat double arrays precisely so the three hot loops of the batch
-// pipeline could be vectorized:
+// as flat double arrays precisely so the hot loops of the batch pipeline
+// could be vectorized:
 //
 //   * EstimateParams — the per-availability parameter block estimation
 //     (CatalogIndex::EstimateParamsInto behind every BuildSnapshot: the
 //     batch cache's misses, and a stream session's first ineligible
 //     arrival after each quantized-W move),
-//   * FillWorkforceCells — the workforce cell fill behind PriceRows (one
-//     4,096-cell chunk at a time) and the dense WorkforceMatrix::Compute,
+//   * SelectWorkforceCells — the pricing scan behind PriceRows, one
+//     256-cell block per call: it prices the block for one request, counts
+//     the feasible cells and keeps only those below the caller's running
+//     k-th best, so no cell is stored,
+//   * FillWorkforceCells — the stored cell fill behind the dense
+//     WorkforceMatrix::Compute (the stream pricers and perfbench's fill
+//     metric),
 //   * AnyDominates / CountDominators / CountDominatorsBounded — the
 //     relaxation-space dominance tests behind the skyline prefilter
 //     (AvailabilitySnapshot::orderings()) and DominanceCounts.
+//
+// The AVX2 SelectWorkforceCells has a short path. Under kMinimalWorkforce,
+// a 4-lane group whose strategies all have the paper's slope signs
+// (quality and cost alpha > 0, latency alpha < 0; every generator catalog
+// has them) skips the per-axis zero and sign masks: each axis then has an
+// equality solution on a known side, and the general chain's 0 and +inf
+// operands become constants. It runs the same compares in the same order,
+// so its bits match. Every other group, and kPaperMaxOfThree, takes the
+// general chain. FillWorkforceCells keeps the general chain on every
+// group: a faster stream pricer raises perfbench's stream throughput and
+// with it the check log's RSS past its bound (ROADMAP, "Why the stream
+// pricer waits").
 //
 // Two implementations exist for every kernel: a portable scalar one
 // (always compiled, the reference semantics) and an AVX2 one (4 double
@@ -111,18 +128,37 @@ void EstimateParams(const CoeffSoA& soa, double w, size_t begin, size_t end,
                     ParamVector* out);
 
 // ---------------------------------------------------------------------------
-// Kernel 2: workforce-matrix cell fill
+// Kernel 2: workforce cells, stored (the dense matrix) or selected (PriceRows)
 // ---------------------------------------------------------------------------
 
 /// cells[j] = ComputeWorkforceCell(profile_j, thresholds, policy) for j in
 /// [begin, end), with profile_j read from the SoA arrays. `cells` is
-/// index-aligned with the SoA arrays: PriceRows offsets the SoA pointers
-/// to its chunk and fills a chunk-sized stack buffer from 0, the dense
-/// WorkforceMatrix::Compute fills whole rows. `thresholds` is
-/// loop-invariant — hoist the per-request lookup before calling.
+/// index-aligned with the SoA arrays; the dense WorkforceMatrix::Compute
+/// fills whole rows. `thresholds` is loop-invariant — hoist the
+/// per-request lookup before calling.
 void FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                         const ParamVector& thresholds, WorkforcePolicy policy,
                         WorkforceCell* cells);
+
+/// A cell SelectWorkforceCells keeps: its requirement and its column.
+/// No member initializers, so a caller's array of them stays uninitialized.
+struct SelectedCell {
+  double requirement;
+  size_t column;
+};
+
+/// Prices cells [begin, end) for one request exactly as FillWorkforceCells
+/// would, without storing them. Returns how many are feasible. Every
+/// feasible cell j whose requirement is strictly below `bound` is appended
+/// as {requirement, first + j} at out[*size], in ascending j, and *size
+/// grows by one. `out` must have room for end - begin more entries; the
+/// AVX2 body also writes throwaway entries past the kept ones, within that
+/// room. A bound of -inf keeps nothing (a count-only scan); +inf keeps
+/// every feasible cell, since feasible requirements are finite.
+size_t SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
+                            const ParamVector& thresholds,
+                            WorkforcePolicy policy, double bound, size_t first,
+                            SelectedCell* out, size_t* size);
 
 // ---------------------------------------------------------------------------
 // Kernel 3: relaxation-space dominance tests

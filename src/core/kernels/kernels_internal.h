@@ -56,6 +56,11 @@ void ScalarEstimateParams(const CoeffSoA& soa, double w, size_t begin,
 void ScalarFillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                               const ParamVector& thresholds,
                               WorkforcePolicy policy, WorkforceCell* cells);
+size_t ScalarSelectWorkforceCells(const CoeffSoA& soa, size_t begin,
+                                  size_t end, const ParamVector& thresholds,
+                                  WorkforcePolicy policy, double bound,
+                                  size_t first, SelectedCell* out,
+                                  size_t* size);
 bool ScalarAnyDominates(const PointSoA& pts, size_t n, const ParamVector& q);
 uint32_t ScalarCountDominators(const PointSoA& pts, size_t n,
                                const ParamVector& q);
@@ -73,6 +78,10 @@ void Avx2EstimateParams(const CoeffSoA& soa, double w, size_t begin,
 void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                             const ParamVector& thresholds,
                             WorkforcePolicy policy, WorkforceCell* cells);
+size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
+                                const ParamVector& thresholds,
+                                WorkforcePolicy policy, double bound,
+                                size_t first, SelectedCell* out, size_t* size);
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q);
 uint32_t Avx2CountDominators(const PointSoA& pts, size_t n,
                              const ParamVector& q);

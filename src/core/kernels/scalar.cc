@@ -22,6 +22,23 @@ void ScalarFillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
   }
 }
 
+size_t ScalarSelectWorkforceCells(const CoeffSoA& soa, size_t begin,
+                                  size_t end, const ParamVector& thresholds,
+                                  WorkforcePolicy policy, double bound,
+                                  size_t first, SelectedCell* out,
+                                  size_t* size) {
+  size_t feasible = 0;
+  for (size_t j = begin; j < end; ++j) {
+    const WorkforceCell cell = CellOne(soa, j, thresholds, policy);
+    if (!cell.feasible) continue;
+    ++feasible;
+    if (cell.requirement < bound) {
+      out[(*size)++] = {cell.requirement, first + j};
+    }
+  }
+  return feasible;
+}
+
 bool ScalarAnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {
   for (size_t i = 0; i < n; ++i) {
     if (DominatesOne(pts, i, q)) return true;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <new>
 
 #include "src/common/float_compare.h"
 #include "src/core/catalog_index.h"
@@ -13,6 +12,10 @@ namespace stratrec::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Cells per SelectWorkforceCells call in PriceRows: between two calls the
+/// unit shrinks its candidates back to k and tightens the bound.
+constexpr size_t kPriceBlock = 256;
 
 // Feasible workforce interval [lo, hi] for one constraint, and the equality
 // solution (where defined). `lower_bound_constraint` is true for quality
@@ -217,15 +220,16 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
                                size_t end, WorkforcePolicy policy,
                                Executor* executor, size_t grain) {
   const size_t width = end - begin;
+  const size_t m = requests.size();
   const size_t chunks = (width + kPriceChunk - 1) / kPriceChunk;
-  const size_t units = requests.size() * chunks;
-  // Unit u prices chunk u % chunks of row u / chunks and keeps at most
-  // min(k, chunk width) entries, at slot[u] of the flat entry arrays.
+  const size_t units = m * chunks;
+  // Unit u prices chunk u / m of row u % m, so consecutive units read one
+  // chunk's coefficients, and keeps at most min(k, chunk width) entries, at
+  // slot[u] of the flat entry arrays.
   std::vector<size_t> slot(units + 1, 0);
   for (size_t u = 0; u < units; ++u) {
-    const int k = requests[u / chunks].k;
-    const size_t columns =
-        std::min(kPriceChunk, width - u % chunks * kPriceChunk);
+    const int k = requests[u % m].k;
+    const size_t columns = std::min(kPriceChunk, width - u / m * kPriceChunk);
     slot[u + 1] =
         slot[u] + (k < 1 ? 0 : std::min(columns, static_cast<size_t>(k)));
   }
@@ -233,47 +237,48 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
   std::vector<size_t> strategies(slot[units]);
   std::vector<double> requirements(slot[units]);
 
+  // Cheapest first, ties by index: the order TopStrategies sorts by.
+  auto cheaper = [](const kernels::SelectedCell& a,
+                    const kernels::SelectedCell& b) {
+    if (a.requirement != b.requirement) return a.requirement < b.requirement;
+    return a.column < b.column;
+  };
   auto price = [&](size_t first, size_t last) {
-    // Both buffers stay uninitialized: the kernel writes every cell the
-    // unit reads, and a candidate is written before it is read. Zeroing
-    // the 128 KiB per unit made http-batch-1m-sharded ~10% slower end to
-    // end (p50, 4-thread x86-64 box, AVX2 dispatch).
-    struct Candidate {
-      double requirement;
-      size_t strategy;  // within the range
-    };
-    alignas(WorkforceCell) std::byte
-        storage[kPriceChunk * sizeof(WorkforceCell)];
-    WorkforceCell* cells =
-        std::launder(reinterpret_cast<WorkforceCell*>(storage));
-    Candidate candidates[kPriceChunk];
+    // Every candidate is a distinct cell of one chunk, so a chunk's worth
+    // of room suffices. Left uninitialized: the kernel writes each
+    // candidate before it is read, and zeroing 64 KiB per unit would add a
+    // memset to every 4,096 cells priced.
+    kernels::SelectedCell candidates[kPriceChunk];
     for (size_t u = first; u < last; ++u) {
-      const size_t column = u % chunks * kPriceChunk;
+      const size_t column = u / m * kPriceChunk;
       const size_t n = std::min(kPriceChunk, width - column);
-      kernels::FillWorkforceCells(CoeffsFrom(index, begin + column), 0, n,
-                                  requests[u / chunks].thresholds, policy,
-                                  cells);
+      const size_t keep = slot[u + 1] - slot[u];
+      const kernels::CoeffSoA soa = CoeffsFrom(index, begin + column);
+      const ParamVector& thresholds = requests[u % m].thresholds;
+      // The bound is the unit's running keep-th best requirement. A later
+      // cell that ties it has a larger index, so it loses the tie and
+      // strict < drops nothing the whole row would keep.
+      double bound = keep == 0 ? -kInf : kInf;
       size_t count = 0;
-      for (size_t j = 0; j < n; ++j) {
-        candidates[count] = {cells[j].requirement, column + j};
-        count += cells[j].feasible ? 1 : 0;
+      size_t feasible_cells = 0;
+      for (size_t b = 0; b < n; b += kPriceBlock) {
+        const size_t before = count;
+        feasible_cells += kernels::SelectWorkforceCells(
+            soa, b, std::min(n, b + kPriceBlock), thresholds, policy, bound,
+            column, candidates, &count);
+        if (count != before && count >= keep) {
+          std::nth_element(candidates, candidates + keep - 1,
+                           candidates + count, cheaper);
+          count = keep;
+          bound = candidates[keep - 1].requirement;
+        }
       }
-      const size_t take = std::min(count, slot[u + 1] - slot[u]);
-      if (take > 0) {
-        // Cheapest first, ties by index: the order TopStrategies sorts by.
-        std::partial_sort(candidates, candidates + take, candidates + count,
-                          [](const Candidate& a, const Candidate& b) {
-                            if (a.requirement != b.requirement) {
-                              return a.requirement < b.requirement;
-                            }
-                            return a.strategy < b.strategy;
-                          });
-      }
-      for (size_t t = 0; t < take; ++t) {
-        strategies[slot[u] + t] = candidates[t].strategy;
+      std::sort(candidates, candidates + count, cheaper);
+      for (size_t t = 0; t < count; ++t) {
+        strategies[slot[u] + t] = candidates[t].column;
         requirements[slot[u] + t] = candidates[t].requirement;
       }
-      feasible[u] = count;
+      feasible[u] = feasible_cells;
     }
   };
   if (executor != nullptr) {
@@ -283,11 +288,11 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
     price(0, units);
   }
 
-  std::vector<RowTopK> rows(requests.size());
+  std::vector<RowTopK> rows(m);
   std::vector<TopKRun> runs(chunks);
-  for (size_t i = 0; i < requests.size(); ++i) {
+  for (size_t i = 0; i < m; ++i) {
     for (size_t c = 0; c < chunks; ++c) {
-      const size_t u = i * chunks + c;
+      const size_t u = c * m + i;
       runs[c] = {feasible[u], 0, strategies.data() + slot[u],
                  requirements.data() + slot[u],
                  std::min(feasible[u], slot[u + 1] - slot[u])};

@@ -11,9 +11,11 @@
 // requirements, so the production pricer never materializes the matrix:
 // PriceRows fuses both steps over 4,096-column chunks (O(m * k) memory, not
 // O(m * |S|)) and k-way-merges the chunks with MergeTopK, the same merge the
-// shard router applies to its shards. WorkforceMatrix is the dense
-// reference: tests use it as the oracle, and the stream pricers still fill
-// their 1 x |S| row with it.
+// shard router applies to its shards. Within a chunk no cell is stored
+// either: kernels::SelectWorkforceCells prices it in one pass, counting the
+// feasible cells and keeping only those below the running k-th best.
+// WorkforceMatrix is the dense reference: tests use it as the oracle, and
+// the stream pricers still fill their 1 x |S| row with it.
 #ifndef STRATREC_CORE_WORKFORCE_H_
 #define STRATREC_CORE_WORKFORCE_H_
 
@@ -112,8 +114,9 @@ struct TopKRun {
 /// sized exactly, capacity included.
 RowTopK MergeTopK(std::span<const TopKRun> runs, int k);
 
-/// Columns of one PriceRows work unit: the unit fills this many cells into
-/// a stack buffer and keeps only its cheapest k.
+/// Columns of one PriceRows work unit. The unit prices them in 256-cell
+/// blocks through kernels::SelectWorkforceCells and keeps only its
+/// cheapest k, in a stack array of at most kPriceChunk candidates.
 inline constexpr size_t kPriceChunk = 4096;
 
 /// The fused range pricer. For each request, the RowTopK that
@@ -122,14 +125,19 @@ inline constexpr size_t kPriceChunk = 4096;
 /// indices within the range (strategy begin + j is entry j), and a row with
 /// k < 1 keeps its feasible count but no entries.
 ///
-/// The work is split into (row, kPriceChunk-column chunk) units; each unit
-/// fills its cells through kernels::FillWorkforceCells and keeps its chunk's
-/// feasible count and cheapest min(k, feasible) entries in flat per-call
-/// arrays, and MergeTopK merges each row's chunks. With a non-null
-/// `executor` the units partition across the pool, at least `grain` cells
-/// per task (rounded up to whole units); null keeps the call on the calling
-/// thread. The result is bit-identical either way and under every kernel
-/// dispatch level. Requires begin <= end <= index.size().
+/// The work is split into (row, kPriceChunk-column chunk) units, numbered
+/// chunk-major so consecutive units reuse one chunk's coefficients. A unit
+/// passes its running k-th-best requirement to
+/// kernels::SelectWorkforceCells as the bound for each 256-cell block, and
+/// nth_element shrinks the candidates back to k after each block; strict <
+/// is exact because a later cell that ties the bound has a larger index and
+/// loses the tie. The unit keeps its chunk's feasible count and cheapest
+/// min(k, feasible) entries in flat per-call arrays, and MergeTopK merges
+/// each row's chunks. With a non-null `executor` the units partition across
+/// the pool, at least `grain` cells per task (rounded up to whole units);
+/// null keeps the call on the calling thread. The result is bit-identical
+/// either way and under every kernel dispatch level. Requires
+/// begin <= end <= index.size().
 std::vector<RowTopK> PriceRows(
     const std::vector<DeploymentRequest>& requests, const CatalogIndex& index,
     size_t begin, size_t end,

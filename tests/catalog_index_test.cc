@@ -53,7 +53,9 @@ std::vector<DeploymentRequest> RandomRequests(Rng& rng, int count,
                                               int max_k) {
   std::vector<DeploymentRequest> requests(static_cast<size_t>(count));
   for (size_t i = 0; i < requests.size(); ++i) {
-    requests[i].id = "d" + std::to_string(i);
+    std::string id = "d";
+    id += std::to_string(i);
+    requests[i].id = std::move(id);
     requests[i].thresholds = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
     requests[i].k = static_cast<int>(rng.UniformInt(1, max_k));
   }

@@ -355,8 +355,9 @@ core::Catalog RandomCatalog(Rng& rng) {
     for (core::StageSpec& stage : stages) {
       stage = specs[rng.UniformInt(0, specs.size() - 1)];
     }
-    catalog.strategies.emplace_back("s" + std::to_string(j),
-                                    std::move(stages));
+    std::string name = "s";
+    name += std::to_string(j);
+    catalog.strategies.emplace_back(std::move(name), std::move(stages));
     core::StrategyProfile profile;
     profile.quality = {rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0)};
     profile.cost = {rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0)};

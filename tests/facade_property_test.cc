@@ -21,8 +21,9 @@ class FacadePropertyTest
     workload::Generator generator({}, std::get<4>(GetParam()));
     profiles_ = generator.Profiles(40);
     for (size_t j = 0; j < profiles_.size(); ++j) {
-      strategies_.emplace_back("s" + std::to_string(j),
-                               AllStageSpecs()[j % 8]);
+      std::string name = "s";
+      name += std::to_string(j);
+      strategies_.emplace_back(std::move(name), AllStageSpecs()[j % 8]);
     }
     requests_ = generator.RequestsWithRanges(12, 3, {0.5, 0.8}, {0.6, 1.0},
                                              {0.6, 1.0});

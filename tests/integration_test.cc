@@ -164,8 +164,9 @@ TEST(StratRecIntegration, EveryUnsatisfiedRequestGetsAnAnswer) {
   const auto profiles = generator.Profiles(12);
   std::vector<core::Strategy> strategies;
   for (size_t j = 0; j < profiles.size(); ++j) {
-    strategies.emplace_back("s" + std::to_string(j),
-                            core::AllStageSpecs()[j % 8]);
+    std::string name = "s";
+    name += std::to_string(j);
+    strategies.emplace_back(std::move(name), core::AllStageSpecs()[j % 8]);
   }
   auto stratrec = StratRec::Create(strategies, profiles);
   ASSERT_TRUE(stratrec.ok());

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,6 +155,124 @@ TEST(Kernels, FillWorkforceCellsSubrangeMatchesFullRange) {
                    "subrange requirement");
     EXPECT_EQ(whole[j].feasible, pieces[j].feasible);
   }
+}
+
+/// The paper's slope signs (quality and cost alpha > 0, latency alpha < 0)
+/// with adversarial magnitudes. One alpha in 16 comes from the adversarial
+/// soup instead, so 4-lane groups are both all paper-signed (the AVX2 short
+/// path) and mixed (its general chain).
+double PaperSignedAlpha(std::mt19937_64& rng, double sign) {
+  if (rng() % 16 == 0) return AdversarialValue(rng);
+  switch (rng() % 5) {
+    case 0:
+      return sign * kDenormal;
+    case 1:
+      return sign * kInf;
+    default:
+      return sign * std::uniform_real_distribution<double>(1e-3, 1.5)(rng);
+  }
+}
+
+/// Betas and thresholds drawn from one coarse grid tie exactly, so the
+/// equality solutions include signed zeros.
+double GridValue(std::mt19937_64& rng) {
+  return static_cast<double>(rng() % 5) / 4.0;
+}
+
+Arrays PaperSignedArrays(std::mt19937_64& rng, size_t n) {
+  Arrays a;
+  for (auto [alpha, beta, sign] : {std::tuple{&a.qa, &a.qb, 1.0},
+                                   std::tuple{&a.ca, &a.cb, 1.0},
+                                   std::tuple{&a.la, &a.lb, -1.0}}) {
+    alpha->resize(n);
+    beta->resize(n);
+    for (size_t j = 0; j < n; ++j) {
+      (*alpha)[j] = PaperSignedAlpha(rng, sign);
+      (*beta)[j] = rng() % 2 == 0 ? GridValue(rng) : AdversarialValue(rng);
+    }
+  }
+  return a;
+}
+
+// SelectWorkforceCells at both levels against the scalar cell fill: the
+// same feasible count, and exactly the feasible cells strictly below the
+// bound appended after the entries already there, ascending, offset by
+// `first`, requirements bit for bit. The bounds are -inf (count only), 0,
+// +inf (every feasible cell) and a requirement from the row, which a cell
+// ties and strict < must drop.
+TEST(Kernels, SelectWorkforceCellsMatchesFill) {
+  std::vector<DispatchLevel> levels = {DispatchLevel::kScalar};
+  if (kernels::Avx2Available()) levels.push_back(DispatchLevel::kAvx2);
+  std::mt19937_64 rng(0x5E1EC7ED);
+  constexpr size_t kFirst = 1000;
+  size_t kept = 0;
+  size_t tied = 0;
+  for (const bool paper_signs : {false, true}) {
+    for (size_t n : kLengths) {
+      const Arrays a =
+          paper_signs ? PaperSignedArrays(rng, n) : RandomArrays(rng, n);
+      const ParamVector thresholds =
+          paper_signs && rng() % 2 == 0
+              ? ParamVector{GridValue(rng), GridValue(rng), GridValue(rng)}
+              : RandomThresholds(rng);
+      for (WorkforcePolicy policy : {WorkforcePolicy::kMinimalWorkforce,
+                                     WorkforcePolicy::kPaperMaxOfThree}) {
+        std::vector<WorkforceCell> cells(n);
+        ki::ScalarFillWorkforceCells(a.soa(), 0, n, thresholds, policy,
+                                     cells.data());
+        for (const size_t begin : {size_t{0}, n / 3}) {
+          std::vector<double> bounds = {-kInf, 0.0, kInf};
+          size_t feasible = 0;
+          for (size_t j = begin; j < n; ++j) {
+            if (!cells[j].feasible) continue;
+            ++feasible;
+            if (rng() % feasible == 0) {  // a uniform pick from the row
+              bounds.resize(3);
+              bounds.push_back(cells[j].requirement);
+            }
+          }
+          for (const double bound : bounds) {
+            std::vector<kernels::SelectedCell> want;
+            for (size_t j = begin; j < n; ++j) {
+              if (cells[j].feasible && cells[j].requirement < bound) {
+                want.push_back({cells[j].requirement, kFirst + j});
+              }
+              if (cells[j].feasible && cells[j].requirement == bound) ++tied;
+            }
+            for (const DispatchLevel level : levels) {
+              // One entry is already there; the kernel appends after it.
+              std::vector<kernels::SelectedCell> got(n + 1, {-1.0, 7});
+              size_t size = 1;
+              const auto select = level == DispatchLevel::kScalar
+                                      ? ki::ScalarSelectWorkforceCells
+                                      : ki::Avx2SelectWorkforceCells;
+              const size_t count =
+                  select(a.soa(), begin, n, thresholds, policy, bound, kFirst,
+                         got.data(), &size);
+              const std::string where =
+                  std::string(kernels::DispatchLevelName(level)) +
+                  (paper_signs ? " paper-signed" : " adversarial") + " n " +
+                  std::to_string(n) + " begin " + std::to_string(begin) +
+                  " bound " + std::to_string(bound);
+              EXPECT_EQ(count, feasible) << where;
+              ASSERT_EQ(size, want.size() + 1) << where;
+              EXPECT_EQ(got[0].column, 7u) << where;
+              for (size_t r = 0; r < want.size(); ++r) {
+                EXPECT_EQ(got[r + 1].column, want[r].column) << where;
+                EXPECT_EQ(std::memcmp(&got[r + 1].requirement,
+                                      &want[r].requirement, sizeof(double)),
+                          0)
+                    << where << " entry " << r;
+              }
+            }
+            kept += want.size();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(kept, 0u);  // some cells pass the bound
+  EXPECT_GT(tied, 0u);  // and some tie it
 }
 
 TEST(Kernels, DominanceBitIdenticalScalarVsAvx2) {

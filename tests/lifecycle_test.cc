@@ -208,7 +208,11 @@ TEST(ModelTable, BrokenConfiguredSpecFailsOnlyDefaultRequests) {
 TEST(ModelTable, ResolvesWhileAnotherThreadRegisters) {
   constexpr int kModels = 200;
   ModelTable models;
-  const auto name = [](int i) { return "m" + std::to_string(i); };
+  const auto name = [](int i) {
+    std::string model = "m";
+    model += std::to_string(i);
+    return model;
+  };
   std::atomic<bool> wrong{false};
   std::thread writer([&]() {
     for (int i = 0; i < kModels; ++i) {

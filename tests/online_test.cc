@@ -187,7 +187,9 @@ TEST(OnlineScheduler, StatsAreConsistentOverRandomStream) {
     } else {
       auto requests = generator.RequestsWithRanges(1, 2, {0.5, 0.75},
                                                    {0.7, 1.0}, {0.7, 1.0});
-      requests[0].id = "r" + std::to_string(step);
+      std::string id = "r";
+      id += std::to_string(step);
+      requests[0].id = std::move(id);
       auto decision = scheduler->OnArrival(requests[0]);
       ASSERT_TRUE(decision.ok());
       if (decision->kind == AdmissionDecision::Kind::kAdmitted) {

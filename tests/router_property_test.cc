@@ -41,9 +41,10 @@ core::Catalog WideCatalog(int n = 10) {
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   core::Catalog catalog;
   for (int i = 0; i < n; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
     catalog.strategies.push_back(
-        {"s" + std::to_string(i),
-         core::ParseStageName(kStages[i % 8]).value()});
+        {std::move(name), core::ParseStageName(kStages[i % 8]).value()});
     core::StrategyProfile profile;
     profile.quality = {0.8 * unit(rng), 0.2 * unit(rng)};
     profile.cost = {0.9 * unit(rng), 0.1 * unit(rng)};

@@ -449,8 +449,11 @@ TEST(ServiceConcurrency, ManySessionsAndBatchesInParallel) {
         for (int i = 0; i < kEventsPerThread; ++i) {
           auto requests = local.RequestsWithRanges(1, 2, {0.5, 0.75},
                                                    {0.7, 1.0}, {0.7, 1.0});
-          requests[0].id =
-              "t" + std::to_string(t) + "-req-" + std::to_string(i);
+          std::string id = "t";
+          id += std::to_string(t);
+          id += "-req-";
+          id += std::to_string(i);
+          requests[0].id = std::move(id);
           auto update =
               session->Submit(StreamEvent::Arrival(requests[0]));
           if (!update.ok()) {

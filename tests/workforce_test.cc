@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <random>
 #include <string>
 #include <utility>
 
@@ -244,17 +245,10 @@ TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
 // Every profile appears three times in a row, so requirement ties straddle
 // most chunk edges, and the ranges sit on and off the chunk grid: whole,
 // one-wide, exactly one or two chunks, and three or more.
-void ExpectPriceRowsMatchesDenseOracle(kernels::DispatchLevel level) {
-  kernels::Configure(kernels::KernelConfig{level});
-  workload::Generator generator({}, 0x4A46'0002ull);
-  std::vector<StrategyProfile> profiles;
-  for (const StrategyProfile& profile : generator.Profiles(4400)) {
-    profiles.insert(profiles.end(), 3, profile);
-  }
+void ExpectPriceRowsMatchesDense(const std::vector<StrategyProfile>& profiles,
+                                 const std::vector<DeploymentRequest>& base) {
   const size_t n = profiles.size();
   const CatalogIndex index = CatalogIndex::Build(profiles);
-  const auto base = generator.RequestsWithRanges(6, 1, {0.3, 0.9},
-                                                 {0.3, 1.0}, {0.3, 1.0});
   constexpr size_t kChunk = kPriceChunk;
   const std::pair<size_t, size_t> ranges[] = {
       {0, n},          {1, n},
@@ -341,6 +335,33 @@ void ExpectPriceRowsMatchesDenseOracle(kernels::DispatchLevel level) {
   }
   EXPECT_GT(compared, 0u);   // the comparison covers real entries
   EXPECT_GT(edge_ties, 0u);  // and ties the chunk merge must order
+}
+
+// The oracle test runs on two catalogs built from one generator stream. In
+// the second, a seeded quarter of the profiles get one flipped or zero
+// slope (the AtypicalSlopeSigns shapes) before the tripling, so 4-lane
+// groups and chunks straddle the kernel's paper-sign short path and its
+// general chain.
+void ExpectPriceRowsMatchesDenseOracle(kernels::DispatchLevel level) {
+  kernels::Configure(kernels::KernelConfig{level});
+  for (const bool mixed_signs : {false, true}) {
+    workload::Generator generator({}, 0x4A46'0002ull);
+    std::mt19937_64 rng(0x5167'0003ull);
+    std::vector<StrategyProfile> profiles;
+    for (StrategyProfile profile : generator.Profiles(4400)) {
+      if (mixed_signs && rng() % 4 == 0) {
+        LinearModel* const axes[] = {&profile.quality, &profile.cost,
+                                     &profile.latency};
+        LinearModel& model = *axes[rng() % 3];
+        model.alpha = rng() % 2 == 0 ? -model.alpha : 0.0;
+      }
+      profiles.insert(profiles.end(), 3, profile);
+    }
+    const auto base = generator.RequestsWithRanges(6, 1, {0.3, 0.9},
+                                                   {0.3, 1.0}, {0.3, 1.0});
+    SCOPED_TRACE(mixed_signs ? "mixed-sign catalog" : "paper-sign catalog");
+    ExpectPriceRowsMatchesDense(profiles, base);
+  }
   kernels::Configure(kernels::KernelConfig{});
 }
 
