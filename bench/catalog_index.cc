@@ -1,19 +1,22 @@
 // CatalogIndex micro-benchmark: the repeated-availability batch workload.
 //
 // A platform in steady state serves batch after batch at the same expected
-// availability W. Everything that depends only on (catalog, W) — the
-// estimated parameter block, ADPaR's sorted orderings and skyline pruning
-// tables — is per-batch work on the unindexed path and one-time work on the
-// indexed one. This driver times the full StratRec pipeline both ways over
-// identical batches (reports are bit-identical by construction — the
-// property tests in tests/catalog_index_test.cc pin that) and records the
-// throughput ratio at |S| in {10k, 100k, 1M} as JSON.
+// availability W. Everything that depends only on the catalog (the SoA
+// index) or on (catalog, W) (the snapshot: the estimated parameter block,
+// ADPaR's sorted orderings and skyline pruning tables) is per-batch work
+// on the unindexed path and one-time work on the indexed one: the
+// unindexed leg builds an index for each pricing call and, passing no
+// snapshot, one snapshot per batch for its ADPaR solves. This driver times
+// the full StratRec pipeline both ways over identical batches (reports are
+// bit-identical by construction — the property tests in
+// tests/catalog_index_test.cc pin that) and records the throughput ratio
+// at |S| in {10k, 100k, 1M} as JSON.
 //
 // The workload mirrors the paper's Figure 18 setup (m = 10 requests per
 // batch, k = 10) with thresholds tuned so requests are *capacity-blocked*:
 // parameter-feasible at W but unservable within the workforce budget, so
-// every batch exercises the ADPaR leg — the regime where the per-request
-// O(|S| log |S|) sort dominates the unindexed path.
+// every batch exercises the ADPaR leg — the regime where the per-batch
+// O(|S| log |S|) snapshot build dominates the unindexed path.
 //
 // The indexed leg is timed twice — once with kernel dispatch forced to
 // scalar, once at the active level — so one run measures the SIMD win on the

@@ -1,7 +1,6 @@
 #include "src/api/pipeline.h"
 
 #include <chrono>
-#include <optional>
 #include <utility>
 
 #include "src/api/codec.h"
@@ -13,18 +12,6 @@
 namespace stratrec::api::internal {
 
 namespace {
-
-/// The built-in algorithm a registry name denotes, if any. Dispatching on
-/// the name is sound because the registry refuses duplicate registrations:
-/// "batchstrat" always means the built-in.
-std::optional<core::BatchAlgorithm> BuiltinAlgorithm(const std::string& name) {
-  for (core::BatchAlgorithm algorithm :
-       {core::BatchAlgorithm::kBatchStrat, core::BatchAlgorithm::kBaselineG,
-        core::BatchAlgorithm::kBruteForce}) {
-    if (name == core::BatchAlgorithmName(algorithm)) return algorithm;
-  }
-  return std::nullopt;
-}
 
 /// The shared per-W snapshot: cache hit, or build (outside any shard
 /// lock) and insert. Counts hits/misses on the caller's stats stripe.
@@ -71,37 +58,27 @@ Result<BatchReport> ExecuteBatch(ServiceState& state,
   options.batch.aggregation =
       request.aggregation.value_or(defaults.aggregation);
   options.batch.policy = request.policy.value_or(defaults.policy);
-  // The embarrassingly-parallel stages (workforce matrix, ADPaR fan-out)
+  // The embarrassingly-parallel stages (the pricing, the ADPaR fan-out)
   // partition across the same pool this job runs on; ParallelFor's caller
   // participates, so this is safe even on a single-threaded pool.
   options.batch.executor = &state.executor;
   options.batch.parallel_grain = state.config.execution.parallel_grain;
+  options.batch.pricer = state.pricer;
   options.recommend_alternatives =
       request.recommend_alternatives.value_or(defaults.recommend_alternatives);
   options.batch_solver = std::move(*solver);
-  if (state.builtin_solver) {
-    if (const auto builtin = BuiltinAlgorithm(algorithm)) {
-      options.batch_solver = state.builtin_solver(*builtin);
-    }
-  }
   if (options.recommend_alternatives) {
     // Only resolved when it will run, so an unknown adpar name cannot fail
     // a batch that never invokes it — and resolved before the O(|S|)
     // snapshot build, so a typo'd name fails fast without touching the
     // cache.
-    const std::string adpar_name =
-        request.adpar_solver.value_or(defaults.adpar_solver);
-    auto adpar = AlgorithmRegistry::Global().FindAdpar(adpar_name);
+    auto adpar = AlgorithmRegistry::Global().FindAdpar(
+        request.adpar_solver.value_or(defaults.adpar_solver));
     if (!adpar.ok()) return adpar.status();
+    options.adpar_solver = std::move(*adpar);
     // Only the alternatives leg reads per-W parameters, so only it fetches
     // a snapshot; batch-only jobs skip the whole O(|S|) block.
     options.snapshot = SnapshotFor(state, w);
-    // The built-in exact solver has a snapshot-riding overload (prebuilt
-    // orderings + skyline pruning, bit-identical results); leaving the
-    // solver unset makes StratRec pick it. Every other backend gets its
-    // registry entry. Dispatching on the name is sound for the same reason
-    // as BuiltinAlgorithm's.
-    if (adpar_name != "exact") options.adpar_solver = std::move(*adpar);
   }
 
   auto result =
@@ -132,15 +109,10 @@ Result<SweepReport> ExecuteSweep(ServiceState& state,
   if (solvers.empty()) solvers.push_back(state.config.batch.adpar_solver);
   // Validate every solver name before the (potentially O(|S|)) snapshot
   // build, so a typo fails fast and touches neither the cache nor the
-  // index. A null slot marks the built-in exact solver, filled in below
-  // once the snapshot exists.
+  // index.
   std::vector<core::AdparSolverFn> solver_fns;
   solver_fns.reserve(solvers.size());
   for (const std::string& name : solvers) {
-    if (name == "exact") {
-      solver_fns.emplace_back();
-      continue;
-    }
     auto solver = AlgorithmRegistry::Global().FindAdpar(name);
     if (!solver.ok()) return solver.status();
     solver_fns.push_back(std::move(*solver));
@@ -148,15 +120,6 @@ Result<SweepReport> ExecuteSweep(ServiceState& state,
   // The shared per-W block every cell searches; only each cell's k
   // covered strategies reach the report.
   auto snapshot = SnapshotFor(state, w);
-  for (core::AdparSolverFn& fn : solver_fns) {
-    if (fn) continue;
-    // The built-in exact solver rides the snapshot's prebuilt orderings
-    // and skyline pruning (bit-identical to the registry entry).
-    fn = [snapshot](const std::vector<core::ParamVector>&,
-                    const core::ParamVector& d, int k) {
-      return core::AdparExact(*snapshot, d, k);
-    };
-  }
 
   SweepReport report;
   report.request_id = id;
@@ -173,8 +136,7 @@ Result<SweepReport> ExecuteSweep(ServiceState& state,
           outcome.target_id =
               target.id.empty() ? "target-" + std::to_string(i) : target.id;
           outcome.solver = solvers[s];
-          auto solved = solver_fns[s](snapshot->params(), target.thresholds,
-                                      target.k);
+          auto solved = solver_fns[s](*snapshot, target.thresholds, target.k);
           if (solved.ok()) {
             outcome.result = std::move(*solved);
           } else {

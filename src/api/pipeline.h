@@ -3,18 +3,19 @@
 // id sequence, the named models, the striped counters, the journal tap and
 // the worker pool, plus the one ticket protocol (SubmitJob) and the one
 // stats fold (Stats) both handles call. SubmitJob runs the batch and sweep
-// bodies in pipeline.cc. The only per-tier input is the solver a built-in
-// batch algorithm runs with: a Service keeps the registry entry, and a
-// router installs its sharded row fold (src/router/shard_router.h). One
-// copy, so a router's reports, failure outcomes and counters are an
-// unsharded Service's by construction.
+// bodies in pipeline.cc, which look every registry name up the same way.
+// The only per-tier input is how a batch's rows are priced: a Service
+// prices on its own index, and a router installs its sharded pricer
+// (src/router/shard_router.h), which every solver that prices through
+// core::SolveBatch or SolveBatchWeighted runs with. One copy, so a
+// router's reports, failure outcomes and counters are an unsharded
+// Service's by construction.
 #ifndef STRATREC_API_PIPELINE_H_
 #define STRATREC_API_PIPELINE_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -133,10 +134,9 @@ class SnapshotCache {
 /// The runtime. Member order is the teardown contract, since members are
 /// destroyed in reverse:
 ///   - `executor` goes first, and its drain runs still-queued tickets while
-///     the journal and `builtin_solver` (a router's replica pools) are
-///     alive;
-///   - `builtin_solver` goes next, and a router's replica pools drain
-///     abandoned hedge scans while the index inside `stratrec` is alive.
+///     the journal and `pricer` (a router's replica pools) are alive;
+///   - `pricer` goes next, and a router's replica pools drain abandoned
+///     hedge scans while the index inside `stratrec` is alive.
 struct ServiceState {
   ServiceConfig config;
   /// The whole catalog: its aggregator and index. ProcessBatch is const and
@@ -152,10 +152,10 @@ struct ServiceState {
   /// on a router. Workers encode their own records and append under the
   /// writer's short file lock.
   std::shared_ptr<JournalWriter> journal;
-  /// The solver a built-in batch algorithm ("batchstrat", "baseline-g",
-  /// "brute-force") runs with. Null keeps the registry entry (a Service); a
-  /// router installs its sharded row fold, which owns the replica pools.
-  std::function<core::BatchSolverFn(core::BatchAlgorithm)> builtin_solver;
+  /// How every batch prices its rows (core::BatchOptions::pricer). Empty
+  /// prices on the index inside `stratrec` (a Service); a router installs
+  /// its sharded pricer, which owns the replica pools.
+  core::RowPricerFn pricer;
   /// The pool every ticket runs on; the pricing, the ADPaR fan-out and the
   /// sweep cells partition across it.
   Executor executor;

@@ -2,6 +2,7 @@
 
 #include "src/core/adpar_baselines.h"
 #include "src/core/adpar_paper_sweep.h"
+#include "src/core/catalog_index.h"
 
 namespace stratrec::api {
 
@@ -14,6 +15,16 @@ std::string JoinNames(const std::vector<std::string>& names) {
     joined += name;
   }
   return joined;
+}
+
+/// An ADPaR solver over the catalog's parameter list, read from the
+/// snapshot.
+core::AdparSolverFn OnParams(Result<core::AdparResult> (*solver)(
+    const std::vector<core::ParamVector>&, const core::ParamVector&, int)) {
+  return [solver](const core::AvailabilitySnapshot& snapshot,
+                  const core::ParamVector& request, int k) {
+    return solver(snapshot.params(), request, k);
+  };
 }
 
 }  // namespace
@@ -45,17 +56,18 @@ AlgorithmRegistry::AlgorithmRegistry() {
                    core::SolverForAlgorithm(algorithm));
   }
   batch_.emplace("weighted", MakeWeightedBatchSolver(core::ObjectiveWeights{}));
-  adpar_.emplace("exact", [](const std::vector<core::ParamVector>& strategies,
+  adpar_.emplace("exact", [](const core::AvailabilitySnapshot& snapshot,
                              const core::ParamVector& request, int k) {
-    return core::AdparExact(strategies, request, k, nullptr);
+    return core::AdparExact(snapshot, request, k);
   });
-  adpar_.emplace("paper-sweep", core::AdparPaperSweep);
-  adpar_.emplace("baseline2", core::AdparBaseline2);
-  adpar_.emplace("baseline3", core::AdparBaseline3);
-  adpar_.emplace("brute", [](const std::vector<core::ParamVector>& strategies,
+  adpar_.emplace("paper-sweep", OnParams(core::AdparPaperSweep));
+  adpar_.emplace("baseline2", OnParams(core::AdparBaseline2));
+  adpar_.emplace("baseline3", OnParams(core::AdparBaseline3));
+  adpar_.emplace("brute",
+                 OnParams([](const std::vector<core::ParamVector>& strategies,
                              const core::ParamVector& request, int k) {
-    return core::AdparBrute(strategies, request, k);
-  });
+                   return core::AdparBrute(strategies, request, k);
+                 }));
 }
 
 Status AlgorithmRegistry::RegisterBatch(const std::string& name,

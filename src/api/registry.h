@@ -4,7 +4,7 @@
 // file) can select "batchstrat" vs "brute-force", or ADPaR's "exact" vs the
 // paper's literal "paper-sweep", without compiling against the solver. New
 // backends register a callable and immediately become selectable from every
-// Service — callers never change.
+// Service and ShardRouter — callers never change.
 #ifndef STRATREC_API_REGISTRY_H_
 #define STRATREC_API_REGISTRY_H_
 
@@ -31,6 +31,11 @@ core::BatchSolverFn MakeWeightedBatchSolver(core::ObjectiveWeights weights);
 ///   batch: "batchstrat", "baseline-g", "brute-force",
 ///          "weighted" (SolveBatchWeighted at default weights)
 ///   adpar: "exact", "paper-sweep", "baseline2", "baseline3", "brute"
+/// The runtime looks every name up the same way. A batch backend prices
+/// through BatchOptions::pricer when it calls core::SolveBatch or
+/// SolveBatchWeighted, so a shard router scans its shards for it. An adpar
+/// backend receives the job's AvailabilitySnapshot: "exact" rides its
+/// orderings, and the others search its params().
 class AlgorithmRegistry {
  public:
   static AlgorithmRegistry& Global();

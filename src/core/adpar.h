@@ -79,18 +79,24 @@ struct AdparTrace {
 
 /// Exact solver. Fails with kInfeasible when |S| < k and kInvalidArgument on
 /// malformed input (k < 1). `trace`, when non-null, is filled with the
-/// paper-style execution trace. It sorts per call; the batch, sweep and
-/// stream paths call the snapshot overload in src/core/catalog_index.h,
-/// which reads prebuilt orderings and skips skyline-dominated candidates.
+/// paper-style execution trace. It sorts per call: it is the paper-trace
+/// entry point and the tests' oracle. Every production path (the registry's
+/// "exact", StratRec's default, stream sessions) calls the snapshot
+/// overload in src/core/catalog_index.h, which reads prebuilt orderings and
+/// skips skyline-dominated candidates.
 Result<AdparResult> AdparExact(const std::vector<ParamVector>& strategies,
                                const ParamVector& request, int k,
                                AdparTrace* trace = nullptr);
 
+class AvailabilitySnapshot;  // src/core/catalog_index.h
+
 /// A pluggable alternative-recommendation solver (AdparExact, the paper's
-/// literal sweep, the baselines, ...). StratRec and the api-layer registry
-/// accept any callable with this shape.
+/// literal sweep, the baselines, ...). It solves one request against the
+/// catalog estimated at the snapshot's W: `snapshot.params()` is the
+/// searched list, and the reported strategies index into it. StratRec and
+/// the api-layer registry accept any callable with this shape.
 using AdparSolverFn = std::function<Result<AdparResult>(
-    const std::vector<ParamVector>&, const ParamVector&, int)>;
+    const AvailabilitySnapshot&, const ParamVector&, int)>;
 
 /// Picks the `k` covered strategies reported for `result->alternative` and
 /// fills `result->strategies` plus their `result->strategy_params`. Every

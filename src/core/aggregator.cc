@@ -58,8 +58,15 @@ Result<AggregatorReport> Aggregator::RunAtAvailability(
   }
 
   BatchOptions run_options = options;
-  if (run_options.use_catalog_index && run_options.catalog_index == nullptr) {
-    run_options.catalog_index = &index(options.executor, options.parallel_grain);
+  if (run_options.use_catalog_index && !run_options.pricer) {
+    run_options.pricer =
+        [catalog_index = &index(options.executor, options.parallel_grain),
+         executor = options.executor, grain = options.parallel_grain](
+            const std::vector<DeploymentRequest>& batch,
+            WorkforcePolicy policy) -> Result<std::vector<RowTopK>> {
+      return PriceRows(batch, *catalog_index, 0, catalog_index->size(),
+                       policy, executor, grain);
+    };
   }
 
   AggregatorReport report;
@@ -79,14 +86,11 @@ Result<AggregatorReport> Aggregator::RunAtAvailability(
 
 std::vector<ParamVector> Aggregator::EstimateParams(
     double availability, const BatchOptions& options) const {
-  const CatalogIndex* catalog_index = options.catalog_index;
-  if (catalog_index == nullptr && options.use_catalog_index) {
-    catalog_index = &index(options.executor, options.parallel_grain);
-  }
   std::vector<ParamVector> params;
-  if (catalog_index != nullptr) {
-    catalog_index->EstimateParamsInto(availability, &params, options.executor,
-                                      options.parallel_grain);
+  if (options.use_catalog_index) {
+    index(options.executor, options.parallel_grain)
+        .EstimateParamsInto(availability, &params, options.executor,
+                            options.parallel_grain);
   } else {
     params.reserve(profiles_.size());
     for (const StrategyProfile& profile : profiles_) {

@@ -81,7 +81,9 @@ class Aggregator {
   /// `materialize_params` toggles the O(|S|) strategy_params block in the
   /// report; `snapshot`, when non-null, must have been built for exactly
   /// this catalog and `availability` (bit for bit) and then supplies the
-  /// pre-estimated parameters instead of re-deriving them.
+  /// pre-estimated parameters instead of re-deriving them. When
+  /// `options.use_catalog_index` is on and `options.pricer` is empty, the
+  /// solver prices with PriceRows over this catalog's index.
   Result<AggregatorReport> RunAtAvailability(
       const std::vector<DeploymentRequest>& requests, double availability,
       const BatchOptions& options, const BatchSolverFn& solver,
@@ -89,8 +91,9 @@ class Aggregator {
       const std::shared_ptr<const AvailabilitySnapshot>& snapshot) const;
 
   /// The catalog's parameters estimated at `availability` (Table 1 style),
-  /// index-aligned with the catalog: through the SoA index when `options`
-  /// supplies or enables one, per profile otherwise (bit-identical).
+  /// index-aligned with the catalog: through the SoA index when
+  /// `options.use_catalog_index` is on, per profile otherwise
+  /// (bit-identical).
   std::vector<ParamVector> EstimateParams(double availability,
                                           const BatchOptions& options) const;
 

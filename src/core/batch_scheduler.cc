@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "src/common/float_compare.h"
 #include "src/core/catalog_index.h"
@@ -9,21 +10,51 @@
 
 namespace stratrec::core {
 
-Result<BatchResult> SolveBatchAggregated(
+AggregatedRequest AggregateRow(RowTopK row, int k, AggregationMode mode) {
+  AggregatedRequest out;
+  if (k < 1) return out;  // rejected by ValidateRequest before any read
+  auto requirement = row.Aggregate(k, mode);
+  if (!requirement.ok()) return out;  // fewer than k feasible strategies
+  out.eligible = true;
+  out.requirement = *requirement;
+  out.strategies = std::move(row.strategies);
+  return out;
+}
+
+Result<std::vector<RowTopK>> PriceBatch(
     const std::vector<DeploymentRequest>& requests,
-    const std::vector<AggregatedRequest>& aggregated,
-    double available_workforce, const BatchOptions& options,
-    BatchAlgorithm algorithm) {
+    const std::vector<StrategyProfile>& profiles, const BatchOptions& options) {
+  if (options.pricer) {
+    auto rows = options.pricer(requests, options.policy);
+    if (rows.ok() && rows->size() != requests.size()) {
+      return Status::Internal("row pricer returned " +
+                              std::to_string(rows->size()) + " rows for " +
+                              std::to_string(requests.size()) + " requests");
+    }
+    return rows;
+  }
+  const CatalogIndex index = CatalogIndex::Build(profiles, options.executor,
+                                                 options.parallel_grain);
+  return PriceRows(requests, index, 0, index.size(), options.policy,
+                   options.executor, options.parallel_grain);
+}
+
+Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
+                               const std::vector<StrategyProfile>& profiles,
+                               double available_workforce,
+                               const BatchOptions& options,
+                               BatchAlgorithm algorithm) {
   if (available_workforce < 0.0) {
     return Status::InvalidArgument("available workforce must be >= 0");
   }
-  if (aggregated.size() != requests.size()) {
-    return Status::InvalidArgument(
-        "aggregated rows must be index-aligned with the requests");
-  }
+  // The k-best list doubles as the aggregation order and as the
+  // commit-time strategy list.
+  auto rows = PriceBatch(requests, profiles, options);
+  if (!rows.ok()) return rows.status();
 
   BatchResult result;
   result.outcomes.resize(requests.size());
+  std::vector<AggregatedRequest> aggregated(requests.size());
   std::vector<KnapsackItem> items;
   items.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -33,6 +64,8 @@ Result<BatchResult> SolveBatchAggregated(
     outcome.objective_value = options.objective == Objective::kThroughput
                                   ? 1.0
                                   : requests[i].Payoff();
+    aggregated[i] =
+        AggregateRow(std::move((*rows)[i]), requests[i].k, options.aggregation);
     if (!aggregated[i].eligible) continue;  // fewer than k strategies
     outcome.eligible = true;
     KnapsackItem item;
@@ -71,7 +104,7 @@ Result<BatchResult> SolveBatchAggregated(
     RequestOutcome& outcome = result.outcomes[item.index];
     outcome.satisfied = true;
     outcome.workforce = item.weight;
-    outcome.strategies = aggregated[item.index].strategies;
+    outcome.strategies = std::move(aggregated[item.index].strategies);
     result.total_objective += item.value;
     result.workforce_used += item.weight;
   }
@@ -83,51 +116,6 @@ Result<BatchResult> SolveBatchAggregated(
     }
   }
   return result;
-}
-
-AggregatedRequest AggregateRow(RowTopK row, int k, AggregationMode mode) {
-  AggregatedRequest out;
-  if (k < 1) return out;  // rejected by ValidateRequest before any read
-  auto requirement = row.Aggregate(k, mode);
-  if (!requirement.ok()) return out;  // fewer than k feasible strategies
-  out.eligible = true;
-  out.requirement = *requirement;
-  out.strategies = std::move(row.strategies);
-  return out;
-}
-
-std::vector<RowTopK> PriceBatch(const std::vector<DeploymentRequest>& requests,
-                                const std::vector<StrategyProfile>& profiles,
-                                const BatchOptions& options) {
-  if (options.use_catalog_index && options.catalog_index != nullptr) {
-    return PriceRows(requests, *options.catalog_index, 0,
-                     options.catalog_index->size(), options.policy,
-                     options.executor, options.parallel_grain);
-  }
-  const CatalogIndex index = CatalogIndex::Build(profiles, options.executor,
-                                                 options.parallel_grain);
-  return PriceRows(requests, index, 0, index.size(), options.policy,
-                   options.executor, options.parallel_grain);
-}
-
-Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
-                               const std::vector<StrategyProfile>& profiles,
-                               double available_workforce,
-                               const BatchOptions& options,
-                               BatchAlgorithm algorithm) {
-  if (available_workforce < 0.0) {
-    return Status::InvalidArgument("available workforce must be >= 0");
-  }
-  // The k-best list doubles as the aggregation order and as the
-  // commit-time strategy list.
-  std::vector<RowTopK> rows = PriceBatch(requests, profiles, options);
-  std::vector<AggregatedRequest> aggregated(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    aggregated[i] =
-        AggregateRow(std::move(rows[i]), requests[i].k, options.aggregation);
-  }
-  return SolveBatchAggregated(requests, aggregated, available_workforce,
-                              options, algorithm);
 }
 
 Result<BatchResult> BatchStrat(const std::vector<DeploymentRequest>& requests,

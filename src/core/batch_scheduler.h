@@ -19,7 +19,14 @@
 
 namespace stratrec::core {
 
-class CatalogIndex;
+/// Prices every request against the whole catalog under a policy: row i is
+/// request i's feasible count and its min(k, feasible) cheapest strategies
+/// (k = requests[i].k), indexed over the catalog, exactly as PriceRows
+/// returns them over [0, |S|). The one seam that says how a batch's rows
+/// are priced: the Aggregator installs PriceRows over its index, and the
+/// shard router installs its scatter and k-way merge.
+using RowPricerFn = std::function<Result<std::vector<RowTopK>>(
+    const std::vector<DeploymentRequest>&, WorkforcePolicy)>;
 
 /// Platform-centric optimization goal F (Section 2.3, Equation 2).
 enum class Objective { kThroughput, kPayoff };
@@ -37,15 +44,17 @@ struct BatchOptions {
   /// Minimum work items per chunk when `executor` is set (cells for the
   /// pricing, rounded up to whole PriceRows units).
   size_t parallel_grain = 4096;
-  /// Ride the catalog's prebuilt SoA CatalogIndex in the built-in solvers'
-  /// hot loops. Results are bit-identical either way; off is the reference
-  /// path bench/catalog_index.cc compares against, which builds an index
-  /// from the profile list for each pricing call.
+  /// Ride the catalog's prebuilt SoA CatalogIndex in the hot loops.
+  /// Results are bit-identical either way; off is the reference path
+  /// bench/catalog_index.cc compares against, which builds an index from
+  /// the profile list for each pricing call.
   bool use_catalog_index = true;
-  /// The index itself, set by Aggregator::RunAtAvailability when
-  /// `use_catalog_index` is on (not owned). When null, pricing builds an
-  /// index from the profile list for the call.
-  const CatalogIndex* catalog_index = nullptr;
+  /// How the solve prices its rows (PriceBatch). Aggregator::
+  /// RunAtAvailability installs PriceRows over the catalog's index when
+  /// `use_catalog_index` is on and this is empty; a shard router installs
+  /// its sharded pricer. Empty prices on an index built from the profile
+  /// list for the call.
+  RowPricerFn pricer;
 };
 
 /// Per-request outcome of a batch run.
@@ -109,14 +118,12 @@ Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
                                const BatchOptions& options,
                                BatchAlgorithm algorithm);
 
-/// One request's precomputed row aggregate: the input to the selection
-/// half of SolveBatch. `strategies` is the request's k-best list in
+/// One request's row aggregate: what the selection half of a solve reads.
+/// `strategies` is the request's k-best list in
 /// WorkforceMatrix::KBestStrategies order (ascending requirement, ties by
 /// strategy index) and `requirement` the aggregated workforce over exactly
-/// that list; both are meaningless when `eligible` is false. SolveBatch
-/// builds these from its PriceRows rows and the shard router from the
-/// MergeTopK of its shards' PriceRows rows, and both reproduce the dense
-/// matrix's values bit for bit.
+/// that list; both are meaningless when `eligible` is false. SolveBatch and
+/// SolveBatchWeighted build these from the rows PriceBatch returns.
 struct AggregatedRequest {
   bool eligible = false;
   double requirement = 0.0;
@@ -130,24 +137,14 @@ struct AggregatedRequest {
 /// folded by RowTopK::Aggregate.
 AggregatedRequest AggregateRow(RowTopK row, int k, AggregationMode mode);
 
-/// Every request's row over the whole catalog, priced by PriceRows with the
-/// options' policy, executor and grain: on `options.catalog_index` when
-/// `use_catalog_index` is on and it is set, otherwise on an index built
-/// from `profiles` for this call.
-std::vector<RowTopK> PriceBatch(const std::vector<DeploymentRequest>& requests,
-                                const std::vector<StrategyProfile>& profiles,
-                                const BatchOptions& options);
-
-/// The selection half of SolveBatch: validation, the knapsack, and the
-/// outcome commit, over caller-supplied row aggregates. SolveBatch itself
-/// funnels here after aggregating its priced rows, so a caller that supplies
-/// the same aggregates gets a bit-identical BatchResult. `aggregated` must be
-/// index-aligned with `requests`.
-Result<BatchResult> SolveBatchAggregated(
+/// Every request's row over the whole catalog, one per request: from
+/// `options.pricer` when it is set, otherwise from PriceRows with the
+/// options' policy, executor and grain on an index built from `profiles`
+/// for this call. Fails when the pricer fails or returns a row count other
+/// than the request count.
+Result<std::vector<RowTopK>> PriceBatch(
     const std::vector<DeploymentRequest>& requests,
-    const std::vector<AggregatedRequest>& aggregated,
-    double available_workforce, const BatchOptions& options,
-    BatchAlgorithm algorithm);
+    const std::vector<StrategyProfile>& profiles, const BatchOptions& options);
 
 /// Convenience wrappers.
 Result<BatchResult> BatchStrat(const std::vector<DeploymentRequest>& requests,

@@ -24,7 +24,8 @@ Result<MultiObjectiveResult> SolveBatchWeighted(
         "BaselineG is defined by the pay-off ordering; use SolveBatch");
   }
 
-  std::vector<RowTopK> rows = PriceBatch(requests, profiles, options);
+  auto rows = PriceBatch(requests, profiles, options);
+  if (!rows.ok()) return rows.status();
 
   MultiObjectiveResult result;
   result.batch.outcomes.resize(requests.size());
@@ -35,7 +36,7 @@ Result<MultiObjectiveResult> SolveBatchWeighted(
     RequestOutcome& outcome = result.batch.outcomes[i];
     outcome.request_index = i;
     aggregated[i] =
-        AggregateRow(std::move(rows[i]), requests[i].k, options.aggregation);
+        AggregateRow(std::move((*rows)[i]), requests[i].k, options.aggregation);
     if (!aggregated[i].eligible) continue;
     outcome.eligible = true;
     KnapsackItem item;

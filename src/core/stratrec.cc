@@ -39,45 +39,28 @@ Result<StratRecReport> StratRec::ProcessBatchAtAvailability(
   const std::vector<size_t>& unsatisfied = out.aggregator.batch.unsatisfied;
   if (!options.recommend_alternatives || unsatisfied.empty()) return out;
 
-  // Default solver: the snapshot-riding AdparExact when a snapshot is
-  // available (prebuilt orderings + skyline pruning, bit-identical
-  // results), the classic per-request one otherwise.
-  const AvailabilitySnapshot* snapshot = options.snapshot.get();
-  const AdparSolverFn adpar =
-      options.adpar_solver
-          ? options.adpar_solver
-          : (snapshot != nullptr
-                 ? AdparSolverFn([snapshot](const std::vector<ParamVector>&,
-                                            const ParamVector& d, int k) {
-                     return AdparExact(*snapshot, d, k);
-                   })
-                 : AdparSolverFn([](const std::vector<ParamVector>& params,
-                                    const ParamVector& d, int k) {
-                     return AdparExact(params, d, k, nullptr);
-                   }));
-
   // Unsatisfied requests are forwarded to ADPaR (Section 2.2), against the
-  // concrete strategy parameters estimated at W: the snapshot's shared
-  // block, the report's when the caller materialized it, or a local
-  // estimate that never leaves this call. Each solve is independent, so
-  // with an executor the fan-out partitions across the pool; solutions land
-  // in a per-request slot and are folded back in request order, keeping the
+  // concrete strategy parameters estimated at W: the caller's snapshot, or
+  // one built for this call. Each solve is independent, so with an executor
+  // the fan-out partitions across the pool; solutions land in a
+  // per-request slot and are folded back in request order, keeping the
   // report identical to the serial path.
-  std::vector<ParamVector> estimated;
-  if (snapshot == nullptr && !options.materialize_params) {
-    estimated = aggregator_.EstimateParams(availability, options.batch);
+  std::shared_ptr<const AvailabilitySnapshot> snapshot = options.snapshot;
+  if (snapshot == nullptr) {
+    auto built = aggregator_.BuildSnapshot(
+        availability, options.batch.executor, options.batch.parallel_grain);
+    if (!built.ok()) return built.status();
+    snapshot = std::move(*built);
   }
-  const std::vector<ParamVector>& params_at_w =
-      snapshot != nullptr          ? snapshot->params()
-      : options.materialize_params ? out.aggregator.strategy_params
-                                   : estimated;
   std::vector<Result<AdparResult>> solved(
       unsatisfied.size(), Result<AdparResult>(Status::Internal("unset")));
   auto solve = [&](size_t begin, size_t end) {
     for (size_t u = begin; u < end; ++u) {
-      const size_t index = unsatisfied[u];
-      solved[u] = adpar(params_at_w, requests[index].thresholds,
-                        requests[index].k);
+      const DeploymentRequest& request = requests[unsatisfied[u]];
+      solved[u] = options.adpar_solver
+                      ? options.adpar_solver(*snapshot, request.thresholds,
+                                             request.k)
+                      : AdparExact(*snapshot, request.thresholds, request.k);
     }
   };
   if (options.batch.executor != nullptr) {

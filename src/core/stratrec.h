@@ -23,20 +23,20 @@ struct StratRecOptions {
   bool recommend_alternatives = true;
   /// Pluggable backends (api-layer registry). When set, `batch_solver`
   /// overrides `algorithm` and `adpar_solver` overrides the default
-  /// AdparExact for alternative recommendation.
+  /// snapshot AdparExact (the registry's "exact") for alternative
+  /// recommendation. The ADPaR solver receives the run's snapshot.
   BatchSolverFn batch_solver;
   AdparSolverFn adpar_solver;
   /// Fill report.aggregator.strategy_params, the O(|S|) catalog block at
   /// W. Off by default: every alternative carries the parameters of its own
   /// k strategies, so no reader of a report needs the block.
   bool materialize_params = false;
-  /// Reuse of per-availability state across batches: when set (and built
-  /// for this catalog at exactly the run's W), strategy parameters come
-  /// from the snapshot's shared block, and — unless `adpar_solver`
-  /// overrides it — unsatisfied requests are solved by the index-accepting
-  /// AdparExact overload, which serves its sorts and candidate pruning
-  /// from the snapshot. The Service facade passes its cached snapshot
-  /// here; results are bit-identical with or without one.
+  /// Reuse of per-availability state across batches: when set (it must be
+  /// built for this catalog at exactly the run's W), strategy parameters
+  /// come from the snapshot's shared block, and the ADPaR solver searches
+  /// it. When null, a run that forwards requests to ADPaR builds one with
+  /// Aggregator::BuildSnapshot. The Service facade passes its cached
+  /// snapshot here; results are bit-identical with or without one.
   std::shared_ptr<const AvailabilitySnapshot> snapshot;
 };
 

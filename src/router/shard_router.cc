@@ -18,7 +18,7 @@ namespace internal {
 
 /// The routing state behind every ShardRouter handle: the shard ranges of
 /// the runtime's index and the replica pools that scan them. The runtime
-/// owns it through its builtin_solver hook, so the runtime's member order
+/// owns it through its pricer, so the runtime's member order
 /// (src/api/pipeline.h) is also the router's teardown contract.
 struct RouterState {
   /// The runtime every router ticket runs on; it owns this state.
@@ -208,45 +208,29 @@ Result<std::vector<RangeScan>> Scatter(
   return scans;
 }
 
-/// Merges one request's per-shard rows into the unsharded
-/// AggregatedRequest: core::MergeTopK over the shards' runs (global index
-/// = offsets[s] + range index), folded by core::AggregateRow. The k-way
-/// merge is the one PriceRows applies to its chunks, so the result is
-/// bit-identical to pricing the whole catalog in one call.
-core::AggregatedRequest MergeRow(const std::vector<RangeScan>& scans,
-                                 const std::vector<size_t>& offsets, size_t i,
-                                 int k, core::AggregationMode mode) {
-  std::vector<core::TopKRun> runs;
-  runs.reserve(scans.size());
-  for (size_t s = 0; s < scans.size(); ++s) {
-    const core::RowTopK& row = scans[s][i];
-    runs.push_back({row.feasible_count, offsets[s], row.strategies.data(),
-                    row.requirements.data(), row.strategies.size()});
-  }
-  return core::AggregateRow(core::MergeTopK(runs, k), k, mode);
-}
-
-/// The built-in `algorithm` as a sharded row fold: scatter the range scans,
-/// merge each request's rows, and run the selection half of the solve.
-core::BatchSolverFn ShardedSolver(RouterState* state,
-                                  core::BatchAlgorithm algorithm) {
-  return [state, algorithm](
-             const std::vector<core::DeploymentRequest>& requests,
-             const std::vector<core::StrategyProfile>&, double w,
-             const core::BatchOptions& options) -> Result<core::BatchResult> {
-    std::vector<core::AggregatedRequest> aggregated(requests.size());
-    if (!requests.empty()) {
-      auto scans = Scatter(state, std::make_shared<const ScanInput>(
-                                      ScanInput{requests, options.policy}));
-      if (!scans.ok()) return scans.status();
-      for (size_t i = 0; i < requests.size(); ++i) {
-        aggregated[i] = MergeRow(*scans, state->offsets, i, requests[i].k,
-                                 options.aggregation);
-      }
+/// The whole catalog's rows, priced shard by shard: scatter the range
+/// scans, then merge each request's shard rows with core::MergeTopK
+/// (global index = offsets[s] + range index). That k-way merge is the one
+/// PriceRows applies to its own chunks, so the rows are bit-identical to
+/// pricing the whole catalog in one call.
+Result<std::vector<core::RowTopK>> PriceSharded(
+    RouterState* state, const std::vector<core::DeploymentRequest>& requests,
+    core::WorkforcePolicy policy) {
+  std::vector<core::RowTopK> rows(requests.size());
+  if (requests.empty()) return rows;
+  auto scans = Scatter(
+      state, std::make_shared<const ScanInput>(ScanInput{requests, policy}));
+  if (!scans.ok()) return scans.status();
+  std::vector<core::TopKRun> runs(scans->size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    for (size_t s = 0; s < scans->size(); ++s) {
+      const core::RowTopK& row = (*scans)[s][i];
+      runs[s] = {row.feasible_count, state->offsets[s], row.strategies.data(),
+                 row.requirements.data(), row.strategies.size()};
     }
-    return core::SolveBatchAggregated(requests, aggregated, w, options,
-                                      algorithm);
-  };
+    rows[i] = core::MergeTopK(runs, requests[i].k);
+  }
+  return rows;
 }
 
 }  // namespace
@@ -293,9 +277,10 @@ Result<ShardRouter> ShardRouter::Create(core::Catalog catalog,
   auto routing = std::make_shared<internal::RouterState>(
       *runtime, std::move(config), std::move(offsets));
   internal::RouterState* state = routing.get();
-  runtime->builtin_solver = [routing = std::move(routing)](
-                                core::BatchAlgorithm algorithm) {
-    return internal::ShardedSolver(routing.get(), algorithm);
+  runtime->pricer = [routing = std::move(routing)](
+                        const std::vector<core::DeploymentRequest>& requests,
+                        core::WorkforcePolicy policy) {
+    return internal::PriceSharded(routing.get(), requests, policy);
   };
   // The handle points at the routing state and shares the runtime's
   // ownership, since the runtime owns the routing state.

@@ -1,34 +1,35 @@
 // ShardRouter — one logical catalog scanned as N contiguous strategy
 // ranges, behind the same envelope API as a single Service.
 //
-// A router is a Service with a sharded solver. It wraps the same runtime as
+// A router is a Service with a sharded pricer. It wraps the same runtime as
 // api::Service (src/api/pipeline.h): one core::StratRec over the whole
 // catalog (one CatalogIndex), one availability-snapshot cache, one worker
 // pool, one ticket protocol and one stats fold. What the router adds is
-// routing, held by the runtime as its built-in batch solver. The catalog
-// is split into N contiguous ranges of that index (sizes differing by at
-// most one); each range is scanned on its own replica pools:
+// routing, held by the runtime as its pricer. The catalog is split into N
+// contiguous ranges of that index (sizes differing by at most one); each
+// range is scanned on its own replica pools:
 //
-//   router pool       tickets, availability resolution, the batch selection,
-//    |                ADPaR alternatives, sweeps, custom registry solvers
+//   router pool       tickets, availability resolution, every solver's
+//    |                selection, ADPaR alternatives, sweeps
 //    +-- shard 0      strategies [o0, o1) of the index: replica pools 0..R-1
 //    +-- shard 1      strategies [o1, o2): replica pools 0..R-1
 //    +-- ...
 //
-// Only the pricing of the batch solve (paper Section 3.2) is sharded: for
-// the built-in algorithms (batchstrat / baseline-g / brute-force) every
-// shard prices its range of the index (core::PriceRows over [begin, end),
-// which never materializes the workforce matrix) and returns each
-// request's feasible count and k cheapest strategies; the router merges
-// the rows by (requirement, global index) with core::MergeTopK — the merge
-// PriceRows applies to its own chunks — and runs the selection half of the
-// solve (core::SolveBatchAggregated). Everything else runs once, on the
-// router's own snapshot, through the runtime an unsharded Service runs.
-// The row merge reproduces the unsharded k-best lists and folds bit for
-// bit, and the rest is the same code, so a router over any shard count
-// returns *byte-identical* reports and counters to one unsharded Service
-// for the same request trace (property-tested in
-// tests/router_property_test.cc).
+// Only the pricing of the batch solve (paper Section 3.2) is sharded. The
+// router installs its pricer as the runtime's core::RowPricerFn, so every
+// batch solver that prices through core::SolveBatch or SolveBatchWeighted
+// (the built-ins, "weighted" and custom registry solvers alike) scans the
+// shards: every shard prices its range of the index (core::PriceRows over
+// [begin, end), which never materializes the workforce matrix) and returns
+// each request's feasible count and k cheapest strategies, and the router
+// merges the rows by (requirement, global index) with core::MergeTopK, the
+// merge PriceRows applies to its own chunks. The selection half of the
+// solve and everything else run once, on the router's own snapshot,
+// through the runtime an unsharded Service runs. The row merge reproduces
+// the unsharded k-best lists bit for bit, and the rest is the same code,
+// so a router over any shard count returns *byte-identical* reports and
+// counters to one unsharded Service for the same request trace
+// (property-tested in tests/router_property_test.cc).
 //
 // Admission control for the serving tier: TryAdmit() compares the summed
 // executor queue-depth gauges (router pool + every replica pool) against

@@ -103,6 +103,27 @@ TEST(BatchScheduler, InvalidInputsRejected) {
   EXPECT_FALSE(BatchStrat({bad}, profiles, 0.5).ok());
 }
 
+// The pricer's outcome is the solve's: its failure fails the solve, and a
+// row count other than the request count fails it before any row is read.
+TEST(BatchScheduler, PricerFailuresFailTheSolve) {
+  const std::vector<StrategyProfile> profiles = {ProfileNeeding(0.3)};
+  const std::vector<DeploymentRequest> requests = {Request("d1", 0.8),
+                                                   Request("d2", 0.6)};
+  BatchOptions options;
+  options.pricer = [](const std::vector<DeploymentRequest>&,
+                      WorkforcePolicy) -> Result<std::vector<RowTopK>> {
+    return Status::Cancelled("scan abandoned");
+  };
+  EXPECT_EQ(BatchStrat(requests, profiles, 0.7, options).status().code(),
+            StatusCode::kCancelled);
+  options.pricer = [](const std::vector<DeploymentRequest>&,
+                      WorkforcePolicy) -> Result<std::vector<RowTopK>> {
+    return std::vector<RowTopK>(1);
+  };
+  EXPECT_EQ(BatchStrat(requests, profiles, 0.7, options).status().code(),
+            StatusCode::kInternal);
+}
+
 TEST(BatchScheduler, BruteForceGuardsAgainstLargeBatches) {
   const std::vector<StrategyProfile> profiles = {ProfileNeeding(0.001)};
   std::vector<DeploymentRequest> requests;

@@ -3,26 +3,32 @@
 // the same request trace, at pool sizes {1, 4} — asserted on the wire-codec
 // encoding (json::Dump(wire::Encode(report))), so every field, every
 // double bit, and every ordering is covered. The trace exercises all three
-// built-in batch algorithms, both aggregation modes, the custom-solver
-// fallback ("weighted"), alternatives on and off, multiple ADPaR backends,
-// in-band infeasibility (k > |S|), and whole-batch validation failures
-// (k < 1), plus sweeps over the solver family. Further legs re-run the
-// trace with replicas {1, 2, 3} per shard under injected replica failures,
-// and with replicas {2, 3} under hedging: failover and hedged scans must
-// preserve byte identity too.
+// built-in batch algorithms, both aggregation modes, a registry solver
+// beyond them ("weighted"), alternatives on and off, multiple ADPaR
+// backends, in-band infeasibility (k > |S|), and whole-batch validation
+// failures (k < 1), plus sweeps over the solver family. Further legs re-run
+// the trace with replicas {1, 2, 3} per shard under injected replica
+// failures, and with replicas {2, 3} under hedging: failover and hedged
+// scans must preserve byte identity too. Two more pin the seams: every
+// solver that prices through core::SolveBatch scans the shards, and a
+// registered ADPaR backend receives the job's snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/api/codec.h"
+#include "src/api/registry.h"
 #include "src/api/service.h"
 #include "src/common/fault.h"
 #include "src/common/json.h"
 #include "src/core/batch_scheduler.h"
+#include "src/core/catalog_index.h"
 #include "src/core/workforce.h"
 #include "src/router/shard_router.h"
 
@@ -90,7 +96,7 @@ std::vector<api::BatchRequest> BatchTrace() {
   brute.request_id = "b-brute";
   trace.push_back(brute);
 
-  api::BatchRequest weighted = defaults;  // custom-solver fallback path
+  api::BatchRequest weighted = defaults;  // a registry solver, sharded too
   weighted.algorithm = "weighted";
   weighted.request_id = "b-weighted";
   trace.push_back(weighted);
@@ -355,16 +361,17 @@ core::Catalog TiedCatalog(size_t n, const std::vector<size_t>& shard_counts,
     const size_t before = static_cast<size_t>(
         std::upper_bound(splits.begin(), splits.end(), j) - splits.begin());
     const size_t p = (j - before) % 7;
-    catalog.strategies.emplace_back("s" + std::to_string(j),
+    std::string name = "s";
+    name += std::to_string(j);
+    catalog.strategies.emplace_back(std::move(name),
                                     base.strategies[p].stages());
     catalog.profiles.push_back(base.profiles[p]);
   }
   return catalog;
 }
 
-/// The batch stage of `report` recomputed from the dense matrix: each
-/// row's KBestStrategies and AggregateRequirement, then the selection half
-/// of the solve.
+/// The batch stage of `report` recomputed from the dense matrix: a pricer
+/// that returns each row's TopStrategies, under core::SolveBatch.
 Result<core::BatchResult> DenseOracle(const core::Catalog& catalog,
                                       const api::BatchRequest& batch,
                                       const api::BatchReport& report) {
@@ -372,17 +379,20 @@ Result<core::BatchResult> DenseOracle(const core::Catalog& catalog,
       core::WorkforceMatrix::Compute(batch.requests, catalog.profiles);
   core::BatchOptions options;
   options.aggregation = *batch.aggregation;
-  std::vector<core::AggregatedRequest> aggregated(batch.requests.size());
-  for (size_t i = 0; i < batch.requests.size(); ++i) {
-    const int k = batch.requests[i].k;
-    auto requirement = dense.AggregateRequirement(i, k, options.aggregation);
-    auto strategies = dense.KBestStrategies(i, k);
-    if (!requirement.ok() || !strategies.ok()) continue;
-    aggregated[i] = {true, *requirement, std::move(*strategies)};
-  }
-  return core::SolveBatchAggregated(batch.requests, aggregated,
-                                    report.availability, options,
-                                    core::BatchAlgorithm::kBatchStrat);
+  options.pricer = [&dense](const std::vector<core::DeploymentRequest>& requests,
+                            core::WorkforcePolicy)
+      -> Result<std::vector<core::RowTopK>> {
+    std::vector<core::RowTopK> rows;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      auto row = dense.TopStrategies(i, requests[i].k);
+      if (!row.ok()) return row.status();
+      rows.push_back(std::move(*row));
+    }
+    return rows;
+  };
+  return core::SolveBatch(batch.requests, catalog.profiles,
+                          report.availability, options,
+                          core::BatchAlgorithm::kBatchStrat);
 }
 
 // The global tie rules under maximal ties: row merges break requirement
@@ -498,6 +508,160 @@ TEST(RouterProperty, TiesAcrossShardBoundariesAreByteIdentical) {
       }
     }
   }
+}
+
+// Every solver that prices through core::SolveBatch or SolveBatchWeighted
+// scans the shards, not only the built-in algorithms: a "weighted" batch
+// and a batch of a custom registered solver each visit the
+// "router.replica" fault site once per shard. The site is installed at
+// rate 0, so it counts visits and never fires.
+TEST(RouterProperty, EveryPricingSolverScansTheShards) {
+  const std::string custom = "router-test-solve-batch-baseline-g";
+  ASSERT_TRUE(api::AlgorithmRegistry::Global()
+                  .RegisterBatch(
+                      custom,
+                      [](const std::vector<core::DeploymentRequest>& requests,
+                         const std::vector<core::StrategyProfile>& profiles,
+                         double w, const core::BatchOptions& options) {
+                        return core::SolveBatch(
+                            requests, profiles, w, options,
+                            core::BatchAlgorithm::kBaselineG);
+                      })
+                  .ok());
+  const core::Catalog catalog = WideCatalog();
+  api::ServiceConfig config;
+  config.execution.worker_threads = 2;
+  auto unsharded = api::Service::Create(catalog, config);
+  ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
+  RouterConfig router_config;
+  router_config.shards = 2;
+  router_config.service = config;
+  auto router = ShardRouter::Create(catalog, router_config);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+
+  fault::FaultConfig faults;
+  faults.sites.emplace_back(std::string(fault::kSiteRouterReplica),
+                            fault::SiteSpec{0.0, 0.0});
+  const auto plan = fault::InstallGlobalFaultPlan(std::move(faults));
+  for (const std::string& algorithm : {std::string("weighted"), custom}) {
+    api::BatchRequest batch;
+    batch.requests = MixedRequests();
+    batch.algorithm = algorithm;
+    batch.availability = api::AvailabilitySpec::Fixed(0.8);
+    batch.request_id = "b-" + algorithm;
+    const uint64_t before = plan->Visits(fault::kSiteRouterReplica);
+    auto sharded = router->SubmitBatch(batch);
+    const uint64_t visits = plan->Visits(fault::kSiteRouterReplica) - before;
+    auto expected = unsharded->SubmitBatch(batch);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ(json::Dump(wire::Encode(*sharded)),
+              json::Dump(wire::Encode(*expected)))
+        << algorithm;
+    EXPECT_EQ(visits, 2u) << algorithm;
+  }
+  EXPECT_EQ(plan->TotalInjected(), 0u);
+  fault::ClearGlobalFaultPlan();
+}
+
+// An ADPaR backend receives the job's snapshot itself. A registered backend
+// that answers with the snapshot AdparExact sees only the quantized W and
+// the whole catalog, on a Service and on a router, in a batch's
+// alternatives and in sweep cells, and its answers are "exact"'s byte for
+// byte.
+TEST(RouterProperty, RegisteredAdparBackendSeesTheJobSnapshot) {
+  struct Seen {
+    std::mutex mutex;
+    std::vector<std::pair<double, size_t>> calls;
+  };
+  static Seen* const seen = new Seen;
+  const std::string probe = "router-test-snapshot-probe";
+  ASSERT_TRUE(api::AlgorithmRegistry::Global()
+                  .RegisterAdpar(probe,
+                                 [](const core::AvailabilitySnapshot& snapshot,
+                                    const core::ParamVector& d, int k) {
+                                   {
+                                     std::lock_guard<std::mutex> lock(
+                                         seen->mutex);
+                                     seen->calls.emplace_back(
+                                         snapshot.availability(),
+                                         snapshot.size());
+                                   }
+                                   return core::AdparExact(snapshot, d, k);
+                                 })
+                  .ok());
+  const core::Catalog catalog = WideCatalog();
+  api::ServiceConfig config;
+  config.execution.worker_threads = 2;
+  config.cache.availability_quantum = 0.05;
+  const double w = core::QuantizeAvailability(0.53, 0.05);
+  EXPECT_DOUBLE_EQ(w, 0.55);
+
+  auto check = [&](const auto& tier, const std::string& label) {
+    {
+      std::lock_guard<std::mutex> lock(seen->mutex);
+      seen->calls.clear();
+    }
+    api::BatchRequest batch;
+    batch.requests = MixedRequests();
+    batch.availability = api::AvailabilitySpec::Fixed(0.53);
+    batch.recommend_alternatives = true;
+    batch.request_id = "b-probe";
+    batch.adpar_solver = probe;
+    auto probed = tier.SubmitBatch(batch);
+    batch.adpar_solver = "exact";
+    auto exact = tier.SubmitBatch(batch);
+    ASSERT_TRUE(probed.ok()) << label << ": " << probed.status().ToString();
+    ASSERT_TRUE(exact.ok()) << label << ": " << exact.status().ToString();
+    EXPECT_FALSE(probed->result.alternatives.empty()) << label;
+    EXPECT_EQ(json::Dump(wire::Encode(*probed)),
+              json::Dump(wire::Encode(*exact)))
+        << label;
+
+    api::SweepRequest sweep;
+    sweep.targets = {{"t1", {0.9, 0.1, 0.1}, 1},
+                     {"t2", {0.5, 0.9, 0.9}, 2},
+                     {"t3", {0.7, 0.3, 0.4}, 4}};
+    sweep.availability = api::AvailabilitySpec::Fixed(0.53);
+    sweep.request_id = "s-probe";
+    sweep.solvers = {probe};
+    auto probed_sweep = tier.RunSweep(sweep);
+    sweep.solvers = {"exact"};
+    auto exact_sweep = tier.RunSweep(sweep);
+    ASSERT_TRUE(probed_sweep.ok()) << label;
+    ASSERT_TRUE(exact_sweep.ok()) << label;
+    ASSERT_EQ(probed_sweep->outcomes.size(), sweep.targets.size()) << label;
+    ASSERT_EQ(exact_sweep->outcomes.size(), sweep.targets.size()) << label;
+    for (size_t i = 0; i < sweep.targets.size(); ++i) {
+      const api::SweepOutcome& got = probed_sweep->outcomes[i];
+      const api::SweepOutcome& want = exact_sweep->outcomes[i];
+      EXPECT_TRUE(got.status.ok()) << label << " cell " << i;
+      EXPECT_EQ(got.status, want.status) << label << " cell " << i;
+      EXPECT_EQ(json::Dump(wire::Encode(got.result)),
+                json::Dump(wire::Encode(want.result)))
+          << label << " cell " << i;
+    }
+
+    std::lock_guard<std::mutex> lock(seen->mutex);
+    EXPECT_EQ(seen->calls.size(), probed->result.alternatives.size() +
+                                      probed->result.adpar_failures.size() +
+                                      sweep.targets.size())
+        << label;
+    for (const auto& [availability, size] : seen->calls) {
+      EXPECT_EQ(availability, w) << label;
+      EXPECT_EQ(size, catalog.profiles.size()) << label;
+    }
+  };
+
+  auto service = api::Service::Create(catalog, config);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  check(*service, "service");
+  RouterConfig router_config;
+  router_config.shards = 2;
+  router_config.service = config;
+  auto router = ShardRouter::Create(catalog, router_config);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  check(*router, "router");
 }
 
 TEST(RouterProperty, RouterCountsItsOwnTraffic) {
