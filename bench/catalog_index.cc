@@ -27,7 +27,8 @@
 //                            [mode] [output_path]
 //        (defaults: 10000,100000,1000000  8  10  full  catalog_index.json)
 //        mode "indexed-only" skips the unindexed leg (whose 1M run costs
-//        ~50s) — the CI dispatch assertion uses it.
+//        ~14 s on a 4-thread x86-64 box) — the CI dispatch assertion uses
+//        it.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
