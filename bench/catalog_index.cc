@@ -5,8 +5,10 @@
 // index) or on (catalog, W) (the snapshot: the estimated parameter block,
 // ADPaR's sorted orderings and skyline pruning tables) is per-batch work
 // on the unindexed path and one-time work on the indexed one: the
-// unindexed leg builds an index for each pricing call and, passing no
-// snapshot, one snapshot per batch for its ADPaR solves. This driver times
+// unindexed leg's pricer builds an index from the profile list on each
+// call, and with no snapshot source its ADPaR leg builds one snapshot per
+// batch; the indexed leg's source returns one prebuilt snapshot. This
+// driver times
 // the full StratRec pipeline both ways over identical batches (reports are
 // bit-identical by construction — the property tests in
 // tests/catalog_index_test.cc pin that) and records the throughput ratio
@@ -38,8 +40,10 @@
 
 #include "src/api/catalog.h"
 #include "src/common/ascii_table.h"
+#include "src/core/catalog_index.h"
 #include "src/core/kernels/kernels.h"
 #include "src/core/stratrec.h"
+#include "src/core/workforce.h"
 #include "src/workload/generators.h"
 
 namespace {
@@ -151,7 +155,13 @@ SizeResult RunSize(size_t num_strategies, size_t num_batches,
 
   core::StratRecOptions unindexed;
   unindexed.batch.aggregation = core::AggregationMode::kSum;
-  unindexed.batch.use_catalog_index = false;
+  unindexed.batch.pricer =
+      [&profiles](const std::vector<core::DeploymentRequest>& requests,
+                  core::WorkforcePolicy policy)
+      -> stratrec::Result<std::vector<core::RowTopK>> {
+    const core::CatalogIndex per_call = core::CatalogIndex::Build(profiles);
+    return core::PriceRows(requests, per_call, 0, per_call.size(), policy);
+  };
   if (!indexed_only) {
     result.unindexed = RunLeg(*stratrec, batches, unindexed);
   }
@@ -170,7 +180,7 @@ SizeResult RunSize(size_t num_strategies, size_t num_batches,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     snapshot_start)
           .count();
-  indexed.snapshot = *snapshot;
+  indexed.snapshot = [prebuilt = *snapshot](double) { return prebuilt; };
   // Scalar-forced leg first, then the active dispatch level on the same
   // batches; the snapshot's derived state is shared (bit-identical under
   // both levels), so only the per-batch kernels differ.

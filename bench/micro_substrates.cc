@@ -5,9 +5,9 @@
 // the workforce cell fill and for the pricer's select scan, comparisons/sec
 // for dominance, params/sec for estimation) plus the simd_speedup ratio; CI
 // asserts the ratio never drops below 0.95 on AVX2 runners. The substrate
-// section ports the original R-tree / skyband / knapsack / OLS / k-smallest
-// micro-benchmarks. Results land in micro_substrates.json (override with
-// argv[1]).
+// section times the R-tree, the snapshot's skyband build and pruned ADPaR
+// solve (the library's one k-skyband), knapsack, OLS and k-smallest.
+// Results land in micro_substrates.json (override with argv[1]).
 //
 // Hand-rolled timing (calibrated repetition loops over steady_clock, no
 // google-benchmark dependency) so the perf CI job can build and run it.
@@ -15,15 +15,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/api/catalog.h"
 #include "src/common/ascii_table.h"
 #include "src/core/catalog_index.h"
 #include "src/core/kernels/kernels.h"
 #include "src/core/knapsack.h"
-#include "src/core/skyline.h"
 #include "src/core/workforce.h"
 #include "src/geometry/k_smallest.h"
 #include "src/geometry/rtree.h"
@@ -151,20 +152,37 @@ std::vector<KernelRow> RunKernelBenches() {
     Escape(params.data());
   }));
 
-  // Dominance over the estimated block, SoA-transposed; a query point worse
-  // than most so CountDominators does full-width counting work.
+  // Dominance over the estimated block, SoA-transposed in ascending
+  // relaxation-sum order as the skyline build keeps its members. The scan
+  // stops, as in production, at the first point whose sum reaches the
+  // query's; the query is worse than most points and nothing caps the
+  // count, so the kernel compares the whole prefix below that sum.
   kernels::EstimateParams(soa, 0.5, 0, kN, params.data());
-  std::vector<double> quality(kN), cost(kN), latency(kN);
+  auto relax_sum = [](const core::ParamVector& p) {
+    return (1.0 - p.quality) + p.cost + p.latency;
+  };
+  std::sort(params.begin(), params.end(),
+            [&](const core::ParamVector& a, const core::ParamVector& b) {
+              return relax_sum(a) < relax_sum(b);
+            });
+  std::vector<double> quality(kN), cost(kN), latency(kN), sums(kN);
   for (size_t i = 0; i < kN; ++i) {
     quality[i] = params[i].quality;
     cost[i] = params[i].cost;
     latency[i] = params[i].latency;
+    sums[i] = relax_sum(params[i]);
   }
   const kernels::PointSoA pts{quality.data(), cost.data(), latency.data()};
   const core::ParamVector query{0.10, 0.95, 0.95};
-  rows.push_back(BenchKernel("count_dominators", "comparisons", kN, [&] {
-    Escape(kernels::CountDominators(pts, kN, query));
-  }));
+  const double limit = relax_sum(query);
+  const size_t prefix = static_cast<size_t>(
+      std::lower_bound(sums.begin(), sums.end(), limit) - sums.begin());
+  rows.push_back(
+      BenchKernel("count_dominators_bounded", "comparisons", prefix, [&] {
+        Escape(kernels::CountDominatorsBounded(
+            pts, sums.data(), kN, limit, std::numeric_limits<uint32_t>::max(),
+            query));
+      }));
 
   return rows;
 }
@@ -198,9 +216,16 @@ std::vector<SubstrateRow> RunSubstrateBenches() {
   }
 
   {
+    // A fresh snapshot per iteration, so every one builds the ADPaR block:
+    // the sorts, the skyline and the capped dominator counts.
     workload::Generator generator({}, 3);
-    const auto strategies = generator.StrategyParams(2000);
-    add("kskyband_2k", TimeIt([&] { Escape(core::KSkyband(strategies, 5)); }));
+    const core::CatalogIndex index = core::CatalogIndex::Build(
+        stratrec::api::ConstantCatalog(generator.StrategyParams(2000))
+            .profiles);
+    add("snapshot_orderings_2k", TimeIt([&] {
+          const auto snapshot = index.BuildSnapshot(0.5);
+          Escape(snapshot->orderings().skyline_dominators.data());
+        }));
   }
 
   {
@@ -211,8 +236,15 @@ std::vector<SubstrateRow> RunSubstrateBenches() {
     const core::ParamVector d{0.9, 0.2, 0.2};
     add("adpar_exact_3k",
         TimeIt([&] { Escape(core::AdparExact(strategies, d, 5)); }));
-    add("adpar_skyband_3k",
-        TimeIt([&] { Escape(core::AdparExactSkyband(strategies, d, 5)); }));
+    // The production solve: the orderings and the k = 5 pruned lists are
+    // built once per snapshot, then each solve sweeps the pruned lists.
+    const auto snapshot =
+        core::CatalogIndex::Build(
+            stratrec::api::ConstantCatalog(strategies).profiles)
+            .BuildSnapshot(0.5);
+    snapshot->PrunedFor(5);
+    add("adpar_snapshot_3k",
+        TimeIt([&] { Escape(core::AdparExact(*snapshot, d, 5)); }));
   }
 
   {

@@ -7,7 +7,7 @@
 //                  never touch its per-W snapshot, and an availability
 //                  change drops it only when the quantized W moves (the
 //                  next ineligible arrival that wants an alternative
-//                  builds it again);
+//                  fetches it again from its snapshot source);
 //
 //   full rebuild   the PR-0 core::OnlineScheduler (serial pricing over
 //                  profile structs) with the per-availability derived
@@ -225,7 +225,11 @@ DriveResult DriveIncremental(const core::CatalogIndex& index,
   stream::StreamSchedulerOptions options;
   options.availability_quantum = kAvailabilityQuantum;
   auto scheduler = stream::StreamScheduler::Create(
-      &index, executor, kInitialAvailability, options);
+      &index, executor,
+      [&index, executor](double w) {
+        return index.BuildSnapshot(w, executor);
+      },
+      kInitialAvailability, options);
   if (!scheduler.ok()) {
     std::fprintf(stderr, "stream scheduler setup failed: %s\n",
                  scheduler.status().ToString().c_str());

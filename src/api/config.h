@@ -40,9 +40,9 @@ struct StreamDefaults {
   /// Drain the pending queue greedily whenever capacity frees up.
   bool readmit_on_release = true;
   /// Serve an ADPaR alternative for ineligible stream arrivals: the solver
-  /// BatchDefaults::recommend_alternatives runs, on a snapshot the session
-  /// builds at its quantized W. Off by default, so a session that never
-  /// asks never builds the O(|S|) block.
+  /// BatchDefaults::recommend_alternatives runs, on the snapshot cache's
+  /// entry at the session's quantized W (see CacheConfig). Off by default,
+  /// so a session that never asks never fetches the O(|S|) block.
   bool recommend_alternatives = false;
 
   bool operator==(const StreamDefaults&) const = default;
@@ -69,20 +69,24 @@ struct ExecutionConfig {
 /// The availability-snapshot cache: per-W derived state (the estimated
 /// strategy-parameter block plus ADPaR's orderings/pruning tables, see
 /// src/core/catalog_index.h) is computed once per distinct availability and
-/// shared by every batch and sweep at that W. The cache is sharded (one
-/// mutex per shard) so concurrent lookups at different availabilities do
-/// not contend.
+/// shared by every ADPaR leg at that W: batches with unserved requests,
+/// sweeps with at least one cell, and stream sessions' ineligible arrivals.
+/// Jobs that run no ADPaR never look it up. The cache is sharded (one mutex
+/// per shard) so concurrent lookups at different availabilities do not
+/// contend.
 struct CacheConfig {
   /// Cached snapshots across all shards; least-recently-used entries are
   /// evicted beyond this. 0 disables caching (every job that needs per-W
-  /// state rebuilds it).
+  /// state rebuilds it). Each stream session also holds the one snapshot it
+  /// last fetched, so residency is at most this plus one per session.
   size_t snapshot_capacity = 16;
   /// Independently locked shards (>= 1).
   size_t shards = 4;
   /// When > 0, resolved availabilities are snapped to the nearest multiple
   /// of this step *before the pipeline runs*, so nearby W values share one
   /// snapshot (reports carry the quantized W — a documented precision /
-  /// hit-rate trade, off by default).
+  /// hit-rate trade, off by default). At 0, a stream session inserts one
+  /// entry per distinct W it needs, as batches do, and may evict theirs.
   double availability_quantum = 0.0;
 
   bool operator==(const CacheConfig&) const = default;

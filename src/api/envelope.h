@@ -235,7 +235,8 @@ struct ServiceStats {
   /// Snapshot maintenance across all stream sessions: events absorbed in
   /// O(1) that left a session's quantized W in place vs availability
   /// changes that moved it and dropped the session's per-W snapshot (the
-  /// next ineligible arrival that wants an alternative builds it again).
+  /// next ineligible arrival that wants an alternative fetches it again
+  /// through the snapshot cache).
   size_t snapshot_delta_updates = 0;
   size_t snapshot_rebuilds = 0;
   /// Deployment requests seen across batches and stream arrivals.
@@ -256,10 +257,13 @@ struct ServiceStats {
   /// means fan-out stayed cache-local on the worker that spawned it.
   size_t steals = 0;
   size_t local_hits = 0;
-  /// Availability-snapshot cache counters (lifetime): how often a job that
-  /// needed per-W derived state found it cached vs had to build it. A low
-  /// hit share on a repeated-availability workload means the cache is
-  /// undersized (or quantization too fine) — see ServiceConfig::cache.
+  /// Availability-snapshot cache counters (lifetime): one per lookup ADPaR
+  /// makes, cached vs built — a batch with unserved requests and
+  /// alternatives on, a sweep with at least one cell, and a stream
+  /// session's first ineligible arrival (alternatives on) at each quantized
+  /// W it moves to. An all-served batch counts none. A low hit share on
+  /// a repeated-availability workload means the cache is undersized (or
+  /// quantization too fine) — see ServiceConfig::cache.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   /// Wall-clock nanoseconds spent building the catalog's SoA index at

@@ -13,20 +13,6 @@ namespace stratrec::api::internal {
 
 namespace {
 
-/// The shared per-W snapshot: cache hit, or build (outside any shard
-/// lock) and insert. Counts hits/misses on the caller's stats stripe.
-std::shared_ptr<const core::AvailabilitySnapshot> SnapshotFor(
-    ServiceState& state, double w) {
-  if (auto cached = state.snapshots.Find(w)) {
-    state.stats.Add(&ServiceStats::cache_hits);
-    return cached;
-  }
-  state.stats.Add(&ServiceStats::cache_misses);
-  auto built = state.stratrec.aggregator().index().BuildSnapshot(
-      w, &state.executor, state.config.execution.parallel_grain);
-  return state.snapshots.Insert(w, std::move(built));
-}
-
 /// The job's W: `spec` resolved against the runtime's models and snapped
 /// onto the cache grid.
 Result<double> ResolveQuantized(const ServiceState& state,
@@ -41,7 +27,8 @@ Result<double> ResolveQuantized(const ServiceState& state,
 
 /// The Figure-1 batch pipeline, run on a pool worker: registry lookups,
 /// availability resolution and grid snapping, the batch solve, and ADPaR
-/// alternatives over the cached snapshot at W.
+/// alternatives over the cached snapshot at W, fetched only when some
+/// request went unserved.
 Result<BatchReport> ExecuteBatch(ServiceState& state,
                                  const BatchRequest& request,
                                  const std::string& id) {
@@ -69,16 +56,16 @@ Result<BatchReport> ExecuteBatch(ServiceState& state,
   options.batch_solver = std::move(*solver);
   if (options.recommend_alternatives) {
     // Only resolved when it will run, so an unknown adpar name cannot fail
-    // a batch that never invokes it — and resolved before the O(|S|)
-    // snapshot build, so a typo'd name fails fast without touching the
-    // cache.
+    // a batch that never invokes it — and resolved before the solve, so a
+    // typo'd name fails fast without touching the cache.
     auto adpar = AlgorithmRegistry::Global().FindAdpar(
         request.adpar_solver.value_or(defaults.adpar_solver));
     if (!adpar.ok()) return adpar.status();
     options.adpar_solver = std::move(*adpar);
-    // Only the alternatives leg reads per-W parameters, so only it fetches
-    // a snapshot; batch-only jobs skip the whole O(|S|) block.
-    options.snapshot = SnapshotFor(state, w);
+    // Only the ADPaR leg reads per-W parameters, and StratRec asks the
+    // source only once that leg has requests to answer, so an all-served
+    // batch touches neither the cache nor the O(|S|) block.
+    options.snapshot = [&state](double at) { return state.SnapshotFor(at); };
   }
 
   auto result =
@@ -117,15 +104,15 @@ Result<SweepReport> ExecuteSweep(ServiceState& state,
     if (!solver.ok()) return solver.status();
     solver_fns.push_back(std::move(*solver));
   }
-  // The shared per-W block every cell searches; only each cell's k
-  // covered strategies reach the report.
-  auto snapshot = SnapshotFor(state, w);
 
   SweepReport report;
   report.request_id = id;
   report.availability = w;
-
   report.outcomes.resize(request.targets.size() * solvers.size());
+  // The shared per-W block every cell searches, fetched only when there is
+  // a cell; only each cell's k covered strategies reach the report.
+  std::shared_ptr<const core::AvailabilitySnapshot> snapshot;
+  if (!report.outcomes.empty()) snapshot = state.SnapshotFor(w);
   state.executor.ParallelFor(
       report.outcomes.size(), /*grain=*/1, [&](size_t begin, size_t end) {
         for (size_t cell = begin; cell < end; ++cell) {
@@ -199,6 +186,18 @@ ServiceState::ServiceState(ServiceConfig config_in, core::StratRec stratrec_in,
       journal(std::move(journal_in)),
       executor(config.execution.worker_threads) {
   stratrec.aggregator().index(&executor, config.execution.parallel_grain);
+}
+
+std::shared_ptr<const core::AvailabilitySnapshot> ServiceState::SnapshotFor(
+    double w) {
+  if (auto cached = snapshots.Find(w)) {
+    stats.Add(&ServiceStats::cache_hits);
+    return cached;
+  }
+  stats.Add(&ServiceStats::cache_misses);
+  auto built = stratrec.aggregator().index().BuildSnapshot(
+      w, &executor, config.execution.parallel_grain);
+  return snapshots.Insert(w, std::move(built));
 }
 
 Ticket<BatchReport> ServiceState::SubmitJob(BatchRequest request) {

@@ -39,11 +39,12 @@ namespace stratrec::api::internal {
 
 /// Sharded LRU of availability snapshots (core::AvailabilitySnapshot),
 /// keyed on the bit pattern of the (already quantized) availability. Every
-/// batch and sweep at one W shares a single snapshot, so the O(|S|)
-/// parameter estimation — and ADPaR's sorts/pruning tables — are paid once
-/// per distinct availability instead of once per job. Builds happen
-/// outside the shard lock; a racing duplicate build keeps the first
-/// inserted entry so callers converge on one shared block.
+/// ADPaR leg at one W — batch alternatives, sweeps and stream sessions —
+/// shares a single snapshot through ServiceState::SnapshotFor, so the
+/// O(|S|) parameter estimation and ADPaR's sorts/pruning tables are paid
+/// once per distinct availability instead of once per job or session.
+/// Builds happen outside the shard lock; a racing duplicate build keeps the
+/// first inserted entry so callers converge on one shared block.
 class SnapshotCache {
  public:
   /// Shard count is clamped to the capacity so floor division keeps the
@@ -146,7 +147,8 @@ struct ServiceState {
   IdSequence ids;
   ModelTable models;
   StripedStats stats;
-  /// Availability-keyed snapshot cache (ServiceConfig::cache).
+  /// Availability-keyed snapshot cache (ServiceConfig::cache); read only
+  /// through SnapshotFor.
   SnapshotCache snapshots;
   /// Record/replay tap; null when JournalConfig::path is empty, and always
   /// on a router. Workers encode their own records and append under the
@@ -172,6 +174,12 @@ struct ServiceState {
   /// sweep body, and the journal tap before Finish wakes the waiter.
   Ticket<BatchReport> SubmitJob(BatchRequest request);
   Ticket<SweepReport> SubmitJob(SweepRequest request);
+
+  /// The shared per-W snapshot, the runtime's one core::SnapshotSource:
+  /// a cache hit, or a build (outside any shard lock, on `executor`, whose
+  /// callers participate) and insert. Counts cache_hits / cache_misses.
+  /// Batches, sweeps and stream sessions call it only when ADPaR runs.
+  std::shared_ptr<const core::AvailabilitySnapshot> SnapshotFor(double w);
 
   /// The striped counters plus this pool's gauges, the index build time and
   /// the kernel dispatch level.

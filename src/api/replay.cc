@@ -115,8 +115,9 @@ Result<ReplayResult> ReplayTrace(const JournalTrace& trace,
   // Stream sessions: reopen each recorded session and re-drive its events
   // in seq order. Stream semantics are sequential per session, so this leg
   // is synchronous — the parallelism replay exercises here is inside each
-  // event (the scheduler's pricing rows and snapshot rebuilds fan out
-  // across the pool), which is exactly what must not change the bytes.
+  // event (the scheduler's pricing rows and the snapshot build behind a
+  // cache miss fan out across the pool), which is exactly what must not
+  // change the bytes.
   for (size_t round = 0; round < rounds; ++round) {
     for (const StreamOpenRecord& open : trace.stream_opens) {
       const auto events_it = session_events.find(open.session_id);

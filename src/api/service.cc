@@ -16,10 +16,12 @@ namespace internal {
 
 /// One stream session: the (not thread-safe) stream scheduler plus its own
 /// lock and a reference keeping the owning service alive. The scheduler's
-/// ParallelFor fan-out (pricing rows, snapshot re-estimation) runs on the
-/// service executor from under the session mutex — safe, because the
-/// executor's callers participate in their own fan-out.
+/// ParallelFor fan-out (pricing rows, and the build behind a snapshot-cache
+/// miss) runs on the service executor from under the session mutex — safe,
+/// because the executor's callers participate in their own fan-out.
 struct SessionState {
+  /// Declared before `scheduler`, so it is destroyed after it: the
+  /// scheduler's snapshot source holds this service's raw pointer.
   std::shared_ptr<ServiceState> service;
   std::string id;
   mutable std::mutex mutex;  ///< serializes the wrapped scheduler
@@ -121,15 +123,17 @@ Result<StreamSession> Service::OpenStream(const StreamOptions& options) const {
   scheduler_options.recommend_alternatives =
       options.recommend_alternatives.value_or(
           config.stream.recommend_alternatives);
-  // The session's snapshot rides the same availability grid as the batch
-  // cache, so a session at a cached W agrees with the batch path bit for
-  // bit.
+  // The session runs on the same availability grid as the batch path and
+  // fetches its snapshot from the same cache, so a session alternative
+  // agrees with the batch one at that W bit for bit.
   scheduler_options.availability_quantum = config.cache.availability_quantum;
   scheduler_options.parallel_grain = config.execution.parallel_grain;
 
+  internal::ServiceState* service = state_.get();
   auto scheduler = stream::StreamScheduler::Create(
-      &state_->stratrec.aggregator().index(), &state_->executor,
-      *availability, scheduler_options);
+      &service->stratrec.aggregator().index(), &service->executor,
+      [service](double w) { return service->SnapshotFor(w); }, *availability,
+      scheduler_options);
   if (!scheduler.ok()) return scheduler.status();
 
   std::string session_id =

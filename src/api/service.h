@@ -8,9 +8,9 @@
 //   OpenStream()   a session over the Section-7 dynamic setting
 //                  (wraps stream::StreamScheduler behind a handle:
 //                  executor-parallel pricing over the CatalogIndex, and
-//                  ADPaR alternatives from the batch path's solver on a
-//                  per-session snapshot rebuilt only when the quantized
-//                  availability moves),
+//                  ADPaR alternatives from the batch path's solver on the
+//                  service's cached snapshot at the session's quantized
+//                  availability, fetched again only when that moves),
 //   RunSweep()     the ADPaR solver family side by side, including the
 //                  paper's literal sweep (wraps adpar_paper_sweep.h).
 //

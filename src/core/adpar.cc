@@ -248,9 +248,10 @@ Result<AdparResult> AdparExact(const AvailabilitySnapshot& snapshot,
 
   // Candidate pruning: a strategy dominated (in relaxation space) by >= k
   // others can be swapped out of any covering k-subset for a dominator
-  // without increasing the tight alternative's distance (skyline.h), so the
-  // sweep may skip it. The per-k filtered orderings are computed once and
-  // cached on the snapshot; null means pruning is a no-op for this k.
+  // without increasing the tight alternative's distance (the k-skyband
+  // argument at AdparOrderings, catalog_index.h), so the sweep may skip
+  // it. The per-k filtered orderings are computed once and cached on the
+  // snapshot; null means pruning is a no-op for this k.
   const auto pruned = snapshot.PrunedFor(k);
   const std::vector<ParamVector>& cost_sorted =
       pruned != nullptr ? pruned->by_cost_params : orderings.by_cost_params;

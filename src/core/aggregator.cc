@@ -37,28 +37,22 @@ Result<AggregatorReport> Aggregator::RunAtAvailability(
     const std::vector<DeploymentRequest>& requests, double availability,
     const BatchOptions& options, const BatchSolverFn& solver) const {
   return RunAtAvailability(requests, availability, options, solver,
-                           /*materialize_params=*/true, /*snapshot=*/nullptr);
+                           /*materialize_params=*/true);
 }
 
 Result<AggregatorReport> Aggregator::RunAtAvailability(
     const std::vector<DeploymentRequest>& requests, double availability,
     const BatchOptions& options, const BatchSolverFn& solver,
-    bool materialize_params,
-    const std::shared_ptr<const AvailabilitySnapshot>& snapshot) const {
+    bool materialize_params) const {
   if (availability < 0.0 || availability > 1.0) {
     return Status::InvalidArgument("availability must lie in [0, 1]");
   }
   if (!solver) {
     return Status::InvalidArgument("batch solver must be non-null");
   }
-  if (snapshot != nullptr && (snapshot->availability() != availability ||
-                              snapshot->size() != profiles_.size())) {
-    return Status::InvalidArgument(
-        "availability snapshot does not match this run (wrong W or catalog)");
-  }
 
   BatchOptions run_options = options;
-  if (run_options.use_catalog_index && !run_options.pricer) {
+  if (!run_options.pricer) {
     run_options.pricer =
         [catalog_index = &index(options.executor, options.parallel_grain),
          executor = options.executor, grain = options.parallel_grain](
@@ -72,32 +66,14 @@ Result<AggregatorReport> Aggregator::RunAtAvailability(
   AggregatorReport report;
   report.availability = availability;
   if (materialize_params) {
-    // A snapshot holds the shared per-W block: one memcpy instead of |S|
-    // estimations.
-    report.strategy_params = snapshot != nullptr
-                                 ? snapshot->params()
-                                 : EstimateParams(availability, run_options);
+    index(options.executor, options.parallel_grain)
+        .EstimateParamsInto(availability, &report.strategy_params,
+                            options.executor, options.parallel_grain);
   }
   auto batch = solver(requests, profiles_, availability, run_options);
   if (!batch.ok()) return batch.status();
   report.batch = std::move(*batch);
   return report;
-}
-
-std::vector<ParamVector> Aggregator::EstimateParams(
-    double availability, const BatchOptions& options) const {
-  std::vector<ParamVector> params;
-  if (options.use_catalog_index) {
-    index(options.executor, options.parallel_grain)
-        .EstimateParamsInto(availability, &params, options.executor,
-                            options.parallel_grain);
-  } else {
-    params.reserve(profiles_.size());
-    for (const StrategyProfile& profile : profiles_) {
-      params.push_back(profile.EstimateParams(availability));
-    }
-  }
-  return params;
 }
 
 const CatalogIndex& Aggregator::index(Executor* executor, size_t grain) const {

@@ -79,23 +79,13 @@ class Aggregator {
 
   /// The full-control overload the StratRec / Service layers drive.
   /// `materialize_params` toggles the O(|S|) strategy_params block in the
-  /// report; `snapshot`, when non-null, must have been built for exactly
-  /// this catalog and `availability` (bit for bit) and then supplies the
-  /// pre-estimated parameters instead of re-deriving them. When
-  /// `options.use_catalog_index` is on and `options.pricer` is empty, the
-  /// solver prices with PriceRows over this catalog's index.
+  /// report, estimated through this catalog's index (bit-identical to
+  /// StrategyProfile::EstimateParams). When `options.pricer` is empty, the
+  /// solver prices with PriceRows over the same index.
   Result<AggregatorReport> RunAtAvailability(
       const std::vector<DeploymentRequest>& requests, double availability,
       const BatchOptions& options, const BatchSolverFn& solver,
-      bool materialize_params,
-      const std::shared_ptr<const AvailabilitySnapshot>& snapshot) const;
-
-  /// The catalog's parameters estimated at `availability` (Table 1 style),
-  /// index-aligned with the catalog: through the SoA index when
-  /// `options.use_catalog_index` is on, per profile otherwise
-  /// (bit-identical).
-  std::vector<ParamVector> EstimateParams(double availability,
-                                          const BatchOptions& options) const;
+      bool materialize_params) const;
 
   /// The catalog's SoA index, built on first use and shared by every run
   /// (and by copies of this aggregator). Thread-safe; `executor`, when
@@ -106,8 +96,9 @@ class Aggregator {
   /// Nanoseconds the index build took; 0 while the index is unbuilt.
   uint64_t index_build_nanos() const;
 
-  /// Builds an (uncached) availability snapshot over the index. The
-  /// Service facade layers its availability-keyed LRU cache on top.
+  /// Builds an (uncached) availability snapshot over the index: what
+  /// StratRec's ADPaR leg runs on when it is given no SnapshotSource. The
+  /// Service's SnapshotFor layers its availability-keyed cache on top.
   Result<std::shared_ptr<const AvailabilitySnapshot>> BuildSnapshot(
       double availability, Executor* executor = nullptr,
       size_t grain = 4096) const;

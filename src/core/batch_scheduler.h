@@ -44,16 +44,11 @@ struct BatchOptions {
   /// Minimum work items per chunk when `executor` is set (cells for the
   /// pricing, rounded up to whole PriceRows units).
   size_t parallel_grain = 4096;
-  /// Ride the catalog's prebuilt SoA CatalogIndex in the hot loops.
-  /// Results are bit-identical either way; off is the reference path
-  /// bench/catalog_index.cc compares against, which builds an index from
-  /// the profile list for each pricing call.
-  bool use_catalog_index = true;
   /// How the solve prices its rows (PriceBatch). Aggregator::
   /// RunAtAvailability installs PriceRows over the catalog's index when
-  /// `use_catalog_index` is on and this is empty; a shard router installs
-  /// its sharded pricer. Empty prices on an index built from the profile
-  /// list for the call.
+  /// this is empty; a shard router installs its sharded pricer. A direct
+  /// SolveBatch call with it empty prices on an index built from the
+  /// profile list for the call.
   RowPricerFn pricer;
 };
 

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "src/core/kernels/kernels.h"
-#include "src/core/skyline.h"
 
 namespace stratrec::core {
 

@@ -12,24 +12,27 @@
 //     Aggregator/Service (optionally ParallelFor-parallel).
 //
 //   * AvailabilitySnapshot — keyed on one availability W. The flat
-//     ParamVector block EstimateParams(W) produces (shared by every batch,
-//     sweep cell, and ADPaR solve at that W), plus the per-axis sorted
-//     strategy orderings and a dominance (skyline) prefilter over
-//     relaxation space that turn ADPaR's per-request O(|S| log |S|) sort
-//     into a one-time cost. The ADPaR block is built lazily on first use,
-//     so batch-only workloads never pay for it.
+//     ParamVector block EstimateParams(W) produces (shared by every ADPaR
+//     solve at that W: batch alternatives, sweep cells and stream
+//     sessions), plus the per-axis sorted strategy orderings and a
+//     dominance (skyline) prefilter over relaxation space that turn
+//     ADPaR's per-request O(|S| log |S|) sort into a one-time cost. Only
+//     ADPaR reads a snapshot, so a job fetches one from its SnapshotSource
+//     only when ADPaR runs; the ADPaR block is built lazily on first use.
 //
 // Every indexed path is bit-identical to its unindexed counterpart: the
 // SoA estimators evaluate the exact same expressions, the matrix overload
 // fills the exact same cells, and the index-accepting AdparExact prunes
 // only strategies that provably cannot change the optimum (the k-skyband
-// safety argument of src/core/skyline.h, applied with a conservative
-// undercount). tests/catalog_index_test.cc property-tests all three.
+// safety argument at AdparOrderings below, applied with a conservative
+// undercount). tests/catalog_index_test.cc and tests/skyline_test.cc
+// property-test all three.
 #ifndef STRATREC_CORE_CATALOG_INDEX_H_
 #define STRATREC_CORE_CATALOG_INDEX_H_
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -46,6 +49,19 @@ namespace stratrec::core {
 /// skyline-dominator prefilter. Built once per (catalog, W) and reused by
 /// every alternative-recommendation solve at that availability — batch
 /// alternatives, sweep cells and stream sessions alike.
+///
+/// The k-skyband safety argument behind the prefilter: in the
+/// smaller-is-better relaxation space (1 - quality, cost, latency), p
+/// dominates q when it is no worse on every axis and strictly better on
+/// one. If a strategy q is dominated by at least k others, any k-subset
+/// containing q can swap q for a dominator not already in the subset
+/// without increasing the tight alternative's distance, since the
+/// dominator needs component-wise no more relaxation. Iterating the swap
+/// shows that some optimal k-subset lies entirely within the k-skyband
+/// (the strategies dominated by fewer than k others), so ADPaR may skip
+/// everything else. Any undercount of the dominators keeps more
+/// strategies and stays safe. This is the only skyband in the library:
+/// `skyline`, `skyline_dominators` and AvailabilitySnapshot::PrunedFor.
 struct AdparOrderings {
   /// Strategy indices ascending by (cost, index).
   std::vector<size_t> by_cost;
@@ -87,16 +103,16 @@ struct PrunedOrderings {
 };
 
 /// Snaps `w` onto an availability grid of step `quantum` (no-op for a
-/// quantum <= 0), clamped to [0, 1]. The batch and sweep paths key the
-/// snapshot cache on it (ServiceConfig::cache) and stream sessions build
-/// their snapshot at it, so every path solves at the same W bit for bit.
+/// quantum <= 0), clamped to [0, 1]. Batches, sweeps and stream sessions
+/// all run at it and key the snapshot cache on it (ServiceConfig::cache),
+/// so every path solves at the same W bit for bit.
 double QuantizeAvailability(double w, double quantum);
 
-/// Immutable per-availability derived state. Obtained from
-/// CatalogIndex::BuildSnapshot (uncached; each stream session holds its
-/// own) or the Service's snapshot cache; always held via
-/// shared_ptr<const ...> so batches, sweep cells, and ADPaR solves at one
-/// W share a single block.
+/// Immutable per-availability derived state. Built by
+/// CatalogIndex::BuildSnapshot (uncached) and served by a SnapshotSource;
+/// always held via shared_ptr<const ...> so every ADPaR solve at one W —
+/// batch alternatives, sweep cells and stream sessions — shares a single
+/// block.
 class AvailabilitySnapshot {
  public:
   double availability() const { return availability_; }
@@ -130,6 +146,15 @@ class AvailabilitySnapshot {
   mutable std::mutex pruned_mutex_;
   mutable std::map<int, std::shared_ptr<const PrunedOrderings>> pruned_;
 };
+
+/// Where a job gets the snapshot at W: the one way any path obtains
+/// per-W state. A Service serves its availability-keyed cache
+/// (ServiceState::SnapshotFor); tests and benches wrap
+/// CatalogIndex::BuildSnapshot. A job calls it at most once, and only when
+/// ADPaR will read the result. The result must be non-null, built at
+/// exactly `w` and over the caller's catalog; core::StratRec checks that.
+using SnapshotSource =
+    std::function<std::shared_ptr<const AvailabilitySnapshot>(double w)>;
 
 /// The availability-independent tier: SoA coefficient arrays.
 class CatalogIndex {

@@ -329,23 +329,6 @@ bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {
   return false;
 }
 
-uint32_t Avx2CountDominators(const PointSoA& pts, size_t n,
-                             const ParamVector& q) {
-  const __m256d qq = _mm256_set1_pd(q.quality);
-  const __m256d qc = _mm256_set1_pd(q.cost);
-  const __m256d ql = _mm256_set1_pd(q.latency);
-  uint32_t count = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    count += static_cast<uint32_t>(
-        __builtin_popcount(static_cast<unsigned>(DominatesMask(pts, i, qq, qc, ql))));
-  }
-  for (; i < n; ++i) {
-    if (DominatesOne(pts, i, q)) ++count;
-  }
-  return count;
-}
-
 uint32_t Avx2CountDominatorsBounded(const PointSoA& pts, const double* sums,
                                     size_t n, double sum_limit, uint32_t cap,
                                     const ParamVector& q) {
@@ -407,11 +390,6 @@ size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {
   return ScalarAnyDominates(pts, n, q);
-}
-
-uint32_t Avx2CountDominators(const PointSoA& pts, size_t n,
-                             const ParamVector& q) {
-  return ScalarCountDominators(pts, n, q);
 }
 
 uint32_t Avx2CountDominatorsBounded(const PointSoA& pts, const double* sums,

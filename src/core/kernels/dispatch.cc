@@ -128,13 +128,6 @@ bool AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {
   return internal::ScalarAnyDominates(pts, n, q);
 }
 
-uint32_t CountDominators(const PointSoA& pts, size_t n, const ParamVector& q) {
-  if (Level() == DispatchLevel::kAvx2) {
-    return internal::Avx2CountDominators(pts, n, q);
-  }
-  return internal::ScalarCountDominators(pts, n, q);
-}
-
 uint32_t CountDominatorsBounded(const PointSoA& pts, const double* sums,
                                 size_t n, double sum_limit, uint32_t cap,
                                 const ParamVector& q) {

@@ -5,9 +5,9 @@
 // could be vectorized:
 //
 //   * EstimateParams — the per-availability parameter block estimation
-//     (CatalogIndex::EstimateParamsInto behind every BuildSnapshot: the
-//     batch cache's misses, and a stream session's first ineligible
-//     arrival after each quantized-W move),
+//     (CatalogIndex::EstimateParamsInto behind every BuildSnapshot, that
+//     is every snapshot-cache miss an ADPaR leg takes, and behind
+//     StratRecOptions::materialize_params),
 //   * SelectWorkforceCells — the pricing scan behind PriceRows, one
 //     256-cell block per call: it prices the block for one request, counts
 //     the feasible cells and keeps only those below the caller's running
@@ -15,9 +15,9 @@
 //   * FillWorkforceCells — the stored cell fill behind the dense
 //     WorkforceMatrix::Compute (the stream pricers and perfbench's fill
 //     metric),
-//   * AnyDominates / CountDominators / CountDominatorsBounded — the
-//     relaxation-space dominance tests behind the skyline prefilter
-//     (AvailabilitySnapshot::orderings()) and DominanceCounts.
+//   * AnyDominates / CountDominatorsBounded — the relaxation-space
+//     dominance tests behind the snapshot's skyline prefilter
+//     (AvailabilitySnapshot::orderings(), the library's one k-skyband).
 //
 // The AVX2 SelectWorkforceCells has a short path. Under kMinimalWorkforce,
 // a 4-lane group whose strategies all have the paper's slope signs
@@ -171,12 +171,10 @@ struct PointSoA {
   const double* latency = nullptr;
 };
 
-/// True when any of the first `n` SoA points dominates `q` (Dominates() of
-/// src/core/skyline.h). Pure comparisons — trivially bit-identical.
+/// True when any of the first `n` SoA points dominates `q` in relaxation
+/// space (the relation of the k-skyband argument at core::AdparOrderings,
+/// src/core/catalog_index.h). Pure comparisons — trivially bit-identical.
 bool AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q);
-
-/// Number of the first `n` SoA points dominating `q` (no early exit).
-uint32_t CountDominators(const PointSoA& pts, size_t n, const ParamVector& q);
 
 /// Dominator count with the skyline prefilter's scan semantics: visit
 /// points in order, stop at the first i with sums[i] >= sum_limit (sums is

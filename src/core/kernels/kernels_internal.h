@@ -37,8 +37,9 @@ inline WorkforceCell CellOne(const CoeffSoA& soa, size_t j,
   return ComputeWorkforceCell(profile, thresholds, policy);
 }
 
-/// Dominates() of src/core/skyline.h, read from a PointSoA: comparison for
-/// comparison the same expression.
+/// Whether point i dominates `q` in relaxation space (the relation of the
+/// k-skyband argument at core::AdparOrderings, src/core/catalog_index.h):
+/// no worse on every axis, strictly better on one.
 inline bool DominatesOne(const PointSoA& pts, size_t i, const ParamVector& q) {
   const bool no_worse = pts.quality[i] >= q.quality &&
                         pts.cost[i] <= q.cost && pts.latency[i] <= q.latency;
@@ -62,8 +63,6 @@ size_t ScalarSelectWorkforceCells(const CoeffSoA& soa, size_t begin,
                                   size_t first, SelectedCell* out,
                                   size_t* size);
 bool ScalarAnyDominates(const PointSoA& pts, size_t n, const ParamVector& q);
-uint32_t ScalarCountDominators(const PointSoA& pts, size_t n,
-                               const ParamVector& q);
 uint32_t ScalarCountDominatorsBounded(const PointSoA& pts, const double* sums,
                                       size_t n, double sum_limit, uint32_t cap,
                                       const ParamVector& q);
@@ -83,8 +82,6 @@ size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                                 WorkforcePolicy policy, double bound,
                                 size_t first, SelectedCell* out, size_t* size);
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q);
-uint32_t Avx2CountDominators(const PointSoA& pts, size_t n,
-                             const ParamVector& q);
 uint32_t Avx2CountDominatorsBounded(const PointSoA& pts, const double* sums,
                                     size_t n, double sum_limit, uint32_t cap,
                                     const ParamVector& q);

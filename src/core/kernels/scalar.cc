@@ -46,15 +46,6 @@ bool ScalarAnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {
   return false;
 }
 
-uint32_t ScalarCountDominators(const PointSoA& pts, size_t n,
-                               const ParamVector& q) {
-  uint32_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (DominatesOne(pts, i, q)) ++count;
-  }
-  return count;
-}
-
 uint32_t ScalarCountDominatorsBounded(const PointSoA& pts, const double* sums,
                                       size_t n, double sum_limit, uint32_t cap,
                                       const ParamVector& q) {

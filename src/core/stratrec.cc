@@ -31,7 +31,7 @@ Result<StratRecReport> StratRec::ProcessBatchAtAvailability(
       requests, availability, options.batch,
       options.batch_solver ? options.batch_solver
                            : SolverForAlgorithm(options.algorithm),
-      options.materialize_params, options.snapshot);
+      options.materialize_params);
   if (!report.ok()) return report.status();
 
   StratRecReport out;
@@ -40,13 +40,21 @@ Result<StratRecReport> StratRec::ProcessBatchAtAvailability(
   if (!options.recommend_alternatives || unsatisfied.empty()) return out;
 
   // Unsatisfied requests are forwarded to ADPaR (Section 2.2), against the
-  // concrete strategy parameters estimated at W: the caller's snapshot, or
-  // one built for this call. Each solve is independent, so with an executor
-  // the fan-out partitions across the pool; solutions land in a
-  // per-request slot and are folded back in request order, keeping the
-  // report identical to the serial path.
-  std::shared_ptr<const AvailabilitySnapshot> snapshot = options.snapshot;
-  if (snapshot == nullptr) {
+  // concrete strategy parameters estimated at W: the caller's source, asked
+  // here and only here, or a snapshot built for this call. Each solve is
+  // independent, so with an executor the fan-out partitions across the
+  // pool; solutions land in a per-request slot and are folded back in
+  // request order, keeping the report identical to the serial path.
+  std::shared_ptr<const AvailabilitySnapshot> snapshot;
+  if (options.snapshot) {
+    snapshot = options.snapshot(availability);
+    if (snapshot == nullptr || snapshot->availability() != availability ||
+        snapshot->size() != aggregator_.profiles().size()) {
+      return Status::InvalidArgument(
+          "availability snapshot does not match this run (missing, wrong W "
+          "or wrong catalog)");
+    }
+  } else {
     auto built = aggregator_.BuildSnapshot(
         availability, options.batch.executor, options.batch.parallel_grain);
     if (!built.ok()) return built.status();

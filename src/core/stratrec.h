@@ -24,20 +24,21 @@ struct StratRecOptions {
   /// Pluggable backends (api-layer registry). When set, `batch_solver`
   /// overrides `algorithm` and `adpar_solver` overrides the default
   /// snapshot AdparExact (the registry's "exact") for alternative
-  /// recommendation. The ADPaR solver receives the run's snapshot.
+  /// recommendation. The ADPaR solver receives the run's snapshot (see
+  /// `snapshot`).
   BatchSolverFn batch_solver;
   AdparSolverFn adpar_solver;
   /// Fill report.aggregator.strategy_params, the O(|S|) catalog block at
   /// W. Off by default: every alternative carries the parameters of its own
   /// k strategies, so no reader of a report needs the block.
   bool materialize_params = false;
-  /// Reuse of per-availability state across batches: when set (it must be
-  /// built for this catalog at exactly the run's W), strategy parameters
-  /// come from the snapshot's shared block, and the ADPaR solver searches
-  /// it. When null, a run that forwards requests to ADPaR builds one with
-  /// Aggregator::BuildSnapshot. The Service facade passes its cached
-  /// snapshot here; results are bit-identical with or without one.
-  std::shared_ptr<const AvailabilitySnapshot> snapshot;
+  /// Where the ADPaR leg gets the snapshot at the run's W. Called once,
+  /// after the batch solve, and only when alternatives are on and some
+  /// request went unserved; a null result, or a snapshot at another W or
+  /// over another catalog, fails the run with kInvalidArgument. When empty,
+  /// that leg builds one with Aggregator::BuildSnapshot. The Service facade
+  /// passes its snapshot cache here; results are bit-identical either way.
+  SnapshotSource snapshot;
 };
 
 /// ADPaR's output for one unsatisfied request.

@@ -8,7 +8,8 @@
 namespace stratrec::stream {
 
 Result<StreamScheduler> StreamScheduler::Create(
-    const core::CatalogIndex* index, Executor* executor, double availability,
+    const core::CatalogIndex* index, Executor* executor,
+    core::SnapshotSource snapshots, double availability,
     StreamSchedulerOptions options) {
   if (index == nullptr || index->empty()) {
     return Status::InvalidArgument("scheduler needs at least one strategy");
@@ -16,7 +17,11 @@ Result<StreamScheduler> StreamScheduler::Create(
   if (availability < 0.0 || availability > 1.0) {
     return Status::InvalidArgument("availability must lie in [0, 1]");
   }
-  return StreamScheduler(index, executor, availability, options);
+  if (options.recommend_alternatives && !snapshots) {
+    return Status::InvalidArgument("alternatives need a snapshot source");
+  }
+  return StreamScheduler(index, executor, std::move(snapshots), availability,
+                         options);
 }
 
 Result<std::pair<double, std::vector<size_t>>> StreamScheduler::Price(
@@ -68,16 +73,13 @@ Result<ArrivalOutcome> StreamScheduler::OnArrival(
   if (!priced.ok()) {
     stats_.rejected += 1;
     outcome.decision.kind = core::AdmissionDecision::Kind::kRejected;
-    // The batch pipeline's ADPaR leg, on the session's own snapshot: an
-    // ineligible request gets the closest satisfiable parameters. A failed
-    // solve (k > |S|) leaves the plain rejection — same containment as
-    // batch adpar_failures.
+    // The batch pipeline's ADPaR leg, on the snapshot the source serves at
+    // the session's quantized W: an ineligible request gets the closest
+    // satisfiable parameters. A failed solve (k > |S|) leaves the plain
+    // rejection — same containment as batch adpar_failures.
     if (options_.recommend_alternatives &&
         priced.status().code() == StatusCode::kInfeasible) {
-      if (snapshot_ == nullptr) {
-        snapshot_ = index_->BuildSnapshot(quantized_w_, executor_,
-                                          options_.parallel_grain);
-      }
+      if (snapshot_ == nullptr) snapshot_ = snapshots_(quantized_w_);
       auto alternative =
           core::AdparExact(*snapshot_, request.thresholds, request.k);
       if (alternative.ok()) {

@@ -10,13 +10,17 @@
 //     WorkforceMatrix::Compute, whose 1 x |S| row partitions across the
 //     work-stealing executor via ParallelFor (bit-identical cells to the
 //     serial fill — the catalog_index property tests pin that);
-//   * per-availability derived state is a core::AvailabilitySnapshot the
-//     session holds privately: arrivals/revocations/completions never
-//     touch it (workforce pricing is availability-independent — W is
-//     capacity, not a pricing input), an availability change drops it only
-//     when the quantized W moves, and the first ineligible arrival after
-//     that builds it again — so a session that never recommends an
-//     alternative never holds the O(|S|) block;
+//   * per-availability derived state is a core::AvailabilitySnapshot
+//     fetched from the caller's core::SnapshotSource (a Service passes its
+//     snapshot cache, so sessions at one quantized W share one block with
+//     each other and with batches and sweeps). The scheduler builds none
+//     itself. It holds what it fetched until the quantized W moves:
+//     arrivals/revocations/completions never touch it (workforce pricing
+//     is availability-independent — W is capacity, not a pricing input),
+//     an availability change drops it only when the quantized W moves, and
+//     the first ineligible arrival after that fetches it again — so a
+//     session that never recommends an alternative never asks for the
+//     O(|S|) block;
 //   * ineligible arrivals (fewer than k feasible strategies) can carry an
 //     alternative recommendation (paper Section 4) from the snapshot
 //     overload of core::AdparExact — the very solver the batch pipeline's
@@ -65,7 +69,7 @@ struct StreamSchedulerOptions {
   bool recommend_alternatives = false;
   /// Availability grid of the snapshot (matches ServiceConfig::cache).
   double availability_quantum = 0.0;
-  /// ParallelFor grain of the pricing row and the params re-estimation.
+  /// ParallelFor grain of the pricing row.
   size_t parallel_grain = 4096;
 };
 
@@ -81,9 +85,14 @@ struct ArrivalOutcome {
 class StreamScheduler {
  public:
   /// `index` and `executor` must outlive the scheduler (the Service owns
-  /// both). Fails on an empty catalog or an out-of-range availability.
+  /// both), and so must whatever `snapshots` refers to. `snapshots` serves
+  /// the snapshot at the quantized W for ADPaR alternatives, over the same
+  /// catalog as `index`; it may be empty when alternatives are off. Fails
+  /// on an empty catalog, an out-of-range availability, or alternatives
+  /// without a source.
   static Result<StreamScheduler> Create(const core::CatalogIndex* index,
                                         Executor* executor,
+                                        core::SnapshotSource snapshots,
                                         double availability,
                                         StreamSchedulerOptions options = {});
 
@@ -116,7 +125,7 @@ class StreamScheduler {
   /// completions, and availability changes within one grid cell.
   size_t snapshot_delta_updates() const { return delta_updates_; }
   /// Availability changes that moved the quantized W, dropping the
-  /// snapshot for the next ineligible arrival to rebuild.
+  /// snapshot for the next ineligible arrival to fetch again.
   size_t snapshot_rebuilds() const { return rebuilds_; }
 
  private:
@@ -129,9 +138,11 @@ class StreamScheduler {
   };
 
   StreamScheduler(const core::CatalogIndex* index, Executor* executor,
-                  double availability, StreamSchedulerOptions options)
+                  core::SnapshotSource snapshots, double availability,
+                  StreamSchedulerOptions options)
       : index_(index),
         executor_(executor),
+        snapshots_(std::move(snapshots)),
         options_(options),
         availability_(availability),
         quantized_w_(core::QuantizeAvailability(
@@ -150,11 +161,12 @@ class StreamScheduler {
 
   const core::CatalogIndex* index_;
   Executor* executor_;
+  core::SnapshotSource snapshots_;
   StreamSchedulerOptions options_;
   double availability_ = 0.0;
   /// availability_ snapped onto the options' grid; the snapshot's W.
   double quantized_w_ = 0.0;
-  /// Built at quantized_w_ by the first ineligible arrival that wants an
+  /// Fetched at quantized_w_ by the first ineligible arrival that wants an
   /// alternative; null until then and after every move of quantized_w_.
   std::shared_ptr<const core::AvailabilitySnapshot> snapshot_;
   size_t delta_updates_ = 0;

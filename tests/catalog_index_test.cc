@@ -4,18 +4,22 @@
 //   * WorkforceMatrix::Compute from the SoA arrays vs from profiles,
 //   * the index-accepting AdparExact (prebuilt orderings + skyline
 //     pruning) vs the classic per-request one,
-//   * StratRec with a reused availability snapshot vs without,
+//   * StratRec with a snapshot source vs without, and vs the dense
+//     per-profile pricer,
 //   * a Service batch served from a warm snapshot cache vs a cold one
 //     (byte-compared through the wire codec, at several pool sizes).
 //
-// Plus the cache bookkeeping itself: hit/miss counters, LRU eviction, and
-// availability quantization.
+// Plus the snapshot source's contract (checked when ADPaR runs, asked only
+// then) and the cache bookkeeping itself: hit/miss counters, LRU eviction,
+// availability quantization, and the lookups of batches, sweeps and stream
+// sessions.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/api/catalog.h"
@@ -26,7 +30,6 @@
 #include "src/core/adpar_baselines.h"
 #include "src/core/adpar_paper_sweep.h"
 #include "src/core/catalog_index.h"
-#include "src/core/skyline.h"
 #include "src/core/stratrec.h"
 #include "src/core/workforce.h"
 #include "src/workload/generators.h"
@@ -198,6 +201,24 @@ TEST(CatalogIndexProperty, AdparIndexedHandlesDuplicatesAndLargeK) {
   }
 }
 
+/// Prices through the dense per-profile WorkforceMatrix::Compute and its
+/// TopStrategies rows: the reference the index-backed PriceRows must match.
+RowPricerFn DensePricer(const std::vector<StrategyProfile>& profiles) {
+  return [&profiles](const std::vector<DeploymentRequest>& requests,
+                     WorkforcePolicy policy)
+             -> Result<std::vector<RowTopK>> {
+    const WorkforceMatrix dense =
+        WorkforceMatrix::Compute(requests, profiles, policy);
+    std::vector<RowTopK> rows;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      auto row = dense.TopStrategies(i, requests[i].k);
+      if (!row.ok()) return row.status();
+      rows.push_back(std::move(*row));
+    }
+    return rows;
+  };
+}
+
 TEST(CatalogIndexProperty, StratRecSnapshotBitIdentical) {
   workload::Generator generator({}, 0x1DE40006ull);
   Rng rng(0x1DE40007ull);
@@ -220,16 +241,17 @@ TEST(CatalogIndexProperty, StratRecSnapshotBitIdentical) {
     StratRecOptions with_snapshot = plain;
     auto snapshot = stratrec->aggregator().BuildSnapshot(w);
     ASSERT_TRUE(snapshot.ok());
-    with_snapshot.snapshot = *snapshot;
+    with_snapshot.snapshot = [&snapshot](double) { return *snapshot; };
     auto with = stratrec->ProcessBatchAtAvailability(requests, w,
                                                      with_snapshot);
     ASSERT_TRUE(with.ok()) << with.status().ToString();
 
     EXPECT_TRUE(*without == *with) << "trial " << trial;
 
-    // The unindexed reference path (no SoA matrix fill) agrees too.
+    // The unindexed reference rows (the dense per-profile matrix, no SoA
+    // index) agree too.
     StratRecOptions unindexed = plain;
-    unindexed.batch.use_catalog_index = false;
+    unindexed.batch.pricer = DensePricer(profiles);
     auto reference =
         stratrec->ProcessBatchAtAvailability(requests, w, unindexed);
     ASSERT_TRUE(reference.ok());
@@ -267,7 +289,6 @@ TEST(CatalogIndexProperty, AdparResultsCarryTheirStrategiesParams) {
       const std::vector<std::pair<const char*, Result<AdparResult>>> solved = {
           {"snapshot", AdparExact(*snapshot, d, k)},
           {"exact", AdparExact(params, d, k)},
-          {"skyband", AdparExactSkyband(params, d, k)},
           {"paper-sweep", AdparPaperSweep(params, d, k)},
           {"brute", AdparBrute(params, d, k)},
           {"baseline2", AdparBaseline2(params, d, k)},
@@ -320,6 +341,67 @@ TEST(CatalogIndex, ParamsMaterializationIsOptInForBatchOnlyRuns) {
   }
   // The batch outcome itself is unaffected by the params block.
   EXPECT_TRUE(lean->aggregator.batch == full->aggregator.batch);
+}
+
+// The snapshot check lives where the source is called: once ADPaR runs, a
+// source that returns null, a snapshot at another W, or one over another
+// catalog fails the batch with kInvalidArgument. The source is asked at
+// most once per run, and never when alternatives are off or every request
+// is served; with no source the ADPaR leg builds its own snapshot.
+TEST(CatalogIndex, SnapshotSourceIsAskedOnceAndCheckedWhenAdparRuns) {
+  workload::Generator generator({}, 0x1DE4000Bull);
+  const auto profiles = generator.Profiles(30);
+  auto stratrec = StratRec::Create(
+      api::CatalogFromProfiles(profiles).strategies, profiles);
+  ASSERT_TRUE(stratrec.ok());
+  const double w = 0.6;
+  // Demands no generated strategy meets, so ADPaR answers every request.
+  const auto hopeless = generator.RequestsWithRanges(3, 3, {0.97, 1.0},
+                                                     {0.0, 0.05}, {0.0, 0.05});
+  // Loose demands at k = 1, so the batch optimizer serves both.
+  const auto easy = generator.RequestsWithRanges(2, 1, {0.0, 0.1}, {0.9, 1.0},
+                                                 {0.9, 1.0});
+
+  auto built = stratrec->ProcessBatchAtAvailability(hopeless, w, {});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_EQ(built->alternatives.size(), hopeless.size());
+
+  const CatalogIndex& index = stratrec->aggregator().index();
+  int calls = 0;
+  StratRecOptions sourced;
+  sourced.snapshot = [&](double at) {
+    ++calls;
+    return index.BuildSnapshot(at);
+  };
+  auto with_source = stratrec->ProcessBatchAtAvailability(hopeless, w, sourced);
+  ASSERT_TRUE(with_source.ok()) << with_source.status().ToString();
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(*with_source == *built);
+
+  auto served = stratrec->ProcessBatchAtAvailability(easy, w, sourced);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_TRUE(served->aggregator.batch.unsatisfied.empty());
+  sourced.recommend_alternatives = false;
+  ASSERT_TRUE(stratrec->ProcessBatchAtAvailability(hopeless, w, sourced).ok());
+  EXPECT_EQ(calls, 1);
+
+  const CatalogIndex other = CatalogIndex::Build(generator.Profiles(31));
+  const std::vector<std::pair<const char*, SnapshotSource>> wrong = {
+      {"null",
+       [](double) { return std::shared_ptr<const AvailabilitySnapshot>(); }},
+      {"other W", [&](double at) { return index.BuildSnapshot(at / 2); }},
+      {"other catalog", [&](double at) { return other.BuildSnapshot(at); }},
+  };
+  for (const auto& [name, source] : wrong) {
+    StratRecOptions options;
+    options.snapshot = source;
+    auto failed = stratrec->ProcessBatchAtAvailability(hopeless, w, options);
+    ASSERT_FALSE(failed.ok()) << name;
+    EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument) << name;
+    // A batch that leaves nothing to ADPaR never reads the snapshot.
+    EXPECT_TRUE(stratrec->ProcessBatchAtAvailability(easy, w, options).ok())
+        << name;
+  }
 }
 
 }  // namespace
@@ -442,6 +524,98 @@ TEST(SnapshotCacheFacade, QuantizationSnapsAvailabilityOntoTheGrid) {
   EXPECT_EQ(second->availability, 0.5);
   // Both sides of 0.5 land on one grid point — the second call is a hit.
   EXPECT_GE(service->stats().cache_hits, 1u);
+}
+
+size_t Lookups(const Service& service) {
+  const ServiceStats stats = service.stats();
+  return stats.cache_hits + stats.cache_misses;
+}
+
+// Only ADPaR reads the snapshot, so a batch whose requests are all served
+// looks nothing up, even with alternatives on at a W no job has used, and
+// its report is the alternatives-off report byte for byte.
+TEST(SnapshotCacheFacade, AllServedBatchLooksUpNoSnapshot) {
+  ServiceConfig config;
+  config.execution.worker_threads = 2;
+  auto service = Service::Create(TestCatalog(64, 0xFACADE07ull), config);
+  ASSERT_TRUE(service.ok());
+  workload::Generator generator({}, 0xFACADE08ull);
+  BatchRequest with_alternatives;
+  with_alternatives.request_id = "all-served";
+  with_alternatives.requests = generator.RequestsWithRanges(
+      3, 1, {0.0, 0.1}, {0.9, 1.0}, {0.9, 1.0});
+  with_alternatives.availability = AvailabilitySpec::Fixed(0.71);
+  with_alternatives.recommend_alternatives = true;
+  BatchRequest without = with_alternatives;
+  without.recommend_alternatives = false;
+
+  auto on = service->SubmitBatch(with_alternatives);
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  ASSERT_TRUE(on->result.aggregator.batch.unsatisfied.empty());
+  EXPECT_EQ(Lookups(*service), 0u);
+  auto off = service->SubmitBatch(without);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_EQ(json::Dump(wire::Encode(*on)), json::Dump(wire::Encode(*off)));
+}
+
+TEST(SnapshotCacheFacade, SweepWithoutTargetsLooksUpNoSnapshot) {
+  ServiceConfig config;
+  config.execution.worker_threads = 1;
+  auto service = Service::Create(TestCatalog(16, 0xFACADE09ull), config);
+  ASSERT_TRUE(service.ok());
+  SweepRequest sweep;
+  sweep.availability = AvailabilitySpec::Fixed(0.4);
+  sweep.solvers = {"exact", "paper-sweep"};
+  auto report = service->RunSweep(std::move(sweep));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->outcomes.empty());
+  EXPECT_EQ(Lookups(*service), 0u);
+}
+
+// Stream sessions fetch through the tier's cache: two sessions at one
+// quantized W share one snapshot (one miss, then one hit), and each
+// alternative is the batch path's alternative for that request at that W.
+TEST(SnapshotCacheFacade, StreamSessionsShareTheTierSnapshot) {
+  ServiceConfig config;
+  config.execution.worker_threads = 2;
+  config.cache.availability_quantum = 0.05;
+  auto service = Service::Create(TestCatalog(64, 0xFACADE0Aull), config);
+  ASSERT_TRUE(service.ok());
+  workload::Generator generator({}, 0xFACADE0Bull);
+  auto ineligible = generator.RequestsWithRanges(2, 3, {0.97, 1.0},
+                                                 {0.0, 0.05}, {0.0, 0.05});
+  StreamOptions options;
+  options.availability = AvailabilitySpec::Fixed(0.53);
+  options.recommend_alternatives = true;
+
+  std::vector<StreamUpdate> updates;
+  for (size_t s = 0; s < ineligible.size(); ++s) {
+    std::string id = "ineligible-";
+    id += std::to_string(s);
+    ineligible[s].id = std::move(id);
+    auto session = service->OpenStream(options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto update = session->Submit(StreamEvent::Arrival(ineligible[s]));
+    ASSERT_TRUE(update.ok()) << update.status().ToString();
+    ASSERT_TRUE(update->has_alternative);
+    updates.push_back(std::move(*update));
+  }
+  const ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+
+  for (size_t s = 0; s < ineligible.size(); ++s) {
+    BatchRequest batch;
+    batch.requests = {ineligible[s]};
+    batch.availability = AvailabilitySpec::Fixed(0.53);
+    batch.recommend_alternatives = true;
+    auto report = service->SubmitBatch(std::move(batch));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->result.alternatives.size(), 1u);
+    EXPECT_EQ(json::Dump(wire::Encode(report->result.alternatives[0].result)),
+              json::Dump(wire::Encode(updates[s].alternative)))
+        << "session " << s;
+  }
 }
 
 TEST(SnapshotCacheFacade, DisabledCacheStillServesIdenticalReports) {

@@ -290,12 +290,19 @@ TEST(Kernels, DominanceBitIdenticalScalarVsAvx2) {
       l[i] = coarse();
     }
     const PointSoA pts{q.data(), c.data(), l.data()};
+    // With an unreachable sum limit and no cap, the bounded count visits
+    // every point: the full dominator count.
+    const std::vector<double> sums(n, 0.0);
+    const double no_limit = std::numeric_limits<double>::infinity();
+    const uint32_t no_cap = std::numeric_limits<uint32_t>::max();
     for (int probe = 0; probe < 32; ++probe) {
       const ParamVector query{coarse(), coarse(), coarse()};
       EXPECT_EQ(ki::ScalarAnyDominates(pts, n, query),
                 ki::Avx2AnyDominates(pts, n, query));
-      EXPECT_EQ(ki::ScalarCountDominators(pts, n, query),
-                ki::Avx2CountDominators(pts, n, query));
+      EXPECT_EQ(ki::ScalarCountDominatorsBounded(pts, sums.data(), n,
+                                                 no_limit, no_cap, query),
+                ki::Avx2CountDominatorsBounded(pts, sums.data(), n, no_limit,
+                                               no_cap, query));
     }
   }
 }

@@ -62,6 +62,15 @@ std::vector<core::DeploymentRequest> IneligibleRequests(uint64_t seed,
   return requests;
 }
 
+/// A snapshot source that builds over `index` on every call. A Service
+/// passes its snapshot cache instead; OpenStream covers that one.
+core::SnapshotSource SourceOver(const core::CatalogIndex& index,
+                                Executor* executor = nullptr) {
+  return [&index, executor](double w) {
+    return index.BuildSnapshot(w, executor);
+  };
+}
+
 // ---------------------------------------------------------------------------
 // Stream alternatives == the snapshot solver at the quantized W.
 // ---------------------------------------------------------------------------
@@ -84,8 +93,9 @@ TEST(StreamScheduler, AlternativesMatchFreshSnapshotsUnderInterleavings) {
     stream::StreamSchedulerOptions options;
     options.recommend_alternatives = true;
     options.availability_quantum = quantum;
-    auto scheduler = stream::StreamScheduler::Create(&index, &executor,
-                                                     rng.Uniform(), options);
+    auto scheduler = stream::StreamScheduler::Create(
+        &index, &executor, SourceOver(index, &executor), rng.Uniform(),
+        options);
     ASSERT_TRUE(scheduler.ok());
     const auto serviceable = PoolRequests(0xFEED'0200ull + trial, 40, 3);
     const auto ineligible = IneligibleRequests(0xFEED'0300ull + trial, 40, 3);
@@ -147,8 +157,8 @@ TEST(StreamScheduler, QuantumAbsorbsSubGridDrift) {
   stream::StreamSchedulerOptions options;
   options.recommend_alternatives = true;
   options.availability_quantum = 0.05;
-  auto scheduler =
-      stream::StreamScheduler::Create(&index, nullptr, 0.5, options);
+  auto scheduler = stream::StreamScheduler::Create(
+      &index, nullptr, SourceOver(index), 0.5, options);
   ASSERT_TRUE(scheduler.ok());
   ASSERT_TRUE(scheduler->SetAvailability(0.51).ok());  // same 0.05 cell
   ASSERT_TRUE(scheduler->SetAvailability(0.49).ok());
@@ -223,8 +233,8 @@ TEST(StreamScheduler, DecisionParityWithOnlineScheduler) {
     const auto requests = PoolRequests(0xFEED'0000ull + trial, 80, 3);
     stream::StreamSchedulerOptions stream_options;
     stream_options.max_pending = 8;
-    auto incremental =
-        stream::StreamScheduler::Create(&index, &executor, 0.5, stream_options);
+    auto incremental = stream::StreamScheduler::Create(
+        &index, &executor, SourceOver(index, &executor), 0.5, stream_options);
     ASSERT_TRUE(incremental.ok());
     core::OnlineOptions online_options;
     online_options.max_pending = 8;
@@ -290,8 +300,8 @@ TEST(StreamScheduler, ArrivalsKeepOnlyTheirKStrategies) {
   const core::CatalogIndex index = core::CatalogIndex::Build(profiles);
   stream::StreamSchedulerOptions options;
   options.recommend_alternatives = true;
-  auto scheduler = stream::StreamScheduler::Create(&index, nullptr, 0.9,
-                                                   options);
+  auto scheduler = stream::StreamScheduler::Create(
+      &index, nullptr, SourceOver(index), 0.9, options);
   ASSERT_TRUE(scheduler.ok());
 
   auto requests = PoolRequests(0xFEED'0100ull, 30, 3);
