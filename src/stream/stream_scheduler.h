@@ -13,14 +13,13 @@
 //   * per-availability derived state is a core::AvailabilitySnapshot
 //     fetched from the caller's core::SnapshotSource (a Service passes its
 //     snapshot cache, so sessions at one quantized W share one block with
-//     each other and with batches and sweeps). The scheduler builds none
-//     itself. It holds what it fetched until the quantized W moves:
-//     arrivals/revocations/completions never touch it (workforce pricing
-//     is availability-independent — W is capacity, not a pricing input),
-//     an availability change drops it only when the quantized W moves, and
-//     the first ineligible arrival after that fetches it again — so a
-//     session that never recommends an alternative never asks for the
-//     O(|S|) block;
+//     each other and with batches and sweeps); the scheduler builds none
+//     itself. Arrivals/revocations/completions never touch it (workforce
+//     pricing is availability-independent — W is capacity, not a pricing
+//     input), an availability change drops it only when the quantized W
+//     moves, and the first ineligible arrival after that fetches it again
+//     — so a session that never recommends an alternative never asks for
+//     the O(|S|) block;
 //   * ineligible arrivals (fewer than k feasible strategies) can carry an
 //     alternative recommendation (paper Section 4) from the snapshot
 //     overload of core::AdparExact — the very solver the batch pipeline's
