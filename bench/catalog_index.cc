@@ -169,18 +169,13 @@ SizeResult RunSize(size_t num_strategies, size_t num_batches,
   core::StratRecOptions indexed;
   indexed.batch.aggregation = core::AggregationMode::kSum;
   const auto snapshot_start = std::chrono::steady_clock::now();
-  auto snapshot = stratrec->aggregator().BuildSnapshot(kAvailability);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "snapshot build failed: %s\n",
-                 snapshot.status().ToString().c_str());
-    std::exit(1);
-  }
-  (*snapshot)->orderings();  // force the lazy ADPaR block for the timing
+  auto snapshot = stratrec->index().BuildSnapshot(kAvailability);
+  snapshot->orderings();  // force the lazy ADPaR block for the timing
   result.snapshot_build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     snapshot_start)
           .count();
-  indexed.snapshot = [prebuilt = *snapshot](double) { return prebuilt; };
+  indexed.snapshot = [prebuilt = snapshot](double) { return prebuilt; };
   // Scalar-forced leg first, then the active dispatch level on the same
   // batches; the snapshot's derived state is shared (bit-identical under
   // both levels), so only the per-batch kernels differ.
@@ -189,7 +184,7 @@ SizeResult RunSize(size_t num_strategies, size_t num_batches,
   result.indexed_scalar = RunLeg(*stratrec, batches, indexed);
   stratrec::core::kernels::Configure({});  // restore startup resolution
   result.indexed = RunLeg(*stratrec, batches, indexed);
-  result.index_build_nanos = stratrec->aggregator().index_build_nanos();
+  result.index_build_nanos = stratrec->index_build_nanos();
 
   if (result.indexed.alternatives != result.indexed_scalar.alternatives ||
       (!indexed_only &&

@@ -1,5 +1,7 @@
 #include "src/api/availability.h"
 
+#include "src/common/float_compare.h"
+
 namespace stratrec::api {
 
 AvailabilitySpec AvailabilitySpec::Fixed(double w) {
@@ -38,7 +40,7 @@ Result<double> ResolveAvailability(
     case AvailabilitySpec::Kind::kDefault:
       return default_availability;
     case AvailabilitySpec::Kind::kFixed:
-      if (spec.value < 0.0 || spec.value > 1.0) {
+      if (!InUnitInterval(spec.value)) {
         return Status::InvalidArgument("availability must lie in [0, 1]");
       }
       return spec.value;

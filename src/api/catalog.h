@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/aggregator.h"
+#include "src/core/stratrec.h"
 
 namespace stratrec::api {
 

@@ -129,7 +129,7 @@ Status FromJson(const Value& json, const char* key, bool* out) {
 template <std::integral I>
   requires(!std::same_as<I, bool>)
 Status FromJson(const Value& json, const char* key, I* out) {
-  constexpr double kMaxExact = 9007199254740992.0;
+  constexpr double kMaxExact = static_cast<double>(api::kMaxWireInteger);
   constexpr double kLow = std::max<double>(std::numeric_limits<I>::lowest(),
                                            -kMaxExact);
   constexpr double kHigh = std::min<double>(std::numeric_limits<I>::max(),

@@ -37,7 +37,7 @@
 #include "src/api/config.h"
 #include "src/api/envelope.h"
 #include "src/common/json.h"
-#include "src/core/aggregator.h"
+#include "src/core/stratrec.h"
 
 namespace stratrec::wire {
 

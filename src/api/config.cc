@@ -21,10 +21,6 @@ Status ValidateConfig(const ServiceConfig& config) {
   if (config.execution.parallel_grain == 0) {
     return Status::InvalidArgument("execution.parallel_grain must be >= 1");
   }
-  // The wire codec carries integers as JSON numbers, exact only up to 2^53;
-  // reject larger knobs here so an unserializable config fails at Create
-  // (record time), not when a journal is read back.
-  constexpr size_t kMaxWireInteger = size_t{1} << 53;
   if (config.stream.max_pending > kMaxWireInteger) {
     return Status::InvalidArgument(
         "stream.max_pending exceeds 2^53 and would not round-trip the wire "

@@ -150,6 +150,13 @@ struct ServiceConfig {
   bool operator==(const ServiceConfig&) const = default;
 };
 
+/// The largest integer the wire codec carries exactly: integers travel as
+/// JSON numbers, exact only up to 2^53. ValidateConfig refuses larger config
+/// knobs and OpenStream a larger per-session max_pending, so an
+/// unserializable value fails when it is recorded, not when a journal is
+/// read back.
+inline constexpr size_t kMaxWireInteger = size_t{1} << 53;
+
 /// Checks the config against the global registry (algorithm names resolve)
 /// and validates the default availability spec. Named specs are allowed here
 /// — they resolve per call against the service's registered models.

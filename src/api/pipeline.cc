@@ -185,7 +185,7 @@ ServiceState::ServiceState(ServiceConfig config_in, core::StratRec stratrec_in,
       snapshots(config.cache),
       journal(std::move(journal_in)),
       executor(config.execution.worker_threads) {
-  stratrec.aggregator().index(&executor, config.execution.parallel_grain);
+  stratrec.index(&executor, config.execution.parallel_grain);
 }
 
 std::shared_ptr<const core::AvailabilitySnapshot> ServiceState::SnapshotFor(
@@ -195,7 +195,7 @@ std::shared_ptr<const core::AvailabilitySnapshot> ServiceState::SnapshotFor(
     return cached;
   }
   stats.Add(&ServiceStats::cache_misses);
-  auto built = stratrec.aggregator().index().BuildSnapshot(
+  auto built = stratrec.index().BuildSnapshot(
       w, &executor, config.execution.parallel_grain);
   return snapshots.Insert(w, std::move(built));
 }
@@ -214,7 +214,7 @@ ServiceStats ServiceState::Stats() const {
   ServiceStats out = stats.Snapshot();
   AddExecutorGauges(executor, &out);
   out.index_build_nanos =
-      static_cast<size_t>(stratrec.aggregator().index_build_nanos());
+      static_cast<size_t>(stratrec.index_build_nanos());
   out.kernel_dispatch =
       core::kernels::DispatchLevelName(core::kernels::ActiveDispatchLevel());
   return out;

@@ -140,8 +140,9 @@ class SnapshotCache {
 ///     hedge scans while the index inside `stratrec` is alive.
 struct ServiceState {
   ServiceConfig config;
-  /// The whole catalog: its aggregator and index. ProcessBatch is const and
-  /// therefore safe under concurrent jobs without locking.
+  /// The whole catalog, its index and the Figure-1 pipeline.
+  /// ProcessBatchAtAvailability is const and therefore safe under
+  /// concurrent jobs without locking.
   core::StratRec stratrec;
 
   IdSequence ids;

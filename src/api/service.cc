@@ -106,6 +106,10 @@ Result<SweepReport> Service::RunSweep(SweepRequest request) const {
 }
 
 Result<StreamSession> Service::OpenStream(const StreamOptions& options) const {
+  if (options.max_pending.value_or(0) > kMaxWireInteger) {
+    return Status::InvalidArgument(
+        "max_pending exceeds 2^53 and would not round-trip the wire codec");
+  }
   auto availability = state_->Resolve(options.availability);
   if (!availability.ok()) return availability.status();
 
@@ -131,7 +135,7 @@ Result<StreamSession> Service::OpenStream(const StreamOptions& options) const {
 
   internal::ServiceState* service = state_.get();
   auto scheduler = stream::StreamScheduler::Create(
-      &service->stratrec.aggregator().index(), &service->executor,
+      &service->stratrec.index(), &service->executor,
       [service](double w) { return service->SnapshotFor(w); }, *availability,
       scheduler_options);
   if (!scheduler.ok()) return scheduler.status();
@@ -163,11 +167,11 @@ Status Service::RegisterAvailabilityModel(std::string name,
 }
 
 const std::vector<core::Strategy>& Service::strategies() const {
-  return state_->stratrec.aggregator().strategies();
+  return state_->stratrec.strategies();
 }
 
 const std::vector<core::StrategyProfile>& Service::profiles() const {
-  return state_->stratrec.aggregator().profiles();
+  return state_->stratrec.profiles();
 }
 
 const ServiceConfig& Service::config() const { return state_->config; }

@@ -94,7 +94,7 @@ class StreamSession {
 /// The session-oriented facade. Construct once per strategy catalog.
 class Service {
  public:
-  /// Validates the catalog (Aggregator alignment rules) and the config
+  /// Validates the catalog (StratRec alignment rules) and the config
   /// (registry names resolve, availability spec well-formed, executor
   /// sizing sane), then spins up the worker pool.
   static Result<Service> Create(core::Catalog catalog,
@@ -130,7 +130,7 @@ class Service {
                                    core::AvailabilityModel model) const;
 
   /// The catalog the service was built from (owned by the wrapped
-  /// aggregator — the service keeps no second copy).
+  /// core::StratRec — the service keeps no second copy).
   const std::vector<core::Strategy>& strategies() const;
   const std::vector<core::StrategyProfile>& profiles() const;
 

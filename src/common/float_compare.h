@@ -35,6 +35,10 @@ inline double Clamp(double v, double lo, double hi) {
 /// Clamps v into the unit interval.
 inline double ClampUnit(double v) { return Clamp(v, 0.0, 1.0); }
 
+/// v lies in the unit interval. False for NaN, which `v < 0 || v > 1`
+/// lets through, so every [0, 1] range check is written !InUnitInterval(v).
+inline bool InUnitInterval(double v) { return v >= 0.0 && v <= 1.0; }
+
 }  // namespace stratrec
 
 #endif  // STRATREC_COMMON_FLOAT_COMPARE_H_

@@ -1,11 +1,13 @@
 #include "src/core/availability.h"
 
+#include "src/common/float_compare.h"
+
 namespace stratrec::core {
 
 Result<AvailabilityModel> AvailabilityModel::FromPmf(
     std::vector<stats::PmfAtom> atoms) {
   for (const auto& atom : atoms) {
-    if (atom.value < 0.0 || atom.value > 1.0) {
+    if (!InUnitInterval(atom.value)) {
       return Status::InvalidArgument(
           "availability fractions must lie in [0, 1]");
     }
@@ -18,7 +20,7 @@ Result<AvailabilityModel> AvailabilityModel::FromPmf(
 Result<AvailabilityModel> AvailabilityModel::FromSamples(
     const std::vector<double>& fractions) {
   for (double f : fractions) {
-    if (f < 0.0 || f > 1.0) {
+    if (!InUnitInterval(f)) {
       return Status::InvalidArgument(
           "availability fractions must lie in [0, 1]");
     }

@@ -23,8 +23,8 @@ namespace stratrec::core {
 /// request i's feasible count and its min(k, feasible) cheapest strategies
 /// (k = requests[i].k), indexed over the catalog, exactly as PriceRows
 /// returns them over [0, |S|). The one seam that says how a batch's rows
-/// are priced: the Aggregator installs PriceRows over its index, and the
-/// shard router installs its scatter and k-way merge.
+/// are priced: StratRec installs PriceRows over its catalog's index, and
+/// the shard router installs its scatter and k-way merge.
 using RowPricerFn = std::function<Result<std::vector<RowTopK>>(
     const std::vector<DeploymentRequest>&, WorkforcePolicy)>;
 
@@ -44,11 +44,11 @@ struct BatchOptions {
   /// Minimum work items per chunk when `executor` is set (cells for the
   /// pricing, rounded up to whole PriceRows units).
   size_t parallel_grain = 4096;
-  /// How the solve prices its rows (PriceBatch). Aggregator::
-  /// RunAtAvailability installs PriceRows over the catalog's index when
-  /// this is empty; a shard router installs its sharded pricer. A direct
-  /// SolveBatch call with it empty prices on an index built from the
-  /// profile list for the call.
+  /// How the solve prices its rows (PriceBatch).
+  /// StratRec::ProcessBatchAtAvailability installs PriceRows over the
+  /// catalog's index when this is empty; a shard router installs its
+  /// sharded pricer. A direct SolveBatch call with it empty prices on an
+  /// index built from the profile list for the call.
   RowPricerFn pricer;
 };
 
@@ -93,9 +93,10 @@ enum class BatchAlgorithm {
 /// by the api-layer algorithm registry and sweep reports.
 const char* BatchAlgorithmName(BatchAlgorithm algorithm);
 
-/// A pluggable batch solver: anything with the SolveBatch signature. The
-/// Aggregator/StratRec pipeline accepts one of these so backends beyond the
-/// built-in enum (api-layer registry entries) slot in without core changes.
+/// A pluggable batch solver: anything with the SolveBatch signature.
+/// StratRec's pipeline accepts one of these (StratRecOptions::batch_solver)
+/// so backends beyond the built-in enum (api-layer registry entries) slot
+/// in without core changes.
 using BatchSolverFn = std::function<Result<BatchResult>(
     const std::vector<DeploymentRequest>&, const std::vector<StrategyProfile>&,
     double, const BatchOptions&)>;

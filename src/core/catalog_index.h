@@ -9,7 +9,8 @@
 //     arrays (alpha[axis][], beta[axis][]) so the m x |S| workforce-matrix
 //     fill and the O(|S|) parameter estimation stream through contiguous
 //     doubles instead of chasing per-profile structs. Built once per
-//     Aggregator/Service (optionally ParallelFor-parallel).
+//     StratRec, and so once per Service or router (optionally
+//     ParallelFor-parallel).
 //
 //   * AvailabilitySnapshot — keyed on one availability W. The flat
 //     ParamVector block EstimateParams(W) produces (shared by every ADPaR

@@ -1,12 +1,13 @@
 #include "src/core/deployment.h"
 
+#include "src/common/float_compare.h"
+
 namespace stratrec::core {
 
 Status ValidateRequest(const DeploymentRequest& request) {
-  auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
-  if (!in_unit(request.thresholds.quality) ||
-      !in_unit(request.thresholds.cost) ||
-      !in_unit(request.thresholds.latency)) {
+  if (!InUnitInterval(request.thresholds.quality) ||
+      !InUnitInterval(request.thresholds.cost) ||
+      !InUnitInterval(request.thresholds.latency)) {
     return Status::InvalidArgument("request '" + request.id +
                                    "': thresholds must lie in [0, 1]");
   }

@@ -28,8 +28,8 @@
 // so its bits match. Every other group, and kPaperMaxOfThree, takes the
 // general chain. FillWorkforceCells keeps the general chain on every
 // group: a faster stream pricer raises perfbench's stream throughput and
-// with it the check log's RSS past its bound (ROADMAP, "Why the stream
-// pricer waits").
+// with it the check log's RSS past its bound (ROADMAP, "One pricer: move
+// the stream path onto PriceRows").
 //
 // Two implementations exist for every kernel: a portable scalar one
 // (always compiled, the reference semantics) and an AVX2 one (4 double

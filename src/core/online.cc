@@ -12,7 +12,7 @@ Result<OnlineScheduler> OnlineScheduler::Create(
   if (profiles.empty()) {
     return Status::InvalidArgument("scheduler needs at least one strategy");
   }
-  if (availability < 0.0 || availability > 1.0) {
+  if (!InUnitInterval(availability)) {
     return Status::InvalidArgument("availability must lie in [0, 1]");
   }
   return OnlineScheduler(std::move(profiles), availability,
@@ -147,7 +147,7 @@ Status OnlineScheduler::OnCompletion(const std::string& request_id) {
 }
 
 Status OnlineScheduler::SetAvailability(double availability) {
-  if (availability < 0.0 || availability > 1.0) {
+  if (!InUnitInterval(availability)) {
     return Status::InvalidArgument("availability must lie in [0, 1]");
   }
   availability_ = availability;

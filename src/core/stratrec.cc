@@ -1,19 +1,36 @@
 #include "src/core/stratrec.h"
 
+#include "src/common/float_compare.h"
+
 namespace stratrec::core {
 
 Result<StratRec> StratRec::Create(std::vector<Strategy> strategies,
                                   std::vector<StrategyProfile> profiles) {
-  auto aggregator =
-      Aggregator::Create(std::move(strategies), std::move(profiles));
-  if (!aggregator.ok()) return aggregator.status();
-  return StratRec(std::move(*aggregator));
+  if (strategies.size() != profiles.size()) {
+    return Status::InvalidArgument(
+        "strategy and profile lists must be index-aligned");
+  }
+  if (strategies.empty()) {
+    return Status::InvalidArgument("catalog needs at least one strategy");
+  }
+  return StratRec(std::move(strategies), std::move(profiles));
 }
 
 Result<StratRec> StratRec::Create(Catalog catalog) {
-  auto aggregator = Aggregator::Create(std::move(catalog));
-  if (!aggregator.ok()) return aggregator.status();
-  return StratRec(std::move(*aggregator));
+  return Create(std::move(catalog.strategies), std::move(catalog.profiles));
+}
+
+const CatalogIndex& StratRec::index(Executor* executor, size_t grain) const {
+  std::call_once(lazy_index_->once, [&] {
+    lazy_index_->index = CatalogIndex::Build(profiles_, executor, grain);
+    lazy_index_->build_nanos.store(lazy_index_->index.build_nanos(),
+                                   std::memory_order_relaxed);
+  });
+  return lazy_index_->index;
+}
+
+uint64_t StratRec::index_build_nanos() const {
+  return lazy_index_->build_nanos.load(std::memory_order_relaxed);
 }
 
 Result<StratRecReport> StratRec::ProcessBatch(
@@ -27,15 +44,38 @@ Result<StratRecReport> StratRec::ProcessBatch(
 Result<StratRecReport> StratRec::ProcessBatchAtAvailability(
     const std::vector<DeploymentRequest>& requests, double availability,
     const StratRecOptions& options) const {
-  auto report = aggregator_.RunAtAvailability(
-      requests, availability, options.batch,
-      options.batch_solver ? options.batch_solver
-                           : SolverForAlgorithm(options.algorithm),
-      options.materialize_params);
-  if (!report.ok()) return report.status();
+  if (!InUnitInterval(availability)) {
+    return Status::InvalidArgument("availability must lie in [0, 1]");
+  }
+  Executor* const executor = options.batch.executor;
+  const size_t grain = options.batch.parallel_grain;
 
+  // The Aggregator stage: price against the catalog's index unless the
+  // caller brought its own pricer (a shard router's scatter), then solve.
+  BatchOptions batch_options = options.batch;
+  if (!batch_options.pricer) {
+    batch_options.pricer = [catalog_index = &index(executor, grain), executor,
+                            grain](const std::vector<DeploymentRequest>& batch,
+                                   WorkforcePolicy policy)
+        -> Result<std::vector<RowTopK>> {
+      return PriceRows(batch, *catalog_index, 0, catalog_index->size(), policy,
+                       executor, grain);
+    };
+  }
   StratRecReport out;
-  out.aggregator = std::move(*report);
+  out.aggregator.availability = availability;
+  if (options.materialize_params) {
+    index(executor, grain).EstimateParamsInto(
+        availability, &out.aggregator.strategy_params, executor, grain);
+  }
+  auto batch = options.batch_solver
+                   ? options.batch_solver(requests, profiles_, availability,
+                                          batch_options)
+                   : BatchStrat(requests, profiles_, availability,
+                                batch_options);
+  if (!batch.ok()) return batch.status();
+  out.aggregator.batch = std::move(*batch);
+
   const std::vector<size_t>& unsatisfied = out.aggregator.batch.unsatisfied;
   if (!options.recommend_alternatives || unsatisfied.empty()) return out;
 
@@ -49,16 +89,14 @@ Result<StratRecReport> StratRec::ProcessBatchAtAvailability(
   if (options.snapshot) {
     snapshot = options.snapshot(availability);
     if (snapshot == nullptr || snapshot->availability() != availability ||
-        snapshot->size() != aggregator_.profiles().size()) {
+        snapshot->size() != profiles_.size()) {
       return Status::InvalidArgument(
           "availability snapshot does not match this run (missing, wrong W "
           "or wrong catalog)");
     }
   } else {
-    auto built = aggregator_.BuildSnapshot(
-        availability, options.batch.executor, options.batch.parallel_grain);
-    if (!built.ok()) return built.status();
-    snapshot = std::move(*built);
+    snapshot = index(executor, grain).BuildSnapshot(availability, executor,
+                                                    grain);
   }
   std::vector<Result<AdparResult>> solved(
       unsatisfied.size(), Result<AdparResult>(Status::Internal("unset")));
@@ -71,10 +109,10 @@ Result<StratRecReport> StratRec::ProcessBatchAtAvailability(
                       : AdparExact(*snapshot, request.thresholds, request.k);
     }
   };
-  if (options.batch.executor != nullptr) {
+  if (executor != nullptr) {
     // ADPaR solves are orders of magnitude heavier than a matrix cell; use
     // a one-request grain so every solve can run on its own worker.
-    options.batch.executor->ParallelFor(unsatisfied.size(), 1, solve);
+    executor->ParallelFor(unsatisfied.size(), 1, solve);
   } else {
     solve(0, unsatisfied.size());
   }

@@ -115,7 +115,7 @@ std::optional<ScanTicket> Dispatch(RouterState* state,
   if (ReplicaKilled(s, r)) return std::nullopt;
   auto shared = std::make_shared<api::internal::TicketShared<RangeScan>>("");
   Executor* pool = &state->ReplicaPool(s, r);
-  pool->Submit([index = &state->runtime.stratrec.aggregator().index(),
+  pool->Submit([index = &state->runtime.stratrec.index(),
                 begin = state->offsets[s], end = state->offsets[s + 1],
                 grain = state->runtime.config.execution.parallel_grain, pool,
                 shared, input = std::move(input)] {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/float_compare.h"
+
 namespace stratrec::stats {
 
 Result<double> Mean(const std::vector<double>& xs) {
@@ -40,7 +42,7 @@ Result<double> Median(std::vector<double> xs) {
 
 Result<double> Quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return Status::InvalidArgument("Quantile of empty sample");
-  if (q < 0.0 || q > 1.0) {
+  if (!InUnitInterval(q)) {
     return Status::InvalidArgument("quantile must lie in [0,1]");
   }
   std::sort(xs.begin(), xs.end());

@@ -4,14 +4,16 @@
 #include <cmath>
 #include <map>
 
+#include "src/common/float_compare.h"
+
 namespace stratrec::stats {
 
 Result<EmpiricalPmf> EmpiricalPmf::Create(std::vector<PmfAtom> atoms) {
   if (atoms.empty()) return Status::InvalidArgument("PMF needs >= 1 atom");
   double total = 0.0;
   for (const auto& atom : atoms) {
-    if (atom.probability < 0.0) {
-      return Status::InvalidArgument("negative probability");
+    if (!InUnitInterval(atom.probability)) {
+      return Status::InvalidArgument("probabilities must lie in [0, 1]");
     }
     total += atom.probability;
   }

@@ -14,7 +14,7 @@ Result<StreamScheduler> StreamScheduler::Create(
   if (index == nullptr || index->empty()) {
     return Status::InvalidArgument("scheduler needs at least one strategy");
   }
-  if (availability < 0.0 || availability > 1.0) {
+  if (!InUnitInterval(availability)) {
     return Status::InvalidArgument("availability must lie in [0, 1]");
   }
   if (options.recommend_alternatives && !snapshots) {
@@ -176,7 +176,7 @@ Status StreamScheduler::OnCompletion(const std::string& request_id) {
 }
 
 Status StreamScheduler::SetAvailability(double availability) {
-  if (availability < 0.0 || availability > 1.0) {
+  if (!InUnitInterval(availability)) {
     return Status::InvalidArgument("availability must lie in [0, 1]");
   }
   availability_ = availability;

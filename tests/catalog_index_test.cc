@@ -239,9 +239,8 @@ TEST(CatalogIndexProperty, StratRecSnapshotBitIdentical) {
     ASSERT_TRUE(without.ok()) << without.status().ToString();
 
     StratRecOptions with_snapshot = plain;
-    auto snapshot = stratrec->aggregator().BuildSnapshot(w);
-    ASSERT_TRUE(snapshot.ok());
-    with_snapshot.snapshot = [&snapshot](double) { return *snapshot; };
+    auto snapshot = stratrec->index().BuildSnapshot(w);
+    with_snapshot.snapshot = [&snapshot](double) { return snapshot; };
     auto with = stratrec->ProcessBatchAtAvailability(requests, w,
                                                      with_snapshot);
     ASSERT_TRUE(with.ok()) << with.status().ToString();
@@ -366,7 +365,7 @@ TEST(CatalogIndex, SnapshotSourceIsAskedOnceAndCheckedWhenAdparRuns) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   ASSERT_EQ(built->alternatives.size(), hopeless.size());
 
-  const CatalogIndex& index = stratrec->aggregator().index();
+  const CatalogIndex& index = stratrec->index();
   int calls = 0;
   StratRecOptions sourced;
   sourced.snapshot = [&](double at) {

@@ -2,6 +2,8 @@
 // deployment requests, availability.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/common/rng.h"
 #include "src/core/availability.h"
 #include "src/core/deployment.h"
@@ -231,6 +233,10 @@ TEST(AvailabilityTest, RejectsOutOfRangeFractions) {
   EXPECT_FALSE(AvailabilityModel::FromPmf({{1.5, 1.0}}).ok());
   EXPECT_FALSE(AvailabilityModel::FromSamples({0.5, -0.1}).ok());
   EXPECT_FALSE(AvailabilityModel::FromSamples({}).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(AvailabilityModel::FromPmf({{nan, 1.0}}).ok());
+  EXPECT_FALSE(AvailabilityModel::FromPmf({{0.5, nan}}).ok());
+  EXPECT_FALSE(AvailabilityModel::FromSamples({0.2, nan}).ok());
 }
 
 }  // namespace

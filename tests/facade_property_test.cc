@@ -30,7 +30,7 @@ class FacadePropertyTest
     options_.batch.objective = std::get<0>(GetParam());
     options_.batch.aggregation = std::get<1>(GetParam());
     options_.batch.policy = std::get<2>(GetParam());
-    options_.algorithm = std::get<3>(GetParam());
+    options_.batch_solver = SolverForAlgorithm(std::get<3>(GetParam()));
   }
 
   std::vector<Strategy> strategies_;

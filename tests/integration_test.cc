@@ -1,6 +1,6 @@
-// Integration tests: the full StratRec pipeline (Aggregator + ADPaR) on the
-// paper's worked example and on simulated-platform inputs, plus the AMT
-// simulator's end-to-end studies.
+// Integration tests: the full StratRec pipeline (the Aggregator stage, then
+// ADPaR) on the paper's worked example and on simulated-platform inputs,
+// plus the AMT simulator's end-to-end studies.
 #include <gtest/gtest.h>
 
 #include "src/core/stratrec.h"
@@ -208,7 +208,7 @@ TEST(AmtIntegration, BuildStratRecFitsAllEightStages) {
   platform::AmtSimulator amt(options, 777);
   auto stratrec = amt.BuildStratRec(platform::TaskType::kTextCreation);
   ASSERT_TRUE(stratrec.ok()) << stratrec.status().ToString();
-  EXPECT_EQ(stratrec->aggregator().strategies().size(), 8u);
+  EXPECT_EQ(stratrec->strategies().size(), 8u);
 }
 
 TEST(AmtIntegration, MirroredStudyFavorsStratRec) {

@@ -3,6 +3,8 @@
 // changes, and the rolling-greedy re-admission discipline.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/core/online.h"
 #include "src/workload/generators.h"
 
@@ -152,6 +154,10 @@ TEST(OnlineScheduler, AvailabilityIncreaseAdmitsPending) {
   EXPECT_EQ(scheduler->active(), 1u);
   EXPECT_EQ(scheduler->pending(), 0u);
   EXPECT_FALSE(scheduler->SetAvailability(2.0).ok());
+  EXPECT_FALSE(
+      scheduler->SetAvailability(std::numeric_limits<double>::quiet_NaN())
+          .ok());
+  EXPECT_DOUBLE_EQ(scheduler->availability(), 0.9);
 }
 
 TEST(OnlineScheduler, AvailabilityDecreaseHonorsCommitments) {

@@ -119,7 +119,7 @@ TEST_P(ServicePropertyTest, AgreesWithWrappedCorePipeline) {
   core_options.batch.objective = config_.batch.objective;
   core_options.batch.aggregation = config_.batch.aggregation;
   core_options.batch.policy = config_.batch.policy;
-  core_options.algorithm = CoreAlgorithm();
+  core_options.batch_solver = core::SolverForAlgorithm(CoreAlgorithm());
 
   BatchRequest envelope;
   envelope.requests = requests_;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -111,6 +112,38 @@ TEST(ServiceCreate, ValidatesCatalogAndConfig) {
     ASSERT_TRUE(trace->has_config) << name;
     EXPECT_EQ(trace->config, at) << name;
   }
+  std::remove(path.c_str());
+}
+
+TEST(ServiceCreate, SessionMaxPendingStopsAtTheWireLimit) {
+  // A session's max_pending override travels in its stream-open record, so
+  // it obeys the same 2^53 cap as the config knob: over it, OpenStream
+  // fails before anything is journaled; at it, the journal reads back.
+  constexpr size_t kCap = size_t{1} << 53;
+  const std::string path =
+      ::testing::TempDir() + "stratrec_session_max_pending.journal";
+  std::remove(path.c_str());
+  ServiceConfig config;
+  config.journal.path = path;
+  auto service = Service::Create(Table1Catalog(), config);
+  ASSERT_TRUE(service.ok());
+
+  StreamOptions over;
+  over.max_pending = kCap + 2;
+  EXPECT_EQ(service->OpenStream(over).status().code(),
+            StatusCode::kInvalidArgument);
+  auto refused = wire::ReadTraceFile(path);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_TRUE(refused->stream_opens.empty());
+
+  StreamOptions at;
+  at.max_pending = kCap;
+  at.session_id = "at-the-cap";
+  ASSERT_TRUE(service->OpenStream(at).ok());
+  auto trace = wire::ReadTraceFile(path);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  ASSERT_EQ(trace->stream_opens.size(), 1u);
+  EXPECT_EQ(trace->stream_opens[0].options, at);
   std::remove(path.c_str());
 }
 
@@ -282,6 +315,47 @@ TEST(ServiceAvailability, NamedModelsResolvePerCall) {
   auto missing = service->SubmitBatch(batch);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+TEST(ServiceAvailability, NanIsRejectedOnEveryPath) {
+  auto service = Service::Create(Table1Catalog());
+  ASSERT_TRUE(service.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const AvailabilitySpec fixed_nan = AvailabilitySpec::Fixed(nan);
+
+  const std::vector<AvailabilitySpec> specs = {
+      fixed_nan, AvailabilitySpec::FromPmf({{nan, 1.0}}),
+      AvailabilitySpec::FromPmf({{0.5, nan}}),
+      AvailabilitySpec::FromSamples({0.2, nan})};
+  for (size_t s = 0; s < specs.size(); ++s) {
+    for (bool alternatives : {false, true}) {
+      BatchRequest batch;
+      batch.requests = Table1Requests();
+      batch.availability = specs[s];
+      batch.recommend_alternatives = alternatives;
+      EXPECT_EQ(service->SubmitBatch(batch).status().code(),
+                StatusCode::kInvalidArgument)
+          << "spec " << s << ", alternatives " << alternatives;
+    }
+  }
+
+  SweepRequest sweep;
+  sweep.targets = Table1Requests();
+  sweep.availability = fixed_nan;
+  EXPECT_EQ(service->RunSweep(sweep).status().code(),
+            StatusCode::kInvalidArgument);
+
+  StreamOptions options;
+  options.availability = fixed_nan;
+  EXPECT_EQ(service->OpenStream(options).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto session = service->OpenStream({});
+  ASSERT_TRUE(session.ok());
+  const double before = session->availability();
+  EXPECT_EQ(session->SetAvailability(fixed_nan).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->availability(), before);
 }
 
 TEST(ServiceSweep, CrossProductAndPerCellInfeasibility) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/common/rng.h"
 #include "src/stats/descriptive.h"
@@ -42,6 +43,7 @@ TEST(Descriptive, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.5).value(), 2.0);
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.25).value(), 1.0);
   EXPECT_FALSE(Quantile(xs, 1.5).ok());
+  EXPECT_FALSE(Quantile(xs, std::numeric_limits<double>::quiet_NaN()).ok());
 }
 
 TEST(Descriptive, MinMax) {
@@ -237,6 +239,10 @@ TEST(Empirical, CreateValidation) {
   EXPECT_FALSE(EmpiricalPmf::Create({}).ok());
   EXPECT_FALSE(EmpiricalPmf::Create({{0.5, 0.4}}).ok());         // sums to 0.4
   EXPECT_FALSE(EmpiricalPmf::Create({{0.5, -0.1}, {0.6, 1.1}}).ok());
+  // A NaN probability passes neither the sign check nor the sum check.
+  EXPECT_FALSE(
+      EmpiricalPmf::Create({{0.5, std::numeric_limits<double>::quiet_NaN()}})
+          .ok());
 }
 
 TEST(Empirical, FromSamplesCountsDuplicates) {
