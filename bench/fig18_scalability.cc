@@ -212,7 +212,7 @@ void BM_PriceRowsPerfbenchShape(benchmark::State& state) {
     benchmark::DoNotOptimize(rows);
   }
 }
-BENCHMARK(BM_PriceRowsPerfbenchShape)->Arg(100000)
+BENCHMARK(BM_PriceRowsPerfbenchShape)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PriceRowsMixedSigns(benchmark::State& state) {

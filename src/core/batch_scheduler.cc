@@ -44,8 +44,12 @@ Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
                                double available_workforce,
                                const BatchOptions& options,
                                BatchAlgorithm algorithm) {
-  if (available_workforce < 0.0) {
+  if (!(available_workforce >= 0.0)) {  // NaN fails too
     return Status::InvalidArgument("available workforce must be >= 0");
+  }
+  // Refused before the O(m * |S|) scan, which on a router is a scatter.
+  for (const DeploymentRequest& request : requests) {
+    STRATREC_RETURN_NOT_OK(ValidateRequest(request));
   }
   // The k-best list doubles as the aggregation order and as the
   // commit-time strategy list.
@@ -58,7 +62,6 @@ Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
   std::vector<KnapsackItem> items;
   items.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    STRATREC_RETURN_NOT_OK(ValidateRequest(requests[i]));
     RequestOutcome& outcome = result.outcomes[i];
     outcome.request_index = i;
     outcome.objective_value = options.objective == Objective::kThroughput

@@ -107,7 +107,9 @@ BatchSolverFn SolverForAlgorithm(BatchAlgorithm algorithm);
 /// Solves the batch deployment recommendation problem.
 ///
 /// `requests[i].k` is each request's cardinality constraint; `profiles[j]`
-/// models strategy j; `available_workforce` is W in [0, 1].
+/// models strategy j; `available_workforce` is W in [0, 1]. A negative or
+/// NaN W, or the first request ValidateRequest refuses, fails the call with
+/// kInvalidArgument before any row is priced.
 Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
                                const std::vector<StrategyProfile>& profiles,
                                double available_workforce,

@@ -12,7 +12,7 @@ Result<MultiObjectiveResult> SolveBatchWeighted(
     const std::vector<StrategyProfile>& profiles, double available_workforce,
     const ObjectiveWeights& weights, const BatchOptions& options,
     BatchAlgorithm algorithm) {
-  if (available_workforce < 0.0) {
+  if (!(available_workforce >= 0.0)) {  // NaN fails too
     return Status::InvalidArgument("available workforce must be >= 0");
   }
   if (weights.throughput < 0.0 || weights.payoff < 0.0 || weights.effort < 0.0 ||
@@ -24,6 +24,9 @@ Result<MultiObjectiveResult> SolveBatchWeighted(
         "BaselineG is defined by the pay-off ordering; use SolveBatch");
   }
 
+  for (const DeploymentRequest& request : requests) {
+    STRATREC_RETURN_NOT_OK(ValidateRequest(request));
+  }
   auto rows = PriceBatch(requests, profiles, options);
   if (!rows.ok()) return rows.status();
 
@@ -32,7 +35,6 @@ Result<MultiObjectiveResult> SolveBatchWeighted(
   std::vector<AggregatedRequest> aggregated(requests.size());
   std::vector<KnapsackItem> items;
   for (size_t i = 0; i < requests.size(); ++i) {
-    STRATREC_RETURN_NOT_OK(ValidateRequest(requests[i]));
     RequestOutcome& outcome = result.batch.outcomes[i];
     outcome.request_index = i;
     aggregated[i] =

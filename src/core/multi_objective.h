@@ -44,6 +44,8 @@ struct MultiObjectiveResult {
 /// Solves the batch problem under the combined objective. `algorithm`
 /// kBatchStrat uses the guarded greedy; kBruteForce enumerates (m <= 25);
 /// kBaselineG is not supported here (it is defined by the pay-off ordering).
+/// As in SolveBatch, bad arguments and invalid requests fail the call before
+/// any row is priced.
 Result<MultiObjectiveResult> SolveBatchWeighted(
     const std::vector<DeploymentRequest>& requests,
     const std::vector<StrategyProfile>& profiles, double available_workforce,

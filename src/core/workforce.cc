@@ -1,6 +1,7 @@
 #include "src/core/workforce.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 
@@ -225,7 +226,7 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
   const size_t units = m * chunks;
   // Unit u prices chunk u / m of row u % m, so consecutive units read one
   // chunk's coefficients, and keeps at most min(k, chunk width) entries, at
-  // slot[u] of the flat entry arrays.
+  // slot[u] of the flat entry arrays; kept[u] of them are filled.
   std::vector<size_t> slot(units + 1, 0);
   for (size_t u = 0; u < units; ++u) {
     const int k = requests[u % m].k;
@@ -234,8 +235,16 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
         slot[u] + (k < 1 ? 0 : std::min(columns, static_cast<size_t>(k)));
   }
   std::vector<size_t> feasible(units, 0);
+  std::vector<size_t> kept(units, 0);
   std::vector<size_t> strategies(slot[units]);
   std::vector<double> requirements(slot[units]);
+  // row_bound[i] is the least k-th best that any unit of row i has held, or
+  // +inf. Each is the k-th best of k cells of the row, so none lies below
+  // the row's true k-th best, and no unit needs a cell above it.
+  std::vector<std::atomic<double>> row_bound(m);
+  for (std::atomic<double>& bound : row_bound) {
+    bound.store(kInf, std::memory_order_relaxed);
+  }
 
   // Cheapest first, ties by index: the order TopStrategies sorts by.
   auto cheaper = [](const kernels::SelectedCell& a,
@@ -254,23 +263,38 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
       const size_t n = std::min(kPriceChunk, width - column);
       const size_t keep = slot[u + 1] - slot[u];
       const kernels::CoeffSoA soa = CoeffsFrom(index, begin + column);
-      const ParamVector& thresholds = requests[u % m].thresholds;
-      // The bound is the unit's running keep-th best requirement. A later
-      // cell that ties it has a larger index, so it loses the tie and
-      // strict < drops nothing the whole row would keep.
+      const DeploymentRequest& request = requests[u % m];
+      std::atomic<double>& shared = row_bound[u % m];
+      // `bound` is the unit's running keep-th best. A later cell that ties
+      // it has a larger index, so it loses the tie and strict < drops
+      // nothing the row keeps. A cell that ties the row's shared bound may
+      // have a lower index than the cells behind it, so that test is <=:
+      // the kernel gets the next double up.
       double bound = keep == 0 ? -kInf : kInf;
       size_t count = 0;
       size_t feasible_cells = 0;
       for (size_t b = 0; b < n; b += kPriceBlock) {
+        const double limit = std::min(
+            bound,
+            std::nextafter(shared.load(std::memory_order_relaxed), kInf));
         const size_t before = count;
         feasible_cells += kernels::SelectWorkforceCells(
-            soa, b, std::min(n, b + kPriceBlock), thresholds, policy, bound,
-            column, candidates, &count);
+            soa, b, std::min(n, b + kPriceBlock), request.thresholds, policy,
+            limit, column, candidates, &count);
         if (count != before && count >= keep) {
           std::nth_element(candidates, candidates + keep - 1,
                            candidates + count, cheaper);
           count = keep;
           bound = candidates[keep - 1].requirement;
+          // A chunk narrower than k keeps all its cells, so its keep-th
+          // best may lie below the row's k-th: only a k-wide unit shares.
+          if (keep == static_cast<size_t>(request.k)) {
+            double seen = shared.load(std::memory_order_relaxed);
+            while (bound < seen &&
+                   !shared.compare_exchange_weak(seen, bound,
+                                                 std::memory_order_relaxed)) {
+            }
+          }
         }
       }
       std::sort(candidates, candidates + count, cheaper);
@@ -279,6 +303,7 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
         requirements[slot[u] + t] = candidates[t].requirement;
       }
       feasible[u] = feasible_cells;
+      kept[u] = count;
     }
   };
   if (executor != nullptr) {
@@ -294,8 +319,7 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
     for (size_t c = 0; c < chunks; ++c) {
       const size_t u = c * m + i;
       runs[c] = {feasible[u], 0, strategies.data() + slot[u],
-                 requirements.data() + slot[u],
-                 std::min(feasible[u], slot[u + 1] - slot[u])};
+                 requirements.data() + slot[u], kept[u]};
     }
     rows[i] = MergeTopK(runs, requests[i].k);
   }

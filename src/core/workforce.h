@@ -13,7 +13,9 @@
 // O(m * |S|)) and k-way-merges the chunks with MergeTopK, the same merge the
 // shard router applies to its shards. Within a chunk no cell is stored
 // either: kernels::SelectWorkforceCells prices it in one pass, counting the
-// feasible cells and keeping only those below the running k-th best.
+// feasible cells and keeping only those that can still be among the row's k
+// cheapest, judged against the least k-th best any chunk of the row has
+// reached so far (the threshold idea of Fagin, Lotem and Naor, PODS 2001).
 // WorkforceMatrix is the dense reference: tests use it as the oracle, and
 // the stream pricers still fill their 1 x |S| row with it.
 #ifndef STRATREC_CORE_WORKFORCE_H_
@@ -79,8 +81,8 @@ WorkforceCell ComputeWorkforceCell(
 /// requirement, ties by index) with their requirements. It never fails on a
 /// short row, because a chunk or a shard cannot know whether its siblings
 /// make up the difference. MergeTopK over the parts' rows reproduces the
-/// whole row's list exactly, because the whole row's k-best is always
-/// contained in the union of the parts' k-bests.
+/// whole row's list exactly, because each part's k-best holds every entry of
+/// the whole row's k-best that lies in that part.
 struct RowTopK {
   size_t feasible_count = 0;
   std::vector<size_t> strategies;    ///< ascending (requirement, index)
@@ -107,11 +109,14 @@ struct TopKRun {
   size_t size = 0;                       ///< entries in both arrays
 };
 
-/// K-way merge of one row's parts (disjoint strategy sets, each run holding
-/// its min(k, feasible) cheapest entries) into the whole row's RowTopK: the
-/// summed feasible count and the min(k, total) cheapest entries ordered by
-/// (requirement, merged index). k < 1 keeps no entries. Both lists are
-/// sized exactly, capacity included.
+/// K-way merge of one row's parts (disjoint strategy sets) into the whole
+/// row's RowTopK: the summed feasible count and the min(k, total) cheapest
+/// entries ordered by (requirement, merged index). Each run must hold every
+/// entry of its part that is among the whole row's k cheapest. It may hold
+/// more, and may hold fewer than min(k, feasible): a shard's run is its own
+/// k-best, and a PriceRows chunk's run stops where the row's shared bound
+/// cut it. k < 1 keeps no entries. Both lists are sized exactly, capacity
+/// included.
 RowTopK MergeTopK(std::span<const TopKRun> runs, int k);
 
 /// Columns of one PriceRows work unit. The unit prices them in 256-cell
@@ -126,17 +131,24 @@ inline constexpr size_t kPriceChunk = 4096;
 /// k < 1 keeps its feasible count but no entries.
 ///
 /// The work is split into (row, kPriceChunk-column chunk) units, numbered
-/// chunk-major so consecutive units reuse one chunk's coefficients. A unit
-/// passes its running k-th-best requirement to
-/// kernels::SelectWorkforceCells as the bound for each 256-cell block, and
-/// nth_element shrinks the candidates back to k after each block; strict <
-/// is exact because a later cell that ties the bound has a larger index and
-/// loses the tie. The unit keeps its chunk's feasible count and cheapest
-/// min(k, feasible) entries in flat per-call arrays, and MergeTopK merges
-/// each row's chunks. With a non-null `executor` the units partition across
-/// the pool, at least `grain` cells per task (rounded up to whole units);
-/// null keeps the call on the calling thread. The result is bit-identical
-/// either way and under every kernel dispatch level. Requires
+/// chunk-major so consecutive units reuse one chunk's coefficients. Each
+/// row has one shared bound per call, a relaxed atomic: the least k-th-best
+/// requirement any of its k-wide units has reached, +inf until one has. For
+/// each 256-cell block a unit passes kernels::SelectWorkforceCells the
+/// tighter of its own running k-th best (strict <: a later cell of the unit
+/// that ties it has a larger index and loses the tie) and the shared bound
+/// (<=: a tied cell may have a lower index than the cells behind it), and
+/// nth_element shrinks the candidates back to k after each block. Every
+/// cell is still priced, so feasible counts stay exact. A unit keeps its
+/// chunk's feasible count and the entries it kept, at most min(k, feasible)
+/// and possibly fewer, in flat per-call arrays, and MergeTopK merges each
+/// row's chunks. Which cells a unit keeps depends on timing, but every
+/// entry of the row's k cheapest is at or below every shared bound, so each
+/// unit keeps its share of them and the merged row does not depend on
+/// timing. With a non-null `executor` the units partition across the pool,
+/// at least `grain` cells per task (rounded up to whole units); null keeps
+/// the call on the calling thread. The result is bit-identical either way
+/// and under every kernel dispatch level. Requires
 /// begin <= end <= index.size().
 std::vector<RowTopK> PriceRows(
     const std::vector<DeploymentRequest>& requests, const CatalogIndex& index,

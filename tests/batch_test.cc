@@ -96,6 +96,9 @@ TEST(BatchScheduler, InvalidInputsRejected) {
   const std::vector<StrategyProfile> profiles = {ProfileNeeding(0.3)};
   EXPECT_FALSE(BatchStrat({Request("d", 0.5, 0)}, profiles, 0.5).ok());
   EXPECT_FALSE(BatchStrat({Request("d", 0.5)}, profiles, -0.1).ok());
+  EXPECT_EQ(BatchStrat({Request("d", 0.5)}, profiles, std::nan("")).status()
+                .code(),
+            StatusCode::kInvalidArgument);
   DeploymentRequest bad;
   bad.id = "bad";
   bad.thresholds = {2.0, 0.5, 0.5};
@@ -122,6 +125,39 @@ TEST(BatchScheduler, PricerFailuresFailTheSolve) {
   };
   EXPECT_EQ(BatchStrat(requests, profiles, 0.7, options).status().code(),
             StatusCode::kInternal);
+}
+
+// A batch with an invalid request is refused before the pricer runs, with
+// the first invalid request's message; every solver shares the check.
+TEST(BatchScheduler, InvalidRequestsAreRefusedBeforePricing) {
+  const std::vector<StrategyProfile> profiles = {ProfileNeeding(0.3)};
+  DeploymentRequest out_of_range = Request("range", 0.5);
+  out_of_range.thresholds.quality = 1.5;
+  const std::vector<DeploymentRequest> requests = {
+      Request("ok", 0.8), Request("zero-k", 0.5, 0), out_of_range};
+  int calls = 0;
+  BatchOptions options;
+  options.pricer = [&calls](const std::vector<DeploymentRequest>& batch,
+                            WorkforcePolicy) -> Result<std::vector<RowTopK>> {
+    ++calls;
+    return std::vector<RowTopK>(batch.size());
+  };
+  for (BatchAlgorithm algorithm :
+       {BatchAlgorithm::kBatchStrat, BatchAlgorithm::kBaselineG,
+        BatchAlgorithm::kBruteForce}) {
+    const auto refused =
+        SolveBatch(requests, profiles, 0.7, options, algorithm);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(refused.status().message(),
+              "request 'zero-k': k must be >= 1");
+    EXPECT_FALSE(
+        SolveBatch({requests[0], out_of_range}, profiles, 0.7, options,
+                   algorithm)
+            .ok());
+  }
+  EXPECT_EQ(calls, 0);
+  ASSERT_TRUE(BatchStrat({requests[0]}, profiles, 0.7, options).ok());
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(BatchScheduler, BruteForceGuardsAgainstLargeBatches) {

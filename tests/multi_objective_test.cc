@@ -2,6 +2,8 @@
 // work): scalarized objectives and the Pareto sweep.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/core/multi_objective.h"
 #include "src/workload/generators.h"
 
@@ -108,9 +110,36 @@ TEST(MultiObjective, InvalidInputsRejected) {
   negative.payoff = -1.0;
   EXPECT_FALSE(SolveBatchWeighted(f.requests, f.profiles, 0.5, negative).ok());
   EXPECT_FALSE(SolveBatchWeighted(f.requests, f.profiles, -0.5, {}).ok());
+  EXPECT_EQ(SolveBatchWeighted(f.requests, f.profiles, std::nan(""), {})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(SolveBatchWeighted(f.requests, f.profiles, 0.5, {}, {},
                                   BatchAlgorithm::kBaselineG)
                    .ok());
+}
+
+// An invalid request fails the solve before the pricer runs.
+TEST(MultiObjective, InvalidRequestsAreRefusedBeforePricing) {
+  Fixture f;
+  f.requests[3].k = 0;
+  int calls = 0;
+  BatchOptions options;
+  options.pricer = [&calls](const std::vector<DeploymentRequest>& batch,
+                            WorkforcePolicy) -> Result<std::vector<RowTopK>> {
+    ++calls;
+    return std::vector<RowTopK>(batch.size());
+  };
+  const auto refused =
+      SolveBatchWeighted(f.requests, f.profiles, 0.5, {}, options);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.status().message(),
+            "request '" + f.requests[3].id + "': k must be >= 1");
+  EXPECT_EQ(calls, 0);
+  f.requests[3].k = 2;
+  ASSERT_TRUE(SolveBatchWeighted(f.requests, f.profiles, 0.5, {}, options)
+                  .ok());
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(MultiObjective, ParetoSweepTradesThroughputForPayoff) {

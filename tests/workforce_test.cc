@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <random>
 #include <string>
 #include <utility>
@@ -363,6 +364,70 @@ void ExpectPriceRowsMatchesDenseOracle(kernels::DispatchLevel level) {
     ExpectPriceRowsMatchesDense(profiles, base);
   }
   kernels::Configure(kernels::KernelConfig{});
+}
+
+// Every feasible cell of a row costs the same, so the row's k cheapest are
+// its k lowest feasible indices. Chunks 0-3 hold no feasible cell, chunk 4
+// only its last 256-cell block, and chunks 5-7 are feasible from their
+// first cell. When the pool's threads overlap, a chunk-5 unit shares the
+// common requirement before the chunk-4 unit of its row reaches its tied
+// cells, which a strict test against the shared bound would drop. (Units
+// are claimed in order, so with every cell feasible chunk 0 would always
+// read the bound before a later chunk could share one.) k = 4,099 is wider
+// than a chunk.
+TEST(PriceRows, SharedBoundKeepsLowerIndexTies) {
+  const size_t first_feasible = 5 * kPriceChunk - 256;
+  const size_t n = 7 * kPriceChunk + 100;
+  StrategyProfile unreachable = TypicalProfile();
+  unreachable.quality.beta = 0.3;  // quality tops out at 0.55
+  std::vector<StrategyProfile> profiles(n, TypicalProfile());
+  std::fill_n(profiles.begin(), first_feasible, unreachable);
+  const CatalogIndex index = CatalogIndex::Build(profiles);
+  const ParamVector thresholds{0.7, 0.83, 0.28};
+  const WorkforceCell cell = ComputeWorkforceCell(TypicalProfile(), thresholds);
+  ASSERT_TRUE(cell.feasible);
+  ASSERT_FALSE(ComputeWorkforceCell(unreachable, thresholds).feasible);
+  Executor pool1(1);
+  Executor pool4(4);
+  for (const size_t m : {size_t{1}, size_t{3}}) {
+    for (const int k : {5, static_cast<int>(kPriceChunk) + 3}) {
+      const std::vector<DeploymentRequest> requests(m, {"d", thresholds, k});
+      std::vector<size_t> lowest(static_cast<size_t>(k));
+      std::iota(lowest.begin(), lowest.end(), first_feasible);
+      const std::vector<RowTopK> serial = PriceRows(requests, index, 0, n);
+      ASSERT_EQ(serial.size(), m);
+      for (const RowTopK& row : serial) {
+        EXPECT_EQ(row.feasible_count, n - first_feasible);
+        EXPECT_EQ(row.strategies, lowest);
+        EXPECT_EQ(row.requirements,
+                  std::vector<double>(lowest.size(), cell.requirement));
+      }
+      for (Executor* executor : {static_cast<Executor*>(nullptr), &pool1,
+                                 &pool4}) {
+        for (int run = 0; run < 50; ++run) {
+          const std::vector<RowTopK> rows =
+              PriceRows(requests, index, 0, n,
+                        WorkforcePolicy::kMinimalWorkforce, executor, 1);
+          ASSERT_EQ(rows.size(), m);
+          for (size_t i = 0; i < m; ++i) {
+            const std::string where =
+                "m " + std::to_string(m) + " k " + std::to_string(k) +
+                " threads " +
+                std::to_string(executor ? executor->threads() : 0) +
+                " run " + std::to_string(run) + " row " + std::to_string(i);
+            ASSERT_EQ(rows[i].feasible_count, n - first_feasible) << where;
+            ASSERT_EQ(rows[i].strategies, lowest) << where;
+            ASSERT_EQ(rows[i].requirements.size(), lowest.size()) << where;
+            ASSERT_EQ(std::memcmp(rows[i].requirements.data(),
+                                  serial[i].requirements.data(),
+                                  lowest.size() * sizeof(double)),
+                      0)
+                << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PriceRows, MatchesDenseOracleScalar) {
