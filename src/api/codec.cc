@@ -191,6 +191,26 @@ Status FromJson(const Value& json, const char* key, std::vector<T>* out) {
   return Status::OK();
 }
 
+/// Whether every double ToJson(value) emits is finite. JSON has neither
+/// NaN nor infinity: the encoder writes null for one, and no decoder reads
+/// the record back.
+bool FiniteValue(double value) { return std::isfinite(value); }
+
+template <typename T>
+  requires(std::integral<T> || NamedEnum<T> || std::same_as<T, std::string>)
+bool FiniteValue(const T& /*value*/) {
+  return true;
+}
+
+template <Tabled T>
+bool FiniteValue(const T& value);
+
+template <typename T>
+bool FiniteValue(const std::vector<T>& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](const T& value) { return FiniteValue(value); });
+}
+
 /// Decodes the required member `key` of `obj`.
 template <typename T>
 Status Required(const Value& obj, const char* key, T* out) {
@@ -203,7 +223,8 @@ Status Required(const Value& obj, const char* key, T* out) {
 // Field tables. A table lists a struct's wire members in wire order; the one
 // generic encoder emits them in that order, and the one strict decoder reads
 // them back, failing on the first missing or mistyped field. Unknown members
-// are ignored on decode.
+// are ignored on decode. Finite() checks the doubles a member puts on the
+// wire, so AllFinite covers exactly what the encoder emits.
 // ---------------------------------------------------------------------------
 
 /// A plain member. Required, unless it is a std::optional (on the wire iff
@@ -237,6 +258,15 @@ struct Field {
       return FromJson(*json, key, &(out->*member));
     }
   }
+
+  bool Finite(const T& in) const {
+    const M& value = in.*member;
+    if constexpr (kOptional) {
+      return !value.has_value() || FiniteValue(*value);
+    } else {
+      return (omit != nullptr && omit(value)) || FiniteValue(value);
+    }
+  }
 };
 
 /// request_id / session_id: empty means "service-assigned".
@@ -261,6 +291,10 @@ struct When {
 
   Status Decode(const Value& obj, T* out) const {
     return when(*out) ? Required(obj, key, &(out->*member)) : Status::OK();
+  }
+
+  bool Finite(const T& in) const {
+    return !when(in) || FiniteValue(in.*member);
   }
 };
 
@@ -291,6 +325,10 @@ struct Flagged {
     const Value* json = obj.Find(key);
     out->*flag = json != nullptr;
     return out->*flag ? FromJson(*json, key, &(out->*member)) : Status::OK();
+  }
+
+  bool Finite(const T& in) const {
+    return !(in.*flag) || FiniteValue(in.*member);
   }
 };
 
@@ -339,6 +377,14 @@ Status ReadFields(const Value& obj, T* out) {
       },
       kTable.fields);
   return status;
+}
+
+template <Tabled T>
+bool FiniteValue(const T& value) {
+  static constexpr auto kTable = TableOf(Tag<T>{});
+  return std::apply(
+      [&](const auto&... field) { return (field.Finite(value) && ...); },
+      kTable.fields);
 }
 
 template <Tabled T>
@@ -696,6 +742,13 @@ json::Value Encode(const api::StreamEvent& value) { return ToJson(value); }
 json::Value Encode(const api::StreamUpdate& value) { return ToJson(value); }
 json::Value Encode(const api::ServiceConfig& value) { return ToJson(value); }
 json::Value Encode(const api::ServiceStats& value) { return ToJson(value); }
+
+bool AllFinite(const api::BatchRequest& request) {
+  return FiniteValue(request);
+}
+bool AllFinite(const api::SweepRequest& request) {
+  return FiniteValue(request);
+}
 
 Status DecodeStatus(const json::Value& value, Status* out) {
   return FromJson(value, "status", out);

@@ -143,6 +143,14 @@ Ticket<Report> Submit(ServiceState* state, Request request, const char* prefix,
   auto shared = std::make_shared<TicketShared<Report>>(
       request.request_id.empty() ? state->ids.Next(prefix)
                                  : request.request_id);
+  // A non-finite double would journal as null, and the trace would no
+  // longer read back, so such a request is refused unqueued and unrecorded.
+  if (!wire::AllFinite(request)) {
+    shared->CancelWith(Status::InvalidArgument(
+        std::string(prefix) +
+        " request holds a non-finite number, which the wire cannot carry"));
+    return MakeTicket(std::move(shared));
+  }
   const auto submitted = std::chrono::steady_clock::now();
   state->executor.Submit([state, shared, submitted, body, encode,
                           request = std::move(request)] {

@@ -200,6 +200,40 @@ inline __m256d EqualityVec(const double* alpha, const double* beta, size_t j,
   return {_mm256_cmp_pd(lo, _mm256_add_pd(hi, veps), _CMP_LE_OQ), lo};
 }
 
+/// ProvenNotKept for 4 paper-signed strategies (the uncounted mode's
+/// proof): true when every lane's quality or latency term is proven at or
+/// above the bound that `scaled` = ProofLimit(bound) stands for. The paper
+/// signs fix each product's sign, so a normal product is one in
+/// [DBL_MIN, DBL_MAX] for quality and in [-DBL_MAX, -DBL_MIN] for latency.
+inline bool ProvenGroup(const CoeffSoA& soa, size_t j,
+                        const ParamVector& thresholds, __m256d scaled) {
+  const __m256d min_normal =
+      _mm256_set1_pd(std::numeric_limits<double>::min());
+  const __m256d max_normal =
+      _mm256_set1_pd(std::numeric_limits<double>::max());
+  const __m256d neg_min_normal =
+      _mm256_set1_pd(-std::numeric_limits<double>::min());
+  const __m256d neg_max_normal =
+      _mm256_set1_pd(-std::numeric_limits<double>::max());
+  const __m256d quality =
+      _mm256_mul_pd(scaled, _mm256_loadu_pd(soa.quality_alpha + j));
+  const __m256d quality_proven = _mm256_and_pd(
+      _mm256_cmp_pd(_mm256_sub_pd(_mm256_set1_pd(thresholds.quality),
+                                  _mm256_loadu_pd(soa.quality_beta + j)),
+                    quality, _CMP_GE_OQ),
+      _mm256_and_pd(_mm256_cmp_pd(quality, min_normal, _CMP_GE_OQ),
+                    _mm256_cmp_pd(quality, max_normal, _CMP_LE_OQ)));
+  const __m256d latency =
+      _mm256_mul_pd(scaled, _mm256_loadu_pd(soa.latency_alpha + j));
+  const __m256d latency_proven = _mm256_and_pd(
+      _mm256_cmp_pd(_mm256_sub_pd(_mm256_set1_pd(thresholds.latency),
+                                  _mm256_loadu_pd(soa.latency_beta + j)),
+                    latency, _CMP_LE_OQ),
+      _mm256_and_pd(_mm256_cmp_pd(latency, neg_min_normal, _CMP_LE_OQ),
+                    _mm256_cmp_pd(latency, neg_max_normal, _CMP_GE_OQ)));
+  return MaskBits(_mm256_or_pd(quality_proven, latency_proven)) == 0xF;
+}
+
 /// Dominance mask for 4 SoA points against a broadcast query point.
 inline int DominatesMask(const PointSoA& pts, size_t i, __m256d qq,
                          __m256d qc, __m256d ql) {
@@ -272,13 +306,16 @@ void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                                 const ParamVector& thresholds,
                                 WorkforcePolicy policy, double bound,
-                                size_t first, SelectedCell* out, size_t* size) {
+                                size_t first, SelectedCell* out, size_t* size,
+                                SelectMode mode) {
   // A local copy: stores to `out` cannot alias it, so the thresholds stay
   // in registers across the loop.
   const ParamVector t = thresholds;
   const bool minimal = policy == WorkforcePolicy::kMinimalWorkforce;
+  const bool uncounted = mode == SelectMode::kUncounted;
   const __m256d vzero = _mm256_setzero_pd();
   const __m256d vbound = _mm256_set1_pd(bound);
+  const __m256d vscaled = _mm256_set1_pd(ProofLimit(bound));
   size_t feasible = 0;
   size_t kept = *size;
   size_t j = begin;
@@ -291,9 +328,10 @@ size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                                     vzero, _CMP_GT_OQ)),
         _mm256_cmp_pd(_mm256_loadu_pd(soa.latency_alpha + j), vzero,
                       _CMP_LT_OQ));
-    const CellsVec group = minimal && MaskBits(paper_signs) == 0xF
-                               ? PricePaperSignsGroup(soa, j, t)
-                               : PriceGroup(soa, j, t, policy);
+    const bool short_path = minimal && MaskBits(paper_signs) == 0xF;
+    if (short_path && uncounted && ProvenGroup(soa, j, t, vscaled)) continue;
+    const CellsVec group = short_path ? PricePaperSignsGroup(soa, j, t)
+                                      : PriceGroup(soa, j, t, policy);
     const int feasible_bits = MaskBits(group.feasible);
     feasible += static_cast<size_t>(
         __builtin_popcount(static_cast<unsigned>(feasible_bits)));
@@ -312,7 +350,7 @@ size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
   }
   *size = kept;
   return feasible + ScalarSelectWorkforceCells(soa, j, end, thresholds, policy,
-                                               bound, first, out, size);
+                                               bound, first, out, size, mode);
 }
 
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {
@@ -383,9 +421,10 @@ void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                                 const ParamVector& thresholds,
                                 WorkforcePolicy policy, double bound,
-                                size_t first, SelectedCell* out, size_t* size) {
+                                size_t first, SelectedCell* out, size_t* size,
+                                SelectMode mode) {
   return ScalarSelectWorkforceCells(soa, begin, end, thresholds, policy, bound,
-                                    first, out, size);
+                                    first, out, size, mode);
 }
 
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {

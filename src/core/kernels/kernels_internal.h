@@ -6,6 +6,9 @@
 #ifndef STRATREC_CORE_KERNELS_KERNELS_INTERNAL_H_
 #define STRATREC_CORE_KERNELS_KERNELS_INTERNAL_H_
 
+#include <algorithm>
+#include <cmath>
+
 #include "src/common/float_compare.h"
 #include "src/core/kernels/kernels.h"
 #include "src/core/linear_model.h"
@@ -37,6 +40,33 @@ inline WorkforceCell CellOne(const CoeffSoA& soa, size_t j,
   return ComputeWorkforceCell(profile, thresholds, policy);
 }
 
+/// The uncounted mode's scaled bound L' = max(bound, 2^-900) * (1 + 2^-50)
+/// (kernels.h). A NaN bound scales to NaN and proves nothing.
+inline double ProofLimit(double bound) {
+  return std::max(bound, 0x1p-900) * (1.0 + 0x1p-50);
+}
+
+/// The uncounted mode's per-cell proof, under kMinimalWorkforce: true when
+/// strategy j has the paper's slope signs and its quality or latency term
+/// alone is proven at or above the bound that `scaled` = ProofLimit(bound)
+/// stands for, so the cell is infeasible or its requirement is not below
+/// the bound. The AVX2 body runs the same test four lanes at a time.
+inline bool ProvenNotKept(const CoeffSoA& soa, size_t j,
+                          const ParamVector& thresholds, double scaled) {
+  const double quality_alpha = soa.quality_alpha[j];
+  const double latency_alpha = soa.latency_alpha[j];
+  if (!(quality_alpha > 0.0 && soa.cost_alpha[j] > 0.0 &&
+        latency_alpha < 0.0)) {
+    return false;
+  }
+  const double quality = scaled * quality_alpha;
+  const double latency = scaled * latency_alpha;
+  return (thresholds.quality - soa.quality_beta[j] >= quality &&
+          std::isnormal(quality)) ||
+         (thresholds.latency - soa.latency_beta[j] <= latency &&
+          std::isnormal(latency));
+}
+
 /// Whether point i dominates `q` in relaxation space (the relation of the
 /// k-skyband argument at core::AdparOrderings, src/core/catalog_index.h):
 /// no worse on every axis, strictly better on one.
@@ -61,7 +91,7 @@ size_t ScalarSelectWorkforceCells(const CoeffSoA& soa, size_t begin,
                                   size_t end, const ParamVector& thresholds,
                                   WorkforcePolicy policy, double bound,
                                   size_t first, SelectedCell* out,
-                                  size_t* size);
+                                  size_t* size, SelectMode mode);
 bool ScalarAnyDominates(const PointSoA& pts, size_t n, const ParamVector& q);
 uint32_t ScalarCountDominatorsBounded(const PointSoA& pts, const double* sums,
                                       size_t n, double sum_limit, uint32_t cap,
@@ -80,7 +110,8 @@ void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                                 const ParamVector& thresholds,
                                 WorkforcePolicy policy, double bound,
-                                size_t first, SelectedCell* out, size_t* size);
+                                size_t first, SelectedCell* out, size_t* size,
+                                SelectMode mode);
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q);
 uint32_t Avx2CountDominatorsBounded(const PointSoA& pts, const double* sums,
                                     size_t n, double sum_limit, uint32_t cap,

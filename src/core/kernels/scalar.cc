@@ -26,9 +26,13 @@ size_t ScalarSelectWorkforceCells(const CoeffSoA& soa, size_t begin,
                                   size_t end, const ParamVector& thresholds,
                                   WorkforcePolicy policy, double bound,
                                   size_t first, SelectedCell* out,
-                                  size_t* size) {
+                                  size_t* size, SelectMode mode) {
+  const bool skip = mode == SelectMode::kUncounted &&
+                    policy == WorkforcePolicy::kMinimalWorkforce;
+  const double scaled = ProofLimit(bound);
   size_t feasible = 0;
   for (size_t j = begin; j < end; ++j) {
+    if (skip && ProvenNotKept(soa, j, thresholds, scaled)) continue;
     const WorkforceCell cell = CellOne(soa, j, thresholds, policy);
     if (!cell.feasible) continue;
     ++feasible;

@@ -180,8 +180,10 @@ WorkforceMatrix WorkforceMatrix::Compute(
 RowTopK MergeTopK(std::span<const TopKRun> runs, int k) {
   RowTopK row;
   for (const TopKRun& run : runs) row.feasible_count += run.feasible_count;
-  const size_t take =
-      k < 1 ? 0 : std::min(row.feasible_count, static_cast<size_t>(k));
+  if (k >= 1) {
+    row.feasible_count = std::min(row.feasible_count, static_cast<size_t>(k));
+  }
+  const size_t take = k < 1 ? 0 : row.feasible_count;
   row.strategies.reserve(take);
   row.requirements.reserve(take);
   // A min-heap of the runs' heads by (requirement, merged index): the head
@@ -273,14 +275,28 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
       double bound = keep == 0 ? -kInf : kInf;
       size_t count = 0;
       size_t feasible_cells = 0;
+      // Once the shared bound is finite, a k-wide unit has kept k feasible
+      // cells (this unit's own publish included), so the row's count is
+      // min(feasible, k) = k whatever the unit's chunk holds: the unit
+      // stops counting and prices uncounted. Rows with k < 1 never publish.
+      bool saturated = false;
       for (size_t b = 0; b < n; b += kPriceBlock) {
-        const double limit = std::min(
-            bound,
-            std::nextafter(shared.load(std::memory_order_relaxed), kInf));
+        const double row_best = shared.load(std::memory_order_relaxed);
+        const double limit = std::min(bound, std::nextafter(row_best, kInf));
+        saturated = row_best < kInf;
+        // Every feasible kMinimalWorkforce requirement is >= 0 or -0.0, so
+        // a limit <= 0 keeps nothing more, and a saturated unit needs no
+        // count either.
+        if (saturated && limit <= 0.0 &&
+            policy == WorkforcePolicy::kMinimalWorkforce) {
+          break;
+        }
         const size_t before = count;
         feasible_cells += kernels::SelectWorkforceCells(
             soa, b, std::min(n, b + kPriceBlock), request.thresholds, policy,
-            limit, column, candidates, &count);
+            limit, column, candidates, &count,
+            saturated ? kernels::SelectMode::kUncounted
+                      : kernels::SelectMode::kCounted);
         if (count != before && count >= keep) {
           std::nth_element(candidates, candidates + keep - 1,
                            candidates + count, cheaper);
@@ -302,7 +318,8 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
         strategies[slot[u] + t] = candidates[t].column;
         requirements[slot[u] + t] = candidates[t].requirement;
       }
-      feasible[u] = feasible_cells;
+      feasible[u] =
+          saturated ? static_cast<size_t>(request.k) : feasible_cells;
       kept[u] = count;
     }
   };
@@ -345,8 +362,8 @@ Result<RowTopK> WorkforceMatrix::TopStrategies(size_t request, int k) const {
     if (At(request, j).feasible) feasible.push_back(j);
   }
   RowTopK row;
-  row.feasible_count = feasible.size();
   const size_t take = std::min(feasible.size(), static_cast<size_t>(k));
+  row.feasible_count = take;
   // Partial sort: the cheapest requirements, ties broken by index for
   // determinism.
   auto cheaper = [this, request](size_t a, size_t b) {

@@ -7,17 +7,21 @@
 // smallest requirements (the requester deploys with all k strategies) or the
 // k-th smallest (the requester picks one of the k).
 //
-// Step 2 reads only each row's feasible count and its k smallest
-// requirements, so the production pricer never materializes the matrix:
-// PriceRows fuses both steps over 4,096-column chunks (O(m * k) memory, not
-// O(m * |S|)) and k-way-merges the chunks with MergeTopK, the same merge the
-// shard router applies to its shards. Within a chunk no cell is stored
-// either: kernels::SelectWorkforceCells prices it in one pass, counting the
-// feasible cells and keeping only those that can still be among the row's k
-// cheapest, judged against the least k-th best any chunk of the row has
-// reached so far (the threshold idea of Fagin, Lotem and Naor, PODS 2001).
-// WorkforceMatrix is the dense reference: tests use it as the oracle, and
-// the stream pricers still fill their 1 x |S| row with it.
+// Step 2 reads only whether each row has k feasible cells and its k
+// smallest requirements, so the production pricer never materializes the
+// matrix: PriceRows fuses both steps over 4,096-column chunks (O(m * k)
+// memory, not O(m * |S|)) and k-way-merges the chunks with MergeTopK, the
+// same merge the shard router applies to its shards. Within a chunk no cell
+// is stored either: kernels::SelectWorkforceCells prices it in one pass,
+// counting the feasible cells and keeping only those that can still be
+// among the row's k cheapest, judged against the least k-th best any chunk
+// of the row has reached so far (the threshold idea of Fagin, Lotem and
+// Naor, PODS 2001). A row's feasible count is only ever compared with k, so
+// it saturates at k: once the row is known to hold k feasible cells, the
+// scan stops counting and skips the divisions of every cell it can prove
+// lies at or above that k-th best. WorkforceMatrix is the dense reference:
+// tests use it as the oracle, and the stream pricers still fill their
+// 1 x |S| row with it.
 #ifndef STRATREC_CORE_WORKFORCE_H_
 #define STRATREC_CORE_WORKFORCE_H_
 
@@ -76,14 +80,16 @@ WorkforceCell ComputeWorkforceCell(
     const StrategyProfile& profile, const ParamVector& thresholds,
     WorkforcePolicy policy = WorkforcePolicy::kMinimalWorkforce);
 
-/// Partial view of one priced row: the total feasible count plus the
-/// min(k, feasible) cheapest strategies in KBestStrategies order (ascending
-/// requirement, ties by index) with their requirements. It never fails on a
-/// short row, because a chunk or a shard cannot know whether its siblings
-/// make up the difference. MergeTopK over the parts' rows reproduces the
-/// whole row's list exactly, because each part's k-best holds every entry of
-/// the whole row's k-best that lies in that part.
+/// Partial view of one priced row: its feasible count saturated at k plus
+/// the min(k, feasible) cheapest strategies in KBestStrategies order
+/// (ascending requirement, ties by index) with their requirements. It never
+/// fails on a short row, because a chunk or a shard cannot know whether its
+/// siblings make up the difference. MergeTopK over the parts' rows
+/// reproduces the whole row's list exactly, because each part's k-best holds
+/// every entry of the whole row's k-best that lies in that part.
 struct RowTopK {
+  /// min(feasible, k) for a row scanned at k >= 1, which is all Aggregate
+  /// and KBestStrategies need; the exact count for PriceRows' k < 1 rows.
   size_t feasible_count = 0;
   std::vector<size_t> strategies;    ///< ascending (requirement, index)
   std::vector<double> requirements;  ///< index-aligned with `strategies`
@@ -110,13 +116,16 @@ struct TopKRun {
 };
 
 /// K-way merge of one row's parts (disjoint strategy sets) into the whole
-/// row's RowTopK: the summed feasible count and the min(k, total) cheapest
-/// entries ordered by (requirement, merged index). Each run must hold every
-/// entry of its part that is among the whole row's k cheapest. It may hold
-/// more, and may hold fewer than min(k, feasible): a shard's run is its own
-/// k-best, and a PriceRows chunk's run stops where the row's shared bound
-/// cut it. k < 1 keeps no entries. Both lists are sized exactly, capacity
-/// included.
+/// row's RowTopK: the summed feasible count, clamped to k for k >= 1, and
+/// the min(k, total) cheapest entries ordered by (requirement, merged
+/// index). Because min(a + b, k) = min(min(a, k) + min(b, k), k), parts
+/// whose counts are themselves saturated at k merge to the whole row's
+/// saturated count. Each run must hold every entry of its part that is
+/// among the whole row's k cheapest. It may hold more, and may hold fewer
+/// than min(k, feasible): a shard's run is its own k-best, and a PriceRows
+/// chunk's run stops where the row's shared bound cut it. k < 1 keeps no
+/// entries and the exact summed count. Both lists are sized exactly,
+/// capacity included.
 RowTopK MergeTopK(std::span<const TopKRun> runs, int k);
 
 /// Columns of one PriceRows work unit. The unit prices them in 256-cell
@@ -128,7 +137,7 @@ inline constexpr size_t kPriceChunk = 4096;
 /// WorkforceMatrix::TopStrategies(i, k) returns on the dense matrix over
 /// strategies [begin, end) of `index`, with k = requests[i].k: strategies are
 /// indices within the range (strategy begin + j is entry j), and a row with
-/// k < 1 keeps its feasible count but no entries.
+/// k < 1 keeps its exact feasible count but no entries.
 ///
 /// The work is split into (row, kPriceChunk-column chunk) units, numbered
 /// chunk-major so consecutive units reuse one chunk's coefficients. Each
@@ -138,16 +147,21 @@ inline constexpr size_t kPriceChunk = 4096;
 /// tighter of its own running k-th best (strict <: a later cell of the unit
 /// that ties it has a larger index and loses the tie) and the shared bound
 /// (<=: a tied cell may have a lower index than the cells behind it), and
-/// nth_element shrinks the candidates back to k after each block. Every
-/// cell is still priced, so feasible counts stay exact. A unit keeps its
-/// chunk's feasible count and the entries it kept, at most min(k, feasible)
-/// and possibly fewer, in flat per-call arrays, and MergeTopK merges each
-/// row's chunks. Which cells a unit keeps depends on timing, but every
-/// entry of the row's k cheapest is at or below every shared bound, so each
-/// unit keeps its share of them and the merged row does not depend on
-/// timing. With a non-null `executor` the units partition across the pool,
-/// at least `grain` cells per task (rounded up to whole units); null keeps
-/// the call on the calling thread. The result is bit-identical either way
+/// nth_element shrinks the candidates back to k after each block. Until
+/// the shared bound is finite a unit counts its chunk's feasible cells.
+/// Once it is, the row holds k feasible cells, so the unit prices its
+/// remaining blocks uncounted (the kernel skips the cells it proves cannot
+/// beat the limit) and reports k as its count; under kMinimalWorkforce a
+/// limit <= 0 ends the unit, since no requirement lies below it. A unit
+/// keeps that count and the entries it kept, at most min(k, feasible) and
+/// possibly fewer, in flat per-call arrays, and MergeTopK merges each row's
+/// chunks, clamping the count to k. Which cells a unit keeps depends on
+/// timing, but for a given limit each block keeps the same cells in both
+/// modes, and every entry of the row's k cheapest is at or below every
+/// shared bound, so each unit keeps its share of them and the merged row
+/// does not depend on timing. With a non-null `executor` the units
+/// partition across the pool, at least `grain` cells per task (rounded up
+/// to whole units); null keeps the call on the calling thread. The result is bit-identical either way
 /// and under every kernel dispatch level. Requires
 /// begin <= end <= index.size().
 std::vector<RowTopK> PriceRows(
@@ -201,11 +215,12 @@ class WorkforceMatrix {
   Result<double> AggregateRequirement(size_t request, int k,
                                       AggregationMode mode) const;
 
-  /// Row `request`'s feasible count and its min(k, feasible) cheapest
-  /// strategies in KBestStrategies order. Unlike KBestStrategies this never
-  /// fails on a short row; it fails only on a bad row index or k < 1. Both
-  /// lists are sized exactly min(k, feasible), capacity included, so a
-  /// caller that keeps them holds O(k) memory, not O(|S|).
+  /// Row `request`'s feasible count saturated at k, min(k, feasible), and
+  /// its min(k, feasible) cheapest strategies in KBestStrategies order: the
+  /// RowTopK PriceRows returns. Unlike KBestStrategies this never fails on
+  /// a short row; it fails only on a bad row index or k < 1. Both lists are
+  /// sized exactly min(k, feasible), capacity included, so a caller that
+  /// keeps them holds O(k) memory, not O(|S|).
   Result<RowTopK> TopStrategies(size_t request, int k) const;
 
  private:

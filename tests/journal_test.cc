@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/api/catalog.h"
@@ -372,6 +374,75 @@ TEST(Journal, ServiceRecordsConfigCatalogAndPairs) {
   EXPECT_EQ(replayed->matched, 2u);
   EXPECT_EQ(replayed->skipped, 0u);
   EXPECT_TRUE(replayed->ok());
+}
+
+// A batch or sweep holding a non-finite double is refused with
+// kInvalidArgument before it is queued, and nothing is journaled for it:
+// the encoder would write that number as null, which no decoder accepts,
+// so the trace would stop reading back. The first four cases are the ones
+// the codec used to record (refused at Fixed(NaN), served at an infinite
+// deadline); the rest cover a PMF atom, a sample and a sweep target.
+TEST(Journal, NonFiniteRequestsAreRefusedUnrecorded) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  size_t journals = 0;
+  // Submits one request to a fresh journaled service, then a finite batch,
+  // and reads the journal back: only the finite batch is on it.
+  auto expect_refused_unrecorded = [&](const std::string& name,
+                                       const auto& submit) {
+    const std::string path =
+        TempPath("non_finite_" + std::to_string(journals++));
+    ServiceConfig config;
+    config.batch.aggregation = core::AggregationMode::kMax;
+    config.journal.path = path;
+    {
+      auto service = Service::Create(Table1Catalog(), config);
+      ASSERT_TRUE(service.ok());
+      const Status refused = submit(*service);
+      EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+          << name << ": " << refused.ToString();
+      ASSERT_TRUE(service->SubmitBatch(Table1Batch()).ok()) << name;
+    }
+    auto trace = wire::ReadTraceFile(path);
+    ASSERT_TRUE(trace.ok()) << name << ": " << trace.status().ToString();
+    ASSERT_EQ(trace->pairs.size(), 1u) << name;
+    EXPECT_TRUE(trace->pairs[0].status.ok()) << name;
+    EXPECT_TRUE(trace->pairs[0].batch_request == Table1Batch()) << name;
+  };
+
+  std::vector<std::pair<std::string, BatchRequest>> batches;
+  batches.emplace_back("batch at Fixed(NaN)", Table1Batch());
+  batches.back().second.availability = AvailabilitySpec::Fixed(kNaN);
+  batches.emplace_back("batch with deadline_ms +inf", Table1Batch());
+  batches.back().second.deadline_ms = kInf;
+  batches.emplace_back("batch with a NaN cost threshold", Table1Batch());
+  batches.back().second.requests[1].thresholds.cost = kNaN;
+  batches.emplace_back("batch with an infinite PMF atom", Table1Batch());
+  batches.back().second.availability =
+      AvailabilitySpec::FromPmf({{0.5, 0.5}, {kInf, 0.5}});
+  batches.emplace_back("batch with a NaN sample", Table1Batch());
+  batches.back().second.availability =
+      AvailabilitySpec::FromSamples({0.7, kNaN});
+  for (const auto& batch : batches) {
+    expect_refused_unrecorded(batch.first, [&](const Service& service) {
+      return service.SubmitBatch(batch.second).status();
+    });
+  }
+
+  SweepRequest sweep;
+  sweep.targets = {{"t1", {0.9, 0.1, 0.1}, 2}};
+  sweep.solvers = {"exact"};
+  std::vector<std::pair<std::string, SweepRequest>> sweeps;
+  sweeps.emplace_back("sweep at Fixed(NaN)", sweep);
+  sweeps.back().second.availability = AvailabilitySpec::Fixed(kNaN);
+  sweeps.emplace_back("sweep with a -inf target threshold", sweep);
+  sweeps.back().second.availability = AvailabilitySpec::Fixed(0.8);
+  sweeps.back().second.targets[0].thresholds.latency = -kInf;
+  for (const auto& bad : sweeps) {
+    expect_refused_unrecorded(bad.first, [&](const Service& service) {
+      return service.RunSweep(bad.second).status();
+    });
+  }
 }
 
 TEST(Journal, CallerSuppliedRequestIdIsAdopted) {

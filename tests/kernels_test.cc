@@ -194,19 +194,26 @@ Arrays PaperSignedArrays(std::mt19937_64& rng, size_t n) {
   return a;
 }
 
-// SelectWorkforceCells at both levels against the scalar cell fill: the
-// same feasible count, and exactly the feasible cells strictly below the
-// bound appended after the entries already there, ascending, offset by
-// `first`, requirements bit for bit. The bounds are -inf (count only), 0,
-// +inf (every feasible cell) and a requirement from the row, which a cell
-// ties and strict < must drop.
+// SelectWorkforceCells at both levels and in both modes against the scalar
+// cell fill: exactly the feasible cells strictly below the bound appended
+// after the entries already there, ascending, offset by `first`,
+// requirements bit for bit, so the uncounted mode keeps what the counted
+// one keeps. The counted count is the feasible count, and the uncounted
+// one never exceeds it; at each level some feasible cells go uncounted, so
+// the skip runs. The bounds are -inf (count only), 0, the least denormal,
+// 2^-900 (the proof's floor), 1e-300, +inf (every feasible cell), and a
+// requirement from the row, which a cell ties and strict < must drop, with
+// the next double either side of it.
 TEST(Kernels, SelectWorkforceCellsMatchesFill) {
   std::vector<DispatchLevel> levels = {DispatchLevel::kScalar};
   if (kernels::Avx2Available()) levels.push_back(DispatchLevel::kAvx2);
   std::mt19937_64 rng(0x5E1EC7ED);
   constexpr size_t kFirst = 1000;
+  const std::vector<double> kFixedBounds = {-kInf,    0.0,    kDenormal,
+                                            0x1p-900, 1e-300, kInf};
   size_t kept = 0;
   size_t tied = 0;
+  std::vector<size_t> skipped(levels.size(), 0);
   for (const bool paper_signs : {false, true}) {
     for (size_t n : kLengths) {
       const Arrays a =
@@ -221,14 +228,17 @@ TEST(Kernels, SelectWorkforceCellsMatchesFill) {
         ki::ScalarFillWorkforceCells(a.soa(), 0, n, thresholds, policy,
                                      cells.data());
         for (const size_t begin : {size_t{0}, n / 3}) {
-          std::vector<double> bounds = {-kInf, 0.0, kInf};
+          std::vector<double> bounds = kFixedBounds;
           size_t feasible = 0;
           for (size_t j = begin; j < n; ++j) {
             if (!cells[j].feasible) continue;
             ++feasible;
             if (rng() % feasible == 0) {  // a uniform pick from the row
-              bounds.resize(3);
-              bounds.push_back(cells[j].requirement);
+              const double picked = cells[j].requirement;
+              bounds = kFixedBounds;
+              bounds.insert(bounds.end(), {std::nextafter(picked, -kInf),
+                                           picked,
+                                           std::nextafter(picked, kInf)});
             }
           }
           for (const double bound : bounds) {
@@ -239,30 +249,41 @@ TEST(Kernels, SelectWorkforceCellsMatchesFill) {
               }
               if (cells[j].feasible && cells[j].requirement == bound) ++tied;
             }
-            for (const DispatchLevel level : levels) {
-              // One entry is already there; the kernel appends after it.
-              std::vector<kernels::SelectedCell> got(n + 1, {-1.0, 7});
-              size_t size = 1;
-              const auto select = level == DispatchLevel::kScalar
-                                      ? ki::ScalarSelectWorkforceCells
-                                      : ki::Avx2SelectWorkforceCells;
-              const size_t count =
-                  select(a.soa(), begin, n, thresholds, policy, bound, kFirst,
-                         got.data(), &size);
-              const std::string where =
-                  std::string(kernels::DispatchLevelName(level)) +
-                  (paper_signs ? " paper-signed" : " adversarial") + " n " +
-                  std::to_string(n) + " begin " + std::to_string(begin) +
-                  " bound " + std::to_string(bound);
-              EXPECT_EQ(count, feasible) << where;
-              ASSERT_EQ(size, want.size() + 1) << where;
-              EXPECT_EQ(got[0].column, 7u) << where;
-              for (size_t r = 0; r < want.size(); ++r) {
-                EXPECT_EQ(got[r + 1].column, want[r].column) << where;
-                EXPECT_EQ(std::memcmp(&got[r + 1].requirement,
-                                      &want[r].requirement, sizeof(double)),
-                          0)
-                    << where << " entry " << r;
+            for (size_t l = 0; l < levels.size(); ++l) {
+              for (const kernels::SelectMode mode :
+                   {kernels::SelectMode::kCounted,
+                    kernels::SelectMode::kUncounted}) {
+                // One entry is already there; the kernel appends after it.
+                std::vector<kernels::SelectedCell> got(n + 1, {-1.0, 7});
+                size_t size = 1;
+                const auto select = levels[l] == DispatchLevel::kScalar
+                                        ? ki::ScalarSelectWorkforceCells
+                                        : ki::Avx2SelectWorkforceCells;
+                const size_t count =
+                    select(a.soa(), begin, n, thresholds, policy, bound,
+                           kFirst, got.data(), &size, mode);
+                const bool counted = mode == kernels::SelectMode::kCounted;
+                const std::string where =
+                    std::string(kernels::DispatchLevelName(levels[l])) +
+                    (counted ? " counted" : " uncounted") +
+                    (paper_signs ? " paper-signed" : " adversarial") +
+                    " n " + std::to_string(n) + " begin " +
+                    std::to_string(begin) + " bound " + std::to_string(bound);
+                if (counted) {
+                  EXPECT_EQ(count, feasible) << where;
+                } else {
+                  ASSERT_LE(count, feasible) << where;
+                  skipped[l] += feasible - count;
+                }
+                ASSERT_EQ(size, want.size() + 1) << where;
+                EXPECT_EQ(got[0].column, 7u) << where;
+                for (size_t r = 0; r < want.size(); ++r) {
+                  EXPECT_EQ(got[r + 1].column, want[r].column) << where;
+                  EXPECT_EQ(std::memcmp(&got[r + 1].requirement,
+                                        &want[r].requirement, sizeof(double)),
+                            0)
+                      << where << " entry " << r;
+                }
               }
             }
             kept += want.size();
@@ -273,6 +294,93 @@ TEST(Kernels, SelectWorkforceCellsMatchesFill) {
   }
   EXPECT_GT(kept, 0u);  // some cells pass the bound
   EXPECT_GT(tied, 0u);  // and some tie it
+  for (size_t l = 0; l < levels.size(); ++l) {
+    EXPECT_GT(skipped[l], 0u) << kernels::DispatchLevelName(levels[l]);
+  }
+}
+
+/// The entries one SelectWorkforceCells call over [0, n) keeps.
+std::vector<kernels::SelectedCell> Select(DispatchLevel level,
+                                          kernels::SelectMode mode,
+                                          const CoeffSoA& soa, size_t n,
+                                          const ParamVector& thresholds,
+                                          double bound) {
+  const auto select = level == DispatchLevel::kScalar
+                          ? ki::ScalarSelectWorkforceCells
+                          : ki::Avx2SelectWorkforceCells;
+  std::vector<kernels::SelectedCell> out(n);
+  size_t size = 0;
+  select(soa, 0, n, thresholds, WorkforcePolicy::kMinimalWorkforce, bound, 0,
+         out.data(), &size, mode);
+  out.resize(size);
+  return out;
+}
+
+void ExpectSameCells(const std::vector<kernels::SelectedCell>& got,
+                     const std::vector<kernels::SelectedCell>& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got[r].column, want[r].column) << where;
+    EXPECT_EQ(std::memcmp(&got[r].requirement, &want[r].requirement,
+                          sizeof(double)),
+              0)
+        << where << " entry " << r;
+  }
+}
+
+// Cells whose t - beta is exactly fl(bound * alpha), yet
+// fl((t - beta) / alpha) < bound: a proof without the (1 + 2^-50) margin
+// would call them at or above the bound and skip them. About 6% of random
+// (alpha, bound) pairs give one. Each pair fills 7 cells (one 4-lane group
+// and a 3-cell tail) whose requirement is that quotient, on the quality
+// axis and then on the latency axis; every level and mode keeps all 7.
+TEST(Kernels, SelectWorkforceCellsUncountedKeepsCellsJustBelowTheBound) {
+  std::vector<DispatchLevel> levels = {DispatchLevel::kScalar};
+  if (kernels::Avx2Available()) levels.push_back(DispatchLevel::kAvx2);
+  std::mt19937_64 rng(0x3A26'1B00ull);
+  std::uniform_real_distribution<double> alphas(1e-3, 1.5);
+  std::uniform_real_distribution<double> bounds(0.0, 1.0);
+  constexpr size_t kN = 7;
+  int found = 0;
+  for (int draw = 0; draw < 100000 && found < 40; ++draw) {
+    const double alpha = alphas(rng);
+    const double bound = bounds(rng);
+    const double product = bound * alpha;
+    const double requirement = product / alpha;
+    if (!(requirement < bound)) continue;
+    ++found;
+    for (const bool latency_axis : {false, true}) {
+      // Quality: t - beta = product over alpha > 0. Latency: t - beta =
+      // -product over -alpha. The other floor is 0 and the cost ceiling 1.
+      Arrays a;
+      a.qa.assign(kN, latency_axis ? 1.0 : alpha);
+      a.qb.assign(kN, 0.0);
+      a.ca.assign(kN, 1.0);
+      a.cb.assign(kN, 0.0);
+      a.la.assign(kN, latency_axis ? -alpha : -1.0);
+      a.lb.assign(kN, 0.0);
+      const ParamVector thresholds{latency_axis ? 0.0 : product, 1.0,
+                                   latency_axis ? -product : 0.0};
+      std::vector<kernels::SelectedCell> want;
+      for (size_t j = 0; j < kN; ++j) want.push_back({requirement, j});
+      for (const DispatchLevel level : levels) {
+        for (const kernels::SelectMode mode :
+             {kernels::SelectMode::kCounted, kernels::SelectMode::kUncounted}) {
+          const std::string where =
+              std::string(kernels::DispatchLevelName(level)) +
+              (latency_axis ? " latency" : " quality") +
+              (mode == kernels::SelectMode::kCounted ? " counted"
+                                                     : " uncounted") +
+              " alpha " + std::to_string(alpha) + " bound " +
+              std::to_string(bound);
+          ExpectSameCells(Select(level, mode, a.soa(), kN, thresholds, bound),
+                          want, where);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(found, 40);
 }
 
 TEST(Kernels, DominanceBitIdenticalScalarVsAvx2) {

@@ -198,7 +198,8 @@ TEST(WorkforceMatrixEdge, TiesBrokenByIndex) {
 
 // TopStrategies against a full-sort oracle, on catalogs where every profile
 // appears three times so requirement ties are everywhere: the same list, in
-// the same order, with no capacity beyond its entries.
+// the same order, with no capacity beyond its entries, and the feasible
+// count saturated at k.
 TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
   workload::Generator generator({}, 0x70B5'0001ull);
   std::vector<StrategyProfile> profiles;
@@ -224,7 +225,7 @@ TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
       auto top = matrix.TopStrategies(i, k);
       ASSERT_TRUE(top.ok());
       const size_t take = std::min(sorted.size(), static_cast<size_t>(k));
-      EXPECT_EQ(top->feasible_count, sorted.size());
+      EXPECT_EQ(top->feasible_count, take) << "row " << i << " k " << k;
       EXPECT_EQ(top->strategies,
                 std::vector<size_t>(sorted.begin(), sorted.begin() + take))
           << "row " << i << " k " << k;
@@ -242,7 +243,8 @@ TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
 // PriceRows against the dense oracle: for every range [b, e) and row, the
 // whole-index matrix's feasible cells in [b, e), sorted by (requirement,
 // index) and cut to min(k, feasible), with indices relative to b. Compared
-// entry for entry, requirements bit for bit, at every pool size and grain.
+// entry for entry, requirements bit for bit, at every pool size and grain;
+// the feasible count is min(feasible, k) for k >= 1 and exact for k < 1.
 // Every profile appears three times in a row, so requirement ties straddle
 // most chunk edges, and the ranges sit on and off the chunk grid: whole,
 // one-wide, exactly one or two chunks, and three or more.
@@ -312,7 +314,9 @@ void ExpectPriceRowsMatchesDense(const std::vector<StrategyProfile>& profiles,
                   std::to_string(end) + ") row " + std::to_string(i) +
                   " k " + std::to_string(requests[i].k) + " grain " +
                   std::to_string(grain);
-              EXPECT_EQ(row.feasible_count, oracle[i].size()) << where;
+              EXPECT_EQ(row.feasible_count,
+                        requests[i].k < 1 ? oracle[i].size() : take)
+                  << where;
               EXPECT_EQ(row.strategies,
                         std::vector<size_t>(oracle[i].begin(),
                                             oracle[i].begin() + take))
@@ -394,10 +398,12 @@ TEST(PriceRows, SharedBoundKeepsLowerIndexTies) {
       const std::vector<DeploymentRequest> requests(m, {"d", thresholds, k});
       std::vector<size_t> lowest(static_cast<size_t>(k));
       std::iota(lowest.begin(), lowest.end(), first_feasible);
+      // The row holds more than k feasible cells, so its count is k.
+      const size_t count = std::min(n - first_feasible, lowest.size());
       const std::vector<RowTopK> serial = PriceRows(requests, index, 0, n);
       ASSERT_EQ(serial.size(), m);
       for (const RowTopK& row : serial) {
-        EXPECT_EQ(row.feasible_count, n - first_feasible);
+        EXPECT_EQ(row.feasible_count, count);
         EXPECT_EQ(row.strategies, lowest);
         EXPECT_EQ(row.requirements,
                   std::vector<double>(lowest.size(), cell.requirement));
@@ -415,7 +421,7 @@ TEST(PriceRows, SharedBoundKeepsLowerIndexTies) {
                 " threads " +
                 std::to_string(executor ? executor->threads() : 0) +
                 " run " + std::to_string(run) + " row " + std::to_string(i);
-            ASSERT_EQ(rows[i].feasible_count, n - first_feasible) << where;
+            ASSERT_EQ(rows[i].feasible_count, count) << where;
             ASSERT_EQ(rows[i].strategies, lowest) << where;
             ASSERT_EQ(rows[i].requirements.size(), lowest.size()) << where;
             ASSERT_EQ(std::memcmp(rows[i].requirements.data(),
@@ -428,6 +434,130 @@ TEST(PriceRows, SharedBoundKeepsLowerIndexTies) {
       }
     }
   }
+}
+
+// Rows whose k-th best is 0. Zero-requirement cells sit in chunks 2, 3, 5
+// and 7, a few in each, and chunk 5 opens with 300 of them: for k <= 256
+// its units hold k zeros after one block, publish 0 and stop, since under
+// kMinimalWorkforce a limit <= 0 keeps nothing. The row's first zeros lie
+// in chunks 2 and 3, below chunk 5, so a unit there that reads the shared
+// bound 0 must still keep its tied zeros: it prices uncounted against the
+// next double up, which the proof cannot exclude a zero from. The other
+// cells cost 0.2 or 0.8 or are infeasible, and k runs from 1 to past the
+// zero count, plus 0 (a count-only row). Every row must equal the dense
+// oracle, requirements bit for bit, at every pool size, run after run.
+TEST(PriceRows, ZeroRequirementTiesAcrossChunks) {
+  const ParamVector thresholds{0.7, 0.83, 0.28};
+  StrategyProfile zero = TypicalProfile();
+  zero.quality.beta = 0.75;  // meets 0.7 at w = 0
+  zero.latency.beta = 0.25;  // meets 0.28 at w = 0
+  StrategyProfile cheap = TypicalProfile();
+  cheap.quality.beta = 0.65;  // needs w >= 0.2
+  cheap.latency.beta = 0.31;  // needs w >= 0.2
+  StrategyProfile unreachable = TypicalProfile();
+  unreachable.quality.beta = 0.3;
+  ASSERT_EQ(ComputeWorkforceCell(zero, thresholds).requirement, 0.0);
+  const double cheap_requirement =
+      ComputeWorkforceCell(cheap, thresholds).requirement;
+  ASSERT_GT(cheap_requirement, 0.0);
+  ASSERT_LT(cheap_requirement,
+            ComputeWorkforceCell(TypicalProfile(), thresholds).requirement);
+  ASSERT_FALSE(ComputeWorkforceCell(unreachable, thresholds).feasible);
+
+  const size_t n = 8 * kPriceChunk + 50;
+  std::mt19937_64 rng(0x2E60'0001ull);
+  std::vector<StrategyProfile> profiles(n);
+  for (StrategyProfile& profile : profiles) {
+    const int pick = static_cast<int>(rng() % 3);
+    profile = pick == 0 ? TypicalProfile() : pick == 1 ? cheap : unreachable;
+  }
+  size_t zeros = 0;
+  for (const size_t chunk : {2, 3, 5, 7}) {
+    for (int t = 0; t < 3; ++t) {
+      profiles[chunk * kPriceChunk + rng() % kPriceChunk] = zero;
+    }
+  }
+  std::fill_n(profiles.begin() + 5 * kPriceChunk, 300, zero);
+  for (const StrategyProfile& profile : profiles) {
+    zeros += ComputeWorkforceCell(profile, thresholds).requirement == 0.0;
+  }
+  const CatalogIndex index = CatalogIndex::Build(profiles);
+
+  std::vector<DeploymentRequest> requests;
+  for (const int k : {1, 4, 6, 7, 50, 299, static_cast<int>(zeros),
+                      static_cast<int>(zeros) + 5, 0}) {
+    requests.push_back({"d", thresholds, k});
+  }
+  const auto dense = WorkforceMatrix::Compute(requests, index);
+  std::vector<RowTopK> oracle;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i].k < 1) {
+      RowTopK row;
+      for (size_t j = 0; j < n; ++j) {
+        row.feasible_count += dense.At(i, j).feasible;
+      }
+      oracle.push_back(row);
+      continue;
+    }
+    auto row = dense.TopStrategies(i, requests[i].k);
+    ASSERT_TRUE(row.ok());
+    oracle.push_back(*row);
+  }
+  // k = 4 reaches past chunk 2's zeros into chunk 3's, and a row of
+  // k = zeros + 5 ends on cheap cells.
+  ASSERT_LT(oracle[1].strategies.front(), 3 * kPriceChunk);
+  ASSERT_GE(oracle[1].strategies.back(), 3 * kPriceChunk);
+  ASSERT_LT(oracle[1].strategies.back(), 4 * kPriceChunk);
+  ASSERT_EQ(oracle[6].requirements.back(), 0.0);
+  ASSERT_EQ(oracle[7].requirements.back(), cheap_requirement);
+
+  Executor pool1(1);
+  Executor pool4(4);
+  for (Executor* executor : {static_cast<Executor*>(nullptr), &pool1,
+                             &pool4}) {
+    for (int run = 0; run < 30; ++run) {
+      const std::vector<RowTopK> rows =
+          PriceRows(requests, index, 0, n, WorkforcePolicy::kMinimalWorkforce,
+                    executor, 1);
+      ASSERT_EQ(rows.size(), oracle.size());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const std::string where =
+            "k " + std::to_string(requests[i].k) + " threads " +
+            std::to_string(executor ? executor->threads() : 0) + " run " +
+            std::to_string(run);
+        ASSERT_EQ(rows[i].feasible_count, oracle[i].feasible_count) << where;
+        ASSERT_EQ(rows[i].strategies, oracle[i].strategies) << where;
+        ASSERT_EQ(rows[i].requirements.size(), oracle[i].requirements.size())
+            << where;
+        ASSERT_EQ(std::memcmp(rows[i].requirements.data(),
+                              oracle[i].requirements.data(),
+                              oracle[i].requirements.size() * sizeof(double)),
+                  0)
+            << where;
+      }
+    }
+  }
+}
+
+// Runs whose counts sum past k merge to a count of exactly k, as the
+// saturated rows of PriceRows chunks and router shards do; k < 1 keeps the
+// exact sum and no entries. Requirement ties order by merged index.
+TEST(MergeTopK, ClampsTheSummedCountToK) {
+  const size_t first_strategies[] = {0, 2, 5};
+  const double first_requirements[] = {0.1, 0.3, 0.3};
+  const size_t second_strategies[] = {1, 4};
+  const double second_requirements[] = {0.2, 0.3};
+  const TopKRun runs[] = {
+      {4, 0, first_strategies, first_requirements, 3},
+      {3, 10, second_strategies, second_requirements, 2}};
+  const RowTopK row = MergeTopK(runs, 3);
+  EXPECT_EQ(row.feasible_count, 3u);
+  EXPECT_EQ(row.strategies, (std::vector<size_t>{0, 11, 2}));
+  EXPECT_EQ(row.requirements, (std::vector<double>{0.1, 0.2, 0.3}));
+  EXPECT_EQ(MergeTopK(runs, 1).feasible_count, 1u);
+  const RowTopK count_only = MergeTopK(runs, 0);
+  EXPECT_EQ(count_only.feasible_count, 7u);
+  EXPECT_TRUE(count_only.strategies.empty());
 }
 
 TEST(PriceRows, MatchesDenseOracleScalar) {
