@@ -126,9 +126,8 @@ std::vector<KernelRow> RunKernelBenches() {
 
   // The pricer's scan: the 1M perfbench workload's mid thresholds under the
   // default policy, against the 6th-cheapest feasible requirement as the
-  // bound, so only 5 cells are kept. Counted, every cell is priced and
-  // counted; uncounted (a row known to hold k feasible cells), the cells
-  // proven to lie at or above the bound are skipped.
+  // bound, so only 5 cells are kept and the cells proven to lie at or above
+  // the bound are skipped.
   const core::ParamVector batch_thresholds{0.65, 0.8, 0.8};
   kernels::FillWorkforceCells(soa, 0, kN, batch_thresholds,
                               core::WorkforcePolicy::kMinimalWorkforce,
@@ -140,19 +139,12 @@ std::vector<KernelRow> RunKernelBenches() {
   std::nth_element(feasible.begin(), feasible.begin() + 5, feasible.end());
   const double bound = feasible[5];
   std::vector<kernels::SelectedCell> selected(kN);
-  auto bench_select = [&](const char* name, kernels::SelectMode mode) {
-    rows.push_back(BenchKernel(name, "cells", kN, [&] {
-      size_t size = 0;
-      Escape(kernels::SelectWorkforceCells(
-          soa, 0, kN, batch_thresholds,
-          core::WorkforcePolicy::kMinimalWorkforce, bound, 0, selected.data(),
-          &size, mode));
-      Escape(selected.data());
-    }));
-  };
-  bench_select("select_workforce_cells", kernels::SelectMode::kCounted);
-  bench_select("select_workforce_cells_uncounted",
-               kernels::SelectMode::kUncounted);
+  rows.push_back(BenchKernel("select_workforce_cells", "cells", kN, [&] {
+    Escape(kernels::SelectWorkforceCells(
+        soa, 0, kN, batch_thresholds, core::WorkforcePolicy::kMinimalWorkforce,
+        bound, 0, selected.data()));
+    Escape(selected.data());
+  }));
 
   std::vector<core::ParamVector> params(kN);
   rows.push_back(BenchKernel("estimate_params", "params", kN, [&] {

@@ -749,6 +749,10 @@ bool AllFinite(const api::BatchRequest& request) {
 bool AllFinite(const api::SweepRequest& request) {
   return FiniteValue(request);
 }
+bool AllFinite(const api::StreamOptions& options) {
+  return FiniteValue(options);
+}
+bool AllFinite(const api::StreamEvent& event) { return FiniteValue(event); }
 
 Status DecodeStatus(const json::Value& value, Status* out) {
   return FromJson(value, "status", out);

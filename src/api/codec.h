@@ -61,14 +61,18 @@ json::Value Encode(const api::StreamUpdate& update);
 json::Value Encode(const api::ServiceConfig& config);
 json::Value Encode(const api::ServiceStats& stats);
 
-/// Whether every double Encode(request) emits is finite, judged from the
+/// Whether every double Encode(value) emits is finite, judged from the
 /// same field tables: the thresholds, a fixed availability's value, a PMF's
 /// atoms or a sample set, and a positive deadline_ms (a deadline <= 0 or
 /// NaN stays off the wire and means none). JSON has no NaN or infinity, so
 /// the encoder writes null and no decoder reads the record back; the
-/// ticket protocol refuses such a request before it queues or journals it.
+/// ticket protocol refuses such a request before it queues or journals it,
+/// and Service::OpenStream and StreamSession::Submit refuse such options or
+/// events before they journal them.
 bool AllFinite(const api::BatchRequest& request);
 bool AllFinite(const api::SweepRequest& request);
+bool AllFinite(const api::StreamOptions& options);
+bool AllFinite(const api::StreamEvent& event);
 
 /// Out-parameter shape because Result<Status> would be ambiguous.
 Status DecodeStatus(const json::Value& value, Status* out);

@@ -106,6 +106,13 @@ Result<SweepReport> Service::RunSweep(SweepRequest request) const {
 }
 
 Result<StreamSession> Service::OpenStream(const StreamOptions& options) const {
+  // A non-finite double would journal as null, and the trace would no
+  // longer read back, so such options open no session and are unrecorded.
+  if (!wire::AllFinite(options)) {
+    return Status::InvalidArgument(
+        "stream options hold a non-finite number, which the wire cannot "
+        "carry");
+  }
   if (options.max_pending.value_or(0) > kMaxWireInteger) {
     return Status::InvalidArgument(
         "max_pending exceeds 2^53 and would not round-trip the wire codec");
@@ -203,6 +210,13 @@ Status Service::RecordStatsSnapshot(double sim_time) const {
 const std::string& StreamSession::id() const { return state_->id; }
 
 Result<StreamUpdate> StreamSession::Submit(const StreamEvent& event) {
+  // A non-finite double would journal as null, and the trace would no
+  // longer read back, so such an event is refused unrecorded and takes no
+  // submission index.
+  if (!wire::AllFinite(event)) {
+    return Status::InvalidArgument(
+        "stream event holds a non-finite number, which the wire cannot carry");
+  }
   StreamUpdate update;
   update.session_id = state_->id;
   update.kind = event.kind;

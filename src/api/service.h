@@ -69,6 +69,8 @@ class StreamSession {
   const std::string& id() const;
 
   /// Uniform entry point: applies one event, returns the post-event state.
+  /// An event holding a non-finite number fails with kInvalidArgument,
+  /// unapplied and unjournaled.
   Result<StreamUpdate> Submit(const StreamEvent& event);
 
   /// Conveniences over Submit().
@@ -120,7 +122,8 @@ class Service {
   Result<SweepReport> RunSweep(SweepRequest request) const;
 
   /// Stream mode: opens an independent session; many sessions may run
-  /// concurrently against one service.
+  /// concurrently against one service. Options holding a non-finite number
+  /// fail with kInvalidArgument and are not journaled.
   Result<StreamSession> OpenStream(const StreamOptions& options = {}) const;
 
   /// Registers an availability model under `name` for AvailabilitySpec::

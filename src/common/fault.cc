@@ -2,37 +2,21 @@
 
 #include <mutex>
 
+#include "src/common/rng.h"
+
 namespace stratrec::fault {
 namespace {
 
 // Same derivation idiom as sim::RngStreams: FNV-1a over the site name,
-// SplitMix64 to whiten. Keeping the functions local (not shared with
-// src/sim) so the two layers can't drift each other's schedules.
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+// SplitMix64 to whiten. The site hash starts from 1469598103934665603, not
+// the FNV offset basis (14695981039346656037, one digit longer); the
+// schedule goldens in tests/fault_test.cc pin that start.
+constexpr uint64_t kSiteHashStart = 1469598103934665603ull;
 
 // The decision hash for (seed, site, visit). Also the digest contribution
 // when the visit injects, so the digest is a pure function of the schedule.
 uint64_t VisitHash(uint64_t seed, uint64_t name_hash, uint64_t visit) {
   return SplitMix64(seed ^ SplitMix64(name_hash + visit));
-}
-
-// Uniform-in-[0,1) from the top 53 bits, mirroring RngStreams::NextDouble.
-double ToUnit(uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 std::mutex g_plan_mutex;
@@ -46,7 +30,7 @@ FaultPlan::FaultPlan(FaultConfig config) : config_(std::move(config)) {
     auto site = std::make_unique<Site>();
     site->name = name;
     site->spec = spec;
-    site->name_hash = Fnv1a(name);
+    site->name_hash = Fnv1a(name, kSiteHashStart);
     sites_.push_back(std::move(site));
   }
 }
@@ -68,7 +52,7 @@ FaultDecision FaultPlan::Visit(std::string_view site) {
   FaultDecision decision;
   decision.visit = s->visits.fetch_add(1, std::memory_order_relaxed);
   const uint64_t h = VisitHash(config_.seed, s->name_hash, decision.visit);
-  if (ToUnit(h) < s->spec.rate) {
+  if (UnitFromBits(h) < s->spec.rate) {
     decision.inject = true;
     decision.delay_ms = s->spec.delay_ms;
     s->injected.fetch_add(1, std::memory_order_relaxed);

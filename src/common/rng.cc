@@ -6,14 +6,6 @@
 namespace stratrec {
 namespace {
 
-// splitmix64, used to expand the seed into the xoshiro state.
-uint64_t SplitMix64(uint64_t* x) {
-  uint64_t z = (*x += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
@@ -21,8 +13,11 @@ constexpr double kTwoPi = 6.283185307179586476925286766559;
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t s = seed;
-  for (auto& word : state_) word = SplitMix64(&s);
+  // The first four outputs of a SplitMix64 generator seeded with `seed`.
+  for (auto& word : state_) {
+    word = SplitMix64(seed);
+    seed += kSplitMix64Gamma;
+  }
 }
 
 uint64_t Rng::Next() {
@@ -37,10 +32,7 @@ uint64_t Rng::Next() {
   return result;
 }
 
-double Rng::Uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
+double Rng::Uniform() { return UnitFromBits(Next()); }
 
 double Rng::Uniform(double lo, double hi) {
   assert(lo <= hi);

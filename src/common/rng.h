@@ -8,10 +8,49 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace stratrec {
+
+// Seeded hashing: the one definition of each helper that the library's
+// seeded schedules (fault visits, replica picks, client backoff, simulator
+// actor seeds and digests, the xoshiro seed expansion) are built from.
+// Goldens in tests/fault_test.cc and tests/codec_test.cc pin outputs built
+// on them.
+
+/// The golden-ratio increment of SplitMix64.
+inline constexpr uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ULL;
+
+/// SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) as a pure function: the
+/// output of a generator whose state is `x`, whose next state is
+/// x + kSplitMix64Gamma. Also the whitening step of every seeded hash.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// The 64-bit FNV-1a offset basis and prime.
+inline constexpr uint64_t kFnv1aOffsetBasis = 0xCBF29CE484222325ULL;
+inline constexpr uint64_t kFnv1aPrime = 0x100000001B3ULL;
+
+/// 64-bit FNV-1a over the bytes of `text`, continuing from `hash`.
+inline uint64_t Fnv1a(std::string_view text,
+                      uint64_t hash = kFnv1aOffsetBasis) {
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= kFnv1aPrime;
+  }
+  return hash;
+}
+
+/// A uniform double in [0, 1) from the top 53 bits of `bits`.
+inline double UnitFromBits(uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
 
 /// xoshiro256** PRNG (Blackman & Vigna) with convenience samplers.
 ///

@@ -12,9 +12,8 @@ namespace stratrec::core {
 
 AggregatedRequest AggregateRow(RowTopK row, int k, AggregationMode mode) {
   AggregatedRequest out;
-  if (k < 1) return out;  // rejected by ValidateRequest before any read
   auto requirement = row.Aggregate(k, mode);
-  if (!requirement.ok()) return out;  // fewer than k feasible strategies
+  if (!requirement.ok()) return out;  // k < 1, or fewer than k feasible
   out.eligible = true;
   out.requirement = *requirement;
   out.strategies = std::move(row.strategies);

@@ -20,11 +20,11 @@
 namespace stratrec::core {
 
 /// Prices every request against the whole catalog under a policy: row i is
-/// request i's feasible count saturated at k and its min(k, feasible)
-/// cheapest strategies (k = requests[i].k), indexed over the catalog,
-/// exactly as PriceRows returns them over [0, |S|). The one seam that says how a batch's rows
-/// are priced: StratRec installs PriceRows over its catalog's index, and
-/// the shard router installs its scatter and k-way merge.
+/// request i's min(k, feasible) cheapest strategies (k = requests[i].k),
+/// indexed over the catalog, exactly as PriceRows returns them over
+/// [0, |S|). The one seam that says how a batch's rows are priced: StratRec
+/// installs PriceRows over its catalog's index, and the shard router
+/// installs its scatter and k-way merge.
 using RowPricerFn = std::function<Result<std::vector<RowTopK>>(
     const std::vector<DeploymentRequest>&, WorkforcePolicy)>;
 

@@ -200,11 +200,11 @@ inline __m256d EqualityVec(const double* alpha, const double* beta, size_t j,
   return {_mm256_cmp_pd(lo, _mm256_add_pd(hi, veps), _CMP_LE_OQ), lo};
 }
 
-/// ProvenNotKept for 4 paper-signed strategies (the uncounted mode's
-/// proof): true when every lane's quality or latency term is proven at or
-/// above the bound that `scaled` = ProofLimit(bound) stands for. The paper
-/// signs fix each product's sign, so a normal product is one in
-/// [DBL_MIN, DBL_MAX] for quality and in [-DBL_MAX, -DBL_MIN] for latency.
+/// ProvenNotKept for 4 paper-signed strategies: true when every lane's
+/// quality or latency term is proven at or above the bound that `scaled` =
+/// ProofLimit(bound) stands for. The paper signs fix each product's sign,
+/// so a normal product is one in [DBL_MIN, DBL_MAX] for quality and in
+/// [-DBL_MAX, -DBL_MIN] for latency.
 inline bool ProvenGroup(const CoeffSoA& soa, size_t j,
                         const ParamVector& thresholds, __m256d scaled) {
   const __m256d min_normal =
@@ -306,18 +306,15 @@ void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                                 const ParamVector& thresholds,
                                 WorkforcePolicy policy, double bound,
-                                size_t first, SelectedCell* out, size_t* size,
-                                SelectMode mode) {
+                                size_t first, SelectedCell* out) {
   // A local copy: stores to `out` cannot alias it, so the thresholds stay
   // in registers across the loop.
   const ParamVector t = thresholds;
   const bool minimal = policy == WorkforcePolicy::kMinimalWorkforce;
-  const bool uncounted = mode == SelectMode::kUncounted;
   const __m256d vzero = _mm256_setzero_pd();
   const __m256d vbound = _mm256_set1_pd(bound);
   const __m256d vscaled = _mm256_set1_pd(ProofLimit(bound));
-  size_t feasible = 0;
-  size_t kept = *size;
+  size_t kept = 0;
   size_t j = begin;
   alignas(32) double req[4];
   for (; j + 4 <= end; j += 4) {
@@ -329,14 +326,11 @@ size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
         _mm256_cmp_pd(_mm256_loadu_pd(soa.latency_alpha + j), vzero,
                       _CMP_LT_OQ));
     const bool short_path = minimal && MaskBits(paper_signs) == 0xF;
-    if (short_path && uncounted && ProvenGroup(soa, j, t, vscaled)) continue;
+    if (short_path && ProvenGroup(soa, j, t, vscaled)) continue;
     const CellsVec group = short_path ? PricePaperSignsGroup(soa, j, t)
                                       : PriceGroup(soa, j, t, policy);
-    const int feasible_bits = MaskBits(group.feasible);
-    feasible += static_cast<size_t>(
-        __builtin_popcount(static_cast<unsigned>(feasible_bits)));
     const unsigned keep = static_cast<unsigned>(
-        feasible_bits &
+        MaskBits(group.feasible) &
         MaskBits(_mm256_cmp_pd(group.requirement, vbound, _CMP_LT_OQ)));
     if (keep == 0) continue;
     // Branch-free compaction: every lane is written at out[kept], and only
@@ -348,9 +342,8 @@ size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
       kept += (keep >> lane) & 1;
     }
   }
-  *size = kept;
-  return feasible + ScalarSelectWorkforceCells(soa, j, end, thresholds, policy,
-                                               bound, first, out, size, mode);
+  return kept + ScalarSelectWorkforceCells(soa, j, end, thresholds, policy,
+                                           bound, first, out + kept);
 }
 
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {
@@ -421,10 +414,9 @@ void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                                 const ParamVector& thresholds,
                                 WorkforcePolicy policy, double bound,
-                                size_t first, SelectedCell* out, size_t* size,
-                                SelectMode mode) {
+                                size_t first, SelectedCell* out) {
   return ScalarSelectWorkforceCells(soa, begin, end, thresholds, policy, bound,
-                                    first, out, size, mode);
+                                    first, out);
 }
 
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {

@@ -112,13 +112,13 @@ void FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 size_t SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                             const ParamVector& thresholds,
                             WorkforcePolicy policy, double bound, size_t first,
-                            SelectedCell* out, size_t* size, SelectMode mode) {
+                            SelectedCell* out) {
   if (Level() == DispatchLevel::kAvx2) {
-    return internal::Avx2SelectWorkforceCells(
-        soa, begin, end, thresholds, policy, bound, first, out, size, mode);
+    return internal::Avx2SelectWorkforceCells(soa, begin, end, thresholds,
+                                              policy, bound, first, out);
   }
-  return internal::ScalarSelectWorkforceCells(
-      soa, begin, end, thresholds, policy, bound, first, out, size, mode);
+  return internal::ScalarSelectWorkforceCells(soa, begin, end, thresholds,
+                                              policy, bound, first, out);
 }
 
 bool AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {

@@ -9,10 +9,10 @@
 //     is every snapshot-cache miss an ADPaR leg takes, and behind
 //     StratRecOptions::materialize_params),
 //   * SelectWorkforceCells — the pricing scan behind PriceRows, one
-//     256-cell block per call: it prices the block for one request, counts
-//     the feasible cells and keeps only those below the caller's running
-//     k-th best, so no cell is stored; uncounted, it skips the cells it
-//     can prove lie at or above that bound,
+//     256-cell block per call: it prices the block for one request and
+//     keeps only the cells below the caller's running k-th best, so no
+//     cell is stored, and it skips the cells it can prove lie at or above
+//     that bound,
 //   * FillWorkforceCells — the stored cell fill behind the dense
 //     WorkforceMatrix::Compute (the stream pricers and perfbench's fill
 //     metric),
@@ -32,29 +32,29 @@
 // with it the check log's RSS past its bound (ROADMAP, "One pricer: move
 // the stream path onto PriceRows").
 //
-// SelectWorkforceCells also has an uncounted mode, for a caller that
-// already knows its row holds k feasible cells and so needs no count.
-// Under kMinimalWorkforce a cell's requirement is at least its quality
-// term when quality alpha > 0 and at least its latency term when latency
-// alpha < 0, or the cell is infeasible. So a cell with the paper's signs
-// cannot be kept when either term alone is at or above the bound, and one
-// multiply per axis proves that in place of the division. With
-// L' = max(bound, 2^-900) * (1 + 2^-50), quality is proven when
-// t - beta >= fl(L' * alpha), latency when t - beta <= fl(L' * alpha), both
-// only when the product is normal, with t - beta exactly as the division
-// computes it. Either proof puts fl((t - beta) / alpha) at or above the
-// bound. The margin is required: it covers the rounding of the product and
-// of the division (for ~6% of random alpha in [1e-3, 1.5) and bound in
-// [0, 1), t - beta = fl(bound * alpha) divides to just below the bound).
-// The 2^-900 floor keeps the products normal (a subnormal multiply takes a
-// microcode assist), and proving a requirement >= 2^-900 also proves it
-// >= any smaller bound. NaN fails every ordered compare, so a NaN lane is
-// never proven. The AVX2 body skips a paper-signed group's three divisions
-// when all four lanes are proven; the scalar loop and the AVX2 tail skip
-// single cells through one helper (ProvenNotKept, kernels_internal.h).
-// kPaperMaxOfThree never skips: its clamp can return a ceiling just below
-// the floor. A skipped cell is one no mode keeps, so both modes keep the
-// same entries.
+// SelectWorkforceCells also skips the divisions of the cells it can prove
+// it would not keep. Under kMinimalWorkforce a cell's requirement is at
+// least its quality term when quality alpha > 0 and at least its latency
+// term when latency alpha < 0, or the cell is infeasible. So a cell with
+// the paper's signs cannot be kept when either term alone is at or above
+// the bound, and one multiply per axis proves that in place of the
+// division. With L' = max(bound, 2^-900) * (1 + 2^-50), quality is proven
+// when t - beta >= fl(L' * alpha), latency when t - beta <= fl(L' * alpha),
+// both only when the product is normal, with t - beta exactly as the
+// division computes it. Either proof puts fl((t - beta) / alpha) at or
+// above the bound. The margin is required: it covers the rounding of the
+// product and of the division (for ~6% of random alpha in [1e-3, 1.5) and
+// bound in [0, 1), t - beta = fl(bound * alpha) divides to just below the
+// bound). The 2^-900 floor keeps the products normal (a subnormal multiply
+// takes a microcode assist), and proving a requirement >= 2^-900 also
+// proves it >= any smaller bound. NaN fails every ordered compare, so a
+// NaN lane is never proven, and a bound of +inf or NaN proves nothing. The
+// AVX2 body skips a paper-signed group's three divisions when all four
+// lanes are proven; the scalar loop and the AVX2 tail skip single cells
+// through one helper (ProvenNotKept, kernels_internal.h). kPaperMaxOfThree
+// never skips: its clamp can return a ceiling just below the floor. A
+// skipped cell is one the division would not keep either, so the kept
+// entries do not depend on the skip.
 //
 // Two implementations exist for every kernel: a portable scalar one
 // (always compiled, the reference semantics) and an AVX2 one (4 double
@@ -172,30 +172,19 @@ struct SelectedCell {
   size_t column;
 };
 
-/// Whether SelectWorkforceCells classifies every cell it is given.
-enum class SelectMode {
-  /// Price every cell; the return value is the exact feasible count.
-  kCounted,
-  /// Under kMinimalWorkforce, skip the paper-signed cells proven not to
-  /// beat the bound (see the file comment). The return value counts only
-  /// the feasible cells priced, so it may fall short of the range's.
-  kUncounted,
-};
-
 /// Prices cells [begin, end) for one request exactly as FillWorkforceCells
-/// would, without storing them. Returns how many are feasible (kCounted),
-/// or how many of the cells it priced are (kUncounted). Every feasible
-/// cell j whose requirement is strictly below `bound` is appended as
-/// {requirement, first + j} at out[*size], in ascending j, and *size grows
-/// by one; both modes append the same entries. `out` must have room for
-/// end - begin more entries; the AVX2 body also writes throwaway entries
-/// past the kept ones, within that room. A bound of -inf keeps nothing (a
-/// count-only scan); +inf keeps every feasible cell, since feasible
-/// requirements are finite.
+/// would, without storing them, and appends every feasible cell j whose
+/// requirement is strictly below `bound` as {requirement, first + j} at
+/// out[0], out[1], ..., in ascending j. Returns how many it appended. Under
+/// kMinimalWorkforce it skips the paper-signed cells it proves are not
+/// below a finite bound (see the file comment). `out` must have room for
+/// end - begin entries; the AVX2 body also writes throwaway entries past
+/// the kept ones, within that room. A bound of -inf keeps nothing; +inf
+/// keeps every feasible cell, since feasible requirements are finite.
 size_t SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                             const ParamVector& thresholds,
                             WorkforcePolicy policy, double bound, size_t first,
-                            SelectedCell* out, size_t* size, SelectMode mode);
+                            SelectedCell* out);
 
 // ---------------------------------------------------------------------------
 // Kernel 3: relaxation-space dominance tests

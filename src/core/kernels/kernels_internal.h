@@ -40,13 +40,14 @@ inline WorkforceCell CellOne(const CoeffSoA& soa, size_t j,
   return ComputeWorkforceCell(profile, thresholds, policy);
 }
 
-/// The uncounted mode's scaled bound L' = max(bound, 2^-900) * (1 + 2^-50)
-/// (kernels.h). A NaN bound scales to NaN and proves nothing.
+/// SelectWorkforceCells' scaled bound L' = max(bound, 2^-900) * (1 + 2^-50)
+/// (kernels.h). A NaN bound scales to NaN and +inf to +inf, and neither
+/// proves anything: no product with them is normal.
 inline double ProofLimit(double bound) {
   return std::max(bound, 0x1p-900) * (1.0 + 0x1p-50);
 }
 
-/// The uncounted mode's per-cell proof, under kMinimalWorkforce: true when
+/// SelectWorkforceCells' per-cell proof, under kMinimalWorkforce: true when
 /// strategy j has the paper's slope signs and its quality or latency term
 /// alone is proven at or above the bound that `scaled` = ProofLimit(bound)
 /// stands for, so the cell is infeasible or its requirement is not below
@@ -90,8 +91,7 @@ void ScalarFillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 size_t ScalarSelectWorkforceCells(const CoeffSoA& soa, size_t begin,
                                   size_t end, const ParamVector& thresholds,
                                   WorkforcePolicy policy, double bound,
-                                  size_t first, SelectedCell* out,
-                                  size_t* size, SelectMode mode);
+                                  size_t first, SelectedCell* out);
 bool ScalarAnyDominates(const PointSoA& pts, size_t n, const ParamVector& q);
 uint32_t ScalarCountDominatorsBounded(const PointSoA& pts, const double* sums,
                                       size_t n, double sum_limit, uint32_t cap,
@@ -110,8 +110,7 @@ void Avx2FillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 size_t Avx2SelectWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
                                 const ParamVector& thresholds,
                                 WorkforcePolicy policy, double bound,
-                                size_t first, SelectedCell* out, size_t* size,
-                                SelectMode mode);
+                                size_t first, SelectedCell* out);
 bool Avx2AnyDominates(const PointSoA& pts, size_t n, const ParamVector& q);
 uint32_t Avx2CountDominatorsBounded(const PointSoA& pts, const double* sums,
                                     size_t n, double sum_limit, uint32_t cap,

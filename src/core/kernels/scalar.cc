@@ -25,22 +25,18 @@ void ScalarFillWorkforceCells(const CoeffSoA& soa, size_t begin, size_t end,
 size_t ScalarSelectWorkforceCells(const CoeffSoA& soa, size_t begin,
                                   size_t end, const ParamVector& thresholds,
                                   WorkforcePolicy policy, double bound,
-                                  size_t first, SelectedCell* out,
-                                  size_t* size, SelectMode mode) {
-  const bool skip = mode == SelectMode::kUncounted &&
-                    policy == WorkforcePolicy::kMinimalWorkforce;
+                                  size_t first, SelectedCell* out) {
+  const bool prove = policy == WorkforcePolicy::kMinimalWorkforce;
   const double scaled = ProofLimit(bound);
-  size_t feasible = 0;
+  size_t kept = 0;
   for (size_t j = begin; j < end; ++j) {
-    if (skip && ProvenNotKept(soa, j, thresholds, scaled)) continue;
+    if (prove && ProvenNotKept(soa, j, thresholds, scaled)) continue;
     const WorkforceCell cell = CellOne(soa, j, thresholds, policy);
-    if (!cell.feasible) continue;
-    ++feasible;
-    if (cell.requirement < bound) {
-      out[(*size)++] = {cell.requirement, first + j};
+    if (cell.feasible && cell.requirement < bound) {
+      out[kept++] = {cell.requirement, first + j};
     }
   }
-  return feasible;
+  return kept;
 }
 
 bool ScalarAnyDominates(const PointSoA& pts, size_t n, const ParamVector& q) {

@@ -179,11 +179,10 @@ WorkforceMatrix WorkforceMatrix::Compute(
 
 RowTopK MergeTopK(std::span<const TopKRun> runs, int k) {
   RowTopK row;
-  for (const TopKRun& run : runs) row.feasible_count += run.feasible_count;
-  if (k >= 1) {
-    row.feasible_count = std::min(row.feasible_count, static_cast<size_t>(k));
-  }
-  const size_t take = k < 1 ? 0 : row.feasible_count;
+  if (k < 1) return row;
+  size_t total = 0;
+  for (const TopKRun& run : runs) total += run.size;
+  const size_t take = std::min(total, static_cast<size_t>(k));
   row.strategies.reserve(take);
   row.requirements.reserve(take);
   // A min-heap of the runs' heads by (requirement, merged index): the head
@@ -202,9 +201,8 @@ RowTopK MergeTopK(std::span<const TopKRun> runs, int k) {
     if (runs[r].size > 0) heads.push_back(r);
   }
   std::make_heap(heads.begin(), heads.end(), later);
-  // The union of the runs holds at least min(k, total feasible) entries, so
-  // the heap only runs dry early on malformed input.
-  while (row.strategies.size() < take && !heads.empty()) {
+  // The runs hold `total` >= `take` entries, so the heap never runs dry.
+  while (row.strategies.size() < take) {
     std::pop_heap(heads.begin(), heads.end(), later);
     const size_t r = heads.back();
     row.strategies.push_back(runs[r].offset + runs[r].strategies[cursor[r]]);
@@ -228,7 +226,8 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
   const size_t units = m * chunks;
   // Unit u prices chunk u / m of row u % m, so consecutive units read one
   // chunk's coefficients, and keeps at most min(k, chunk width) entries, at
-  // slot[u] of the flat entry arrays; kept[u] of them are filled.
+  // slot[u] of the flat entry arrays; kept[u] of them are filled. A unit of
+  // a k < 1 row has no room and prices nothing.
   std::vector<size_t> slot(units + 1, 0);
   for (size_t u = 0; u < units; ++u) {
     const int k = requests[u % m].k;
@@ -236,7 +235,6 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
     slot[u + 1] =
         slot[u] + (k < 1 ? 0 : std::min(columns, static_cast<size_t>(k)));
   }
-  std::vector<size_t> feasible(units, 0);
   std::vector<size_t> kept(units, 0);
   std::vector<size_t> strategies(slot[units]);
   std::vector<double> requirements(slot[units]);
@@ -261,9 +259,10 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
     // memset to every 4,096 cells priced.
     kernels::SelectedCell candidates[kPriceChunk];
     for (size_t u = first; u < last; ++u) {
+      const size_t keep = slot[u + 1] - slot[u];
+      if (keep == 0) continue;
       const size_t column = u / m * kPriceChunk;
       const size_t n = std::min(kPriceChunk, width - column);
-      const size_t keep = slot[u + 1] - slot[u];
       const kernels::CoeffSoA soa = CoeffsFrom(index, begin + column);
       const DeploymentRequest& request = requests[u % m];
       std::atomic<double>& shared = row_bound[u % m];
@@ -272,32 +271,22 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
       // nothing the row keeps. A cell that ties the row's shared bound may
       // have a lower index than the cells behind it, so that test is <=:
       // the kernel gets the next double up.
-      double bound = keep == 0 ? -kInf : kInf;
+      double bound = kInf;
       size_t count = 0;
-      size_t feasible_cells = 0;
-      // Once the shared bound is finite, a k-wide unit has kept k feasible
-      // cells (this unit's own publish included), so the row's count is
-      // min(feasible, k) = k whatever the unit's chunk holds: the unit
-      // stops counting and prices uncounted. Rows with k < 1 never publish.
-      bool saturated = false;
       for (size_t b = 0; b < n; b += kPriceBlock) {
-        const double row_best = shared.load(std::memory_order_relaxed);
-        const double limit = std::min(bound, std::nextafter(row_best, kInf));
-        saturated = row_best < kInf;
+        const double limit = std::min(
+            bound,
+            std::nextafter(shared.load(std::memory_order_relaxed), kInf));
         // Every feasible kMinimalWorkforce requirement is >= 0 or -0.0, so
-        // a limit <= 0 keeps nothing more, and a saturated unit needs no
-        // count either.
-        if (saturated && limit <= 0.0 &&
-            policy == WorkforcePolicy::kMinimalWorkforce) {
+        // a limit <= 0 keeps nothing more.
+        if (limit <= 0.0 && policy == WorkforcePolicy::kMinimalWorkforce) {
           break;
         }
-        const size_t before = count;
-        feasible_cells += kernels::SelectWorkforceCells(
+        const size_t appended = kernels::SelectWorkforceCells(
             soa, b, std::min(n, b + kPriceBlock), request.thresholds, policy,
-            limit, column, candidates, &count,
-            saturated ? kernels::SelectMode::kUncounted
-                      : kernels::SelectMode::kCounted);
-        if (count != before && count >= keep) {
+            limit, column, candidates + count);
+        count += appended;
+        if (appended != 0 && count >= keep) {
           std::nth_element(candidates, candidates + keep - 1,
                            candidates + count, cheaper);
           count = keep;
@@ -318,8 +307,6 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
         strategies[slot[u] + t] = candidates[t].column;
         requirements[slot[u] + t] = candidates[t].requirement;
       }
-      feasible[u] =
-          saturated ? static_cast<size_t>(request.k) : feasible_cells;
       kept[u] = count;
     }
   };
@@ -335,8 +322,8 @@ std::vector<RowTopK> PriceRows(const std::vector<DeploymentRequest>& requests,
   for (size_t i = 0; i < m; ++i) {
     for (size_t c = 0; c < chunks; ++c) {
       const size_t u = c * m + i;
-      runs[c] = {feasible[u], 0, strategies.data() + slot[u],
-                 requirements.data() + slot[u], kept[u]};
+      runs[c] = {0, strategies.data() + slot[u], requirements.data() + slot[u],
+                 kept[u]};
     }
     rows[i] = MergeTopK(runs, requests[i].k);
   }
@@ -347,7 +334,7 @@ Result<std::vector<size_t>> WorkforceMatrix::KBestStrategies(size_t request,
                                                              int k) const {
   auto top = TopStrategies(request, k);
   if (!top.ok()) return top.status();
-  if (top->feasible_count < static_cast<size_t>(k)) {
+  if (top->strategies.size() < static_cast<size_t>(k)) {
     return Status::Infeasible("fewer than k feasible strategies");
   }
   return std::move(top->strategies);
@@ -363,7 +350,6 @@ Result<RowTopK> WorkforceMatrix::TopStrategies(size_t request, int k) const {
   }
   RowTopK row;
   const size_t take = std::min(feasible.size(), static_cast<size_t>(k));
-  row.feasible_count = take;
   // Partial sort: the cheapest requirements, ties broken by index for
   // determinism.
   auto cheaper = [this, request](size_t a, size_t b) {
@@ -385,7 +371,8 @@ Result<RowTopK> WorkforceMatrix::TopStrategies(size_t request, int k) const {
 }
 
 Result<double> RowTopK::Aggregate(int k, AggregationMode mode) const {
-  if (feasible_count < static_cast<size_t>(k)) {
+  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+  if (strategies.size() < static_cast<size_t>(k)) {
     return Status::Infeasible("fewer than k feasible strategies");
   }
   if (mode == AggregationMode::kSum) {

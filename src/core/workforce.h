@@ -8,20 +8,19 @@
 // k-th smallest (the requester picks one of the k).
 //
 // Step 2 reads only whether each row has k feasible cells and its k
-// smallest requirements, so the production pricer never materializes the
-// matrix: PriceRows fuses both steps over 4,096-column chunks (O(m * k)
-// memory, not O(m * |S|)) and k-way-merges the chunks with MergeTopK, the
-// same merge the shard router applies to its shards. Within a chunk no cell
-// is stored either: kernels::SelectWorkforceCells prices it in one pass,
-// counting the feasible cells and keeping only those that can still be
-// among the row's k cheapest, judged against the least k-th best any chunk
-// of the row has reached so far (the threshold idea of Fagin, Lotem and
-// Naor, PODS 2001). A row's feasible count is only ever compared with k, so
-// it saturates at k: once the row is known to hold k feasible cells, the
-// scan stops counting and skips the divisions of every cell it can prove
-// lies at or above that k-th best. WorkforceMatrix is the dense reference:
-// tests use it as the oracle, and the stream pricers still fill their
-// 1 x |S| row with it.
+// smallest requirements, and a row's list of its min(k, feasible) cheapest
+// cells answers both: the row holds k feasible cells exactly when the list
+// holds k entries. So the production pricer never materializes the matrix:
+// PriceRows fuses both steps over 4,096-column chunks (O(m * k) memory, not
+// O(m * |S|)) and k-way-merges the chunks with MergeTopK, the same merge
+// the shard router applies to its shards. Within a chunk no cell is stored
+// either: kernels::SelectWorkforceCells prices it in one pass and keeps
+// only the cells that can still be among the row's k cheapest, judged
+// against the least k-th best any chunk of the row has reached so far (the
+// threshold idea of Fagin, Lotem and Naor, PODS 2001), skipping the
+// divisions of every cell it can prove lies at or above that bound.
+// WorkforceMatrix is the dense reference: tests use it as the oracle, and
+// the stream pricers still fill their 1 x |S| row with it.
 #ifndef STRATREC_CORE_WORKFORCE_H_
 #define STRATREC_CORE_WORKFORCE_H_
 
@@ -80,35 +79,33 @@ WorkforceCell ComputeWorkforceCell(
     const StrategyProfile& profile, const ParamVector& thresholds,
     WorkforcePolicy policy = WorkforcePolicy::kMinimalWorkforce);
 
-/// Partial view of one priced row: its feasible count saturated at k plus
-/// the min(k, feasible) cheapest strategies in KBestStrategies order
-/// (ascending requirement, ties by index) with their requirements. It never
-/// fails on a short row, because a chunk or a shard cannot know whether its
-/// siblings make up the difference. MergeTopK over the parts' rows
-/// reproduces the whole row's list exactly, because each part's k-best holds
-/// every entry of the whole row's k-best that lies in that part.
+/// Partial view of one priced row: its min(k, feasible) cheapest strategies
+/// in KBestStrategies order (ascending requirement, ties by index) with
+/// their requirements, so for k >= 1 the row holds k feasible strategies
+/// exactly when the list holds k entries. It never fails on a short row,
+/// because a chunk or a shard cannot know whether its siblings make up the
+/// difference. MergeTopK over the parts' rows reproduces the whole row's
+/// list exactly, because each part's k-best holds every entry of the whole
+/// row's k-best that lies in that part.
 struct RowTopK {
-  /// min(feasible, k) for a row scanned at k >= 1, which is all Aggregate
-  /// and KBestStrategies need; the exact count for PriceRows' k < 1 rows.
-  size_t feasible_count = 0;
   std::vector<size_t> strategies;    ///< ascending (requirement, index)
   std::vector<double> requirements;  ///< index-aligned with `strategies`
 
   /// The aggregated requirement of a row scanned for cardinality k
   /// (Figures 3b/3c): `requirements` summed in list order for kSum, the
   /// last (k-th smallest) for kMax — the values AggregateRequirement
-  /// returns. Fails with kInfeasible when fewer than k strategies are
-  /// feasible.
+  /// returns. Fails with kInvalidArgument when k < 1 and with kInfeasible
+  /// when fewer than k strategies are feasible, that is, when the list
+  /// holds fewer than k entries.
   Result<double> Aggregate(int k, AggregationMode mode) const;
 
   bool operator==(const RowTopK&) const = default;
 };
 
 /// One sorted run of a row's cheapest strategies, as MergeTopK reads it:
-/// a part's feasible count and its kept entries, with `offset` added to
-/// every entry of `strategies` to make it an index of the merged row.
+/// a part's kept entries, with `offset` added to every entry of
+/// `strategies` to make it an index of the merged row.
 struct TopKRun {
-  size_t feasible_count = 0;
   size_t offset = 0;
   const size_t* strategies = nullptr;    ///< ascending (requirement, index)
   const double* requirements = nullptr;  ///< index-aligned with `strategies`
@@ -116,16 +113,13 @@ struct TopKRun {
 };
 
 /// K-way merge of one row's parts (disjoint strategy sets) into the whole
-/// row's RowTopK: the summed feasible count, clamped to k for k >= 1, and
-/// the min(k, total) cheapest entries ordered by (requirement, merged
-/// index). Because min(a + b, k) = min(min(a, k) + min(b, k), k), parts
-/// whose counts are themselves saturated at k merge to the whole row's
-/// saturated count. Each run must hold every entry of its part that is
-/// among the whole row's k cheapest. It may hold more, and may hold fewer
-/// than min(k, feasible): a shard's run is its own k-best, and a PriceRows
-/// chunk's run stops where the row's shared bound cut it. k < 1 keeps no
-/// entries and the exact summed count. Both lists are sized exactly,
-/// capacity included.
+/// row's RowTopK: at most k of the runs' entries, the cheapest by
+/// (requirement, merged index). Each run must hold every entry of its part
+/// that is among the whole row's k cheapest, so the merge holds exactly the
+/// row's min(k, feasible) cheapest. A run may hold more, and may hold fewer
+/// than its part's min(k, feasible): a shard's run is its own k-best, and a
+/// PriceRows chunk's run stops where the row's shared bound cut it. k < 1
+/// merges to an empty row. Both lists are sized exactly, capacity included.
 RowTopK MergeTopK(std::span<const TopKRun> runs, int k);
 
 /// Columns of one PriceRows work unit. The unit prices them in 256-cell
@@ -136,8 +130,8 @@ inline constexpr size_t kPriceChunk = 4096;
 /// The fused range pricer. For each request, the RowTopK that
 /// WorkforceMatrix::TopStrategies(i, k) returns on the dense matrix over
 /// strategies [begin, end) of `index`, with k = requests[i].k: strategies are
-/// indices within the range (strategy begin + j is entry j), and a row with
-/// k < 1 keeps its exact feasible count but no entries.
+/// indices within the range (strategy begin + j is entry j). A row with
+/// k < 1 prices nothing and comes back empty.
 ///
 /// The work is split into (row, kPriceChunk-column chunk) units, numbered
 /// chunk-major so consecutive units reuse one chunk's coefficients. Each
@@ -147,23 +141,18 @@ inline constexpr size_t kPriceChunk = 4096;
 /// tighter of its own running k-th best (strict <: a later cell of the unit
 /// that ties it has a larger index and loses the tie) and the shared bound
 /// (<=: a tied cell may have a lower index than the cells behind it), and
-/// nth_element shrinks the candidates back to k after each block. Until
-/// the shared bound is finite a unit counts its chunk's feasible cells.
-/// Once it is, the row holds k feasible cells, so the unit prices its
-/// remaining blocks uncounted (the kernel skips the cells it proves cannot
-/// beat the limit) and reports k as its count; under kMinimalWorkforce a
-/// limit <= 0 ends the unit, since no requirement lies below it. A unit
-/// keeps that count and the entries it kept, at most min(k, feasible) and
+/// nth_element shrinks the candidates back to k after each block. Under
+/// kMinimalWorkforce a limit <= 0 ends the unit, since no requirement lies
+/// below it. A unit keeps the entries it kept, at most min(k, feasible) and
 /// possibly fewer, in flat per-call arrays, and MergeTopK merges each row's
-/// chunks, clamping the count to k. Which cells a unit keeps depends on
-/// timing, but for a given limit each block keeps the same cells in both
-/// modes, and every entry of the row's k cheapest is at or below every
-/// shared bound, so each unit keeps its share of them and the merged row
-/// does not depend on timing. With a non-null `executor` the units
-/// partition across the pool, at least `grain` cells per task (rounded up
-/// to whole units); null keeps the call on the calling thread. The result is bit-identical either way
-/// and under every kernel dispatch level. Requires
-/// begin <= end <= index.size().
+/// chunks. Which cells a unit keeps depends on timing, but for a given
+/// limit each block keeps the same cells, and every entry of the row's k
+/// cheapest is at or below every shared bound, so each unit keeps its share
+/// of them and the merged row does not depend on timing. With a non-null
+/// `executor` the units partition across the pool, at least `grain` cells
+/// per task (rounded up to whole units); null keeps the call on the calling
+/// thread. The result is bit-identical either way and under every kernel
+/// dispatch level. Requires begin <= end <= index.size().
 std::vector<RowTopK> PriceRows(
     const std::vector<DeploymentRequest>& requests, const CatalogIndex& index,
     size_t begin, size_t end,
@@ -215,12 +204,12 @@ class WorkforceMatrix {
   Result<double> AggregateRequirement(size_t request, int k,
                                       AggregationMode mode) const;
 
-  /// Row `request`'s feasible count saturated at k, min(k, feasible), and
-  /// its min(k, feasible) cheapest strategies in KBestStrategies order: the
-  /// RowTopK PriceRows returns. Unlike KBestStrategies this never fails on
-  /// a short row; it fails only on a bad row index or k < 1. Both lists are
-  /// sized exactly min(k, feasible), capacity included, so a caller that
-  /// keeps them holds O(k) memory, not O(|S|).
+  /// Row `request`'s min(k, feasible) cheapest strategies in
+  /// KBestStrategies order: the RowTopK PriceRows returns. Unlike
+  /// KBestStrategies this never fails on a short row; it fails only on a
+  /// bad row index or k < 1. Both lists are sized exactly min(k, feasible),
+  /// capacity included, so a caller that keeps them holds O(k) memory, not
+  /// O(|S|).
   Result<RowTopK> TopStrategies(size_t request, int k) const;
 
  private:

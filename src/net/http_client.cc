@@ -17,6 +17,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/common/rng.h"
+
 namespace stratrec::net {
 
 namespace {
@@ -73,17 +75,6 @@ Status BoundedConnect(int fd, const sockaddr_in& address, double connect_ms) {
                             std::strerror(errno));
   }
   return Status::OK();
-}
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-double ToUnit(uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 /// True for failures worth a reconnect: anything the transport produced
@@ -184,7 +175,7 @@ double RetryingHttpClient::BackoffMs(const RetryPolicy& policy,
   const double capped = std::min(exponential, policy.max_backoff_ms);
   const uint64_t h = SplitMix64(policy.seed ^ SplitMix64(sequence) ^
                                 SplitMix64(0xa0761d6478bd642full + attempt));
-  return capped * (0.5 + 0.5 * ToUnit(h));
+  return capped * (0.5 + 0.5 * UnitFromBits(h));
 }
 
 Result<HttpResponse> RetryingHttpClient::Execute(const HttpRequest& request) {

@@ -10,6 +10,7 @@
 #include "src/api/pipeline.h"
 #include "src/common/executor.h"
 #include "src/common/fault.h"
+#include "src/common/rng.h"
 #include "src/core/workforce.h"
 
 namespace stratrec::router {
@@ -50,8 +51,8 @@ struct RouterState {
 
 namespace {
 
-/// One shard's scan: per request, the range's feasible count and its
-/// min(k, feasible) cheapest strategies, indexed within the range.
+/// One shard's scan: per request, the range's min(k, feasible) cheapest
+/// strategies, indexed within the range.
 using RangeScan = std::vector<core::RowTopK>;
 using ScanTicket = api::Ticket<RangeScan>;
 
@@ -61,15 +62,6 @@ struct ScanInput {
   std::vector<core::DeploymentRequest> requests;
   core::WorkforcePolicy policy;
 };
-
-/// SplitMix64 whitening for the deterministic replica picks (local copy —
-/// the fault layer and sim keep their own so the schedules cannot couple).
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// The starting replica of shard `s` for scatter number `sequence`: a pure
 /// function of (replica_seed, sequence, shard), so two routers with the
@@ -225,7 +217,7 @@ Result<std::vector<core::RowTopK>> PriceSharded(
   for (size_t i = 0; i < requests.size(); ++i) {
     for (size_t s = 0; s < scans->size(); ++s) {
       const core::RowTopK& row = (*scans)[s][i];
-      runs[s] = {row.feasible_count, state->offsets[s], row.strategies.data(),
+      runs[s] = {state->offsets[s], row.strategies.data(),
                  row.requirements.data(), row.strategies.size()};
     }
     rows[i] = core::MergeTopK(runs, requests[i].k);

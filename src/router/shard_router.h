@@ -21,9 +21,9 @@
 // (the built-ins, "weighted" and custom registry solvers alike) scans the
 // shards: every shard prices its range of the index (core::PriceRows over
 // [begin, end), which never materializes the workforce matrix) and returns
-// each request's feasible count and k cheapest strategies, and the router
-// merges the rows by (requirement, global index) with core::MergeTopK, the
-// merge PriceRows applies to its own chunks. The selection half of the
+// each request's k cheapest strategies, and the router merges the rows by
+// (requirement, global index) with core::MergeTopK, the merge PriceRows
+// applies to its own chunks. The selection half of the
 // solve and everything else run once, on the router's own snapshot,
 // through the runtime an unsharded Service runs. The row merge reproduces
 // the unsharded k-best lists bit for bit, and the rest is the same code,

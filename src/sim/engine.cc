@@ -8,33 +8,13 @@ namespace stratrec::sim {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-
+/// FNV-1a over the 8 little-endian bytes of `value`.
 uint64_t FnvMix(uint64_t hash, uint64_t value) {
   for (int byte = 0; byte < 8; ++byte) {
     hash ^= (value >> (byte * 8)) & 0xFF;
-    hash *= kFnvPrime;
+    hash *= kFnv1aPrime;
   }
   return hash;
-}
-
-uint64_t FnvHash(std::string_view text) {
-  uint64_t hash = kFnvOffset;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-/// splitmix64 finalizer: spreads a seed into full-entropy state so two
-/// actors whose FNV hashes are close still get uncorrelated streams.
-uint64_t SplitMix(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -47,10 +27,7 @@ void ScheduleDigest::Mix(double value) {
 
 void ScheduleDigest::Mix(std::string_view text) {
   Mix(static_cast<uint64_t>(text.size()));
-  for (const char c : text) {
-    hash_ ^= static_cast<unsigned char>(c);
-    hash_ *= kFnvPrime;
-  }
+  hash_ = Fnv1a(text, hash_);
 }
 
 std::string ScheduleDigest::Hex(uint64_t digest) {
@@ -64,7 +41,9 @@ std::string ScheduleDigest::Hex(uint64_t digest) {
 }
 
 uint64_t DeriveSeed(uint64_t root, std::string_view name) {
-  return SplitMix(root ^ FnvHash(name));
+  // SplitMix64 spreads the seed, so two actors whose FNV hashes are close
+  // still get uncorrelated streams.
+  return SplitMix64(root ^ Fnv1a(name));
 }
 
 Rng& RngStreams::For(std::string_view actor) {

@@ -45,7 +45,7 @@ class ScheduleDigest {
   static std::string Hex(uint64_t digest);
 
  private:
-  uint64_t hash_ = 0xCBF29CE484222325ULL;  ///< FNV-1a offset basis
+  uint64_t hash_ = kFnv1aOffsetBasis;
 };
 
 /// Derives a child seed from (root, name) — the same mixing RngStreams

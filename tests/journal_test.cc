@@ -445,6 +445,70 @@ TEST(Journal, NonFiniteRequestsAreRefusedUnrecorded) {
   }
 }
 
+// The stream counterpart: session options or an event holding a
+// non-finite double are refused with kInvalidArgument before the journal
+// tap, so the trace still reads back, and a refused event takes no
+// submission index. Each case is one the codec used to record: an
+// availability change to Fixed(NaN) (refused, yet journaled), an arrival
+// with a NaN quality threshold (answered as a rejection) and a session
+// opened with an infinite deadline_ms (opened).
+TEST(Journal, NonFiniteStreamInputsAreRefusedUnrecorded) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  StreamOptions stream_options;
+  stream_options.availability = AvailabilitySpec::Fixed(0.6);
+  const core::DeploymentRequest finite{"d3", {0.7, 0.83, 0.28}, 3};
+  size_t journals = 0;
+  // Opens one session on a fresh journaled service, runs `refuse`, then
+  // submits a finite arrival, and reads the journal back: only that session
+  // and its one event, at seq 0, are on it.
+  auto expect_refused_unrecorded = [&](const std::string& name,
+                                       const auto& refuse) {
+    const std::string path =
+        TempPath("non_finite_stream_" + std::to_string(journals++));
+    ServiceConfig config;
+    config.journal.path = path;
+    {
+      auto service = Service::Create(Table1Catalog(), config);
+      ASSERT_TRUE(service.ok());
+      auto session = service->OpenStream(stream_options);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      const Status refused = refuse(*service, *session);
+      EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+          << name << ": " << refused.ToString();
+      ASSERT_TRUE(session->Submit(StreamEvent::Arrival(finite)).ok()) << name;
+    }
+    auto trace = wire::ReadTraceFile(path);
+    ASSERT_TRUE(trace.ok()) << name << ": " << trace.status().ToString();
+    EXPECT_EQ(trace->stream_opens.size(), 1u) << name;
+    ASSERT_EQ(trace->stream_events.size(), 1u) << name;
+    EXPECT_EQ(trace->stream_events[0].seq, 0u) << name;
+    EXPECT_TRUE(trace->stream_events[0].event == StreamEvent::Arrival(finite))
+        << name;
+  };
+
+  expect_refused_unrecorded(
+      "availability change to Fixed(NaN)",
+      [&](const Service&, StreamSession& session) {
+        return session.SetAvailability(AvailabilitySpec::Fixed(kNaN));
+      });
+  expect_refused_unrecorded(
+      "arrival with a NaN quality threshold",
+      [&](const Service&, StreamSession& session) {
+        core::DeploymentRequest request = finite;
+        request.id = "d-nan";
+        request.thresholds.quality = kNaN;
+        return session.Submit(StreamEvent::Arrival(request)).status();
+      });
+  expect_refused_unrecorded(
+      "stream opened with deadline_ms +inf",
+      [&](const Service& service, StreamSession&) {
+        StreamOptions options = stream_options;
+        options.deadline_ms = kInf;
+        return service.OpenStream(options).status();
+      });
+}
+
 TEST(Journal, CallerSuppliedRequestIdIsAdopted) {
   const std::string path = TempPath("caller_id");
   ServiceConfig config;

@@ -194,14 +194,12 @@ Arrays PaperSignedArrays(std::mt19937_64& rng, size_t n) {
   return a;
 }
 
-// SelectWorkforceCells at both levels and in both modes against the scalar
-// cell fill: exactly the feasible cells strictly below the bound appended
-// after the entries already there, ascending, offset by `first`,
-// requirements bit for bit, so the uncounted mode keeps what the counted
-// one keeps. The counted count is the feasible count, and the uncounted
-// one never exceeds it; at each level some feasible cells go uncounted, so
-// the skip runs. The bounds are -inf (count only), 0, the least denormal,
-// 2^-900 (the proof's floor), 1e-300, +inf (every feasible cell), and a
+// SelectWorkforceCells at both levels against the scalar cell fill: exactly
+// the feasible cells strictly below the bound, appended from `out` on and
+// counted by the return value, ascending, offset by `first`, requirements
+// bit for bit, whatever the proof skipped; the entry before `out` is left
+// alone. The bounds are -inf (keeps nothing), 0, the least denormal, 2^-900
+// (the proof's floor), 1e-300, +inf (every feasible cell), and a
 // requirement from the row, which a cell ties and strict < must drop, with
 // the next double either side of it.
 TEST(Kernels, SelectWorkforceCellsMatchesFill) {
@@ -213,7 +211,6 @@ TEST(Kernels, SelectWorkforceCellsMatchesFill) {
                                             0x1p-900, 1e-300, kInf};
   size_t kept = 0;
   size_t tied = 0;
-  std::vector<size_t> skipped(levels.size(), 0);
   for (const bool paper_signs : {false, true}) {
     for (size_t n : kLengths) {
       const Arrays a =
@@ -249,41 +246,29 @@ TEST(Kernels, SelectWorkforceCellsMatchesFill) {
               }
               if (cells[j].feasible && cells[j].requirement == bound) ++tied;
             }
-            for (size_t l = 0; l < levels.size(); ++l) {
-              for (const kernels::SelectMode mode :
-                   {kernels::SelectMode::kCounted,
-                    kernels::SelectMode::kUncounted}) {
-                // One entry is already there; the kernel appends after it.
-                std::vector<kernels::SelectedCell> got(n + 1, {-1.0, 7});
-                size_t size = 1;
-                const auto select = levels[l] == DispatchLevel::kScalar
-                                        ? ki::ScalarSelectWorkforceCells
-                                        : ki::Avx2SelectWorkforceCells;
-                const size_t count =
-                    select(a.soa(), begin, n, thresholds, policy, bound,
-                           kFirst, got.data(), &size, mode);
-                const bool counted = mode == kernels::SelectMode::kCounted;
-                const std::string where =
-                    std::string(kernels::DispatchLevelName(levels[l])) +
-                    (counted ? " counted" : " uncounted") +
-                    (paper_signs ? " paper-signed" : " adversarial") +
-                    " n " + std::to_string(n) + " begin " +
-                    std::to_string(begin) + " bound " + std::to_string(bound);
-                if (counted) {
-                  EXPECT_EQ(count, feasible) << where;
-                } else {
-                  ASSERT_LE(count, feasible) << where;
-                  skipped[l] += feasible - count;
-                }
-                ASSERT_EQ(size, want.size() + 1) << where;
-                EXPECT_EQ(got[0].column, 7u) << where;
-                for (size_t r = 0; r < want.size(); ++r) {
-                  EXPECT_EQ(got[r + 1].column, want[r].column) << where;
-                  EXPECT_EQ(std::memcmp(&got[r + 1].requirement,
-                                        &want[r].requirement, sizeof(double)),
-                            0)
-                      << where << " entry " << r;
-                }
+            for (const DispatchLevel level : levels) {
+              // The kernel writes from got[1] on; got[0] stands for an
+              // entry already there.
+              std::vector<kernels::SelectedCell> got(n + 1, {-1.0, 7});
+              const auto select = level == DispatchLevel::kScalar
+                                      ? ki::ScalarSelectWorkforceCells
+                                      : ki::Avx2SelectWorkforceCells;
+              const size_t appended =
+                  select(a.soa(), begin, n, thresholds, policy, bound, kFirst,
+                         got.data() + 1);
+              const std::string where =
+                  std::string(kernels::DispatchLevelName(level)) +
+                  (paper_signs ? " paper-signed" : " adversarial") + " n " +
+                  std::to_string(n) + " begin " + std::to_string(begin) +
+                  " bound " + std::to_string(bound);
+              ASSERT_EQ(appended, want.size()) << where;
+              EXPECT_EQ(got[0].column, 7u) << where;
+              for (size_t r = 0; r < want.size(); ++r) {
+                EXPECT_EQ(got[r + 1].column, want[r].column) << where;
+                EXPECT_EQ(std::memcmp(&got[r + 1].requirement,
+                                      &want[r].requirement, sizeof(double)),
+                          0)
+                    << where << " entry " << r;
               }
             }
             kept += want.size();
@@ -294,14 +279,10 @@ TEST(Kernels, SelectWorkforceCellsMatchesFill) {
   }
   EXPECT_GT(kept, 0u);  // some cells pass the bound
   EXPECT_GT(tied, 0u);  // and some tie it
-  for (size_t l = 0; l < levels.size(); ++l) {
-    EXPECT_GT(skipped[l], 0u) << kernels::DispatchLevelName(levels[l]);
-  }
 }
 
 /// The entries one SelectWorkforceCells call over [0, n) keeps.
 std::vector<kernels::SelectedCell> Select(DispatchLevel level,
-                                          kernels::SelectMode mode,
                                           const CoeffSoA& soa, size_t n,
                                           const ParamVector& thresholds,
                                           double bound) {
@@ -309,10 +290,8 @@ std::vector<kernels::SelectedCell> Select(DispatchLevel level,
                           ? ki::ScalarSelectWorkforceCells
                           : ki::Avx2SelectWorkforceCells;
   std::vector<kernels::SelectedCell> out(n);
-  size_t size = 0;
-  select(soa, 0, n, thresholds, WorkforcePolicy::kMinimalWorkforce, bound, 0,
-         out.data(), &size, mode);
-  out.resize(size);
+  out.resize(select(soa, 0, n, thresholds, WorkforcePolicy::kMinimalWorkforce,
+                    bound, 0, out.data()));
   return out;
 }
 
@@ -334,8 +313,8 @@ void ExpectSameCells(const std::vector<kernels::SelectedCell>& got,
 // would call them at or above the bound and skip them. About 6% of random
 // (alpha, bound) pairs give one. Each pair fills 7 cells (one 4-lane group
 // and a 3-cell tail) whose requirement is that quotient, on the quality
-// axis and then on the latency axis; every level and mode keeps all 7.
-TEST(Kernels, SelectWorkforceCellsUncountedKeepsCellsJustBelowTheBound) {
+// axis and then on the latency axis; every level keeps all 7.
+TEST(Kernels, SelectWorkforceCellsKeepsCellsJustBelowTheBound) {
   std::vector<DispatchLevel> levels = {DispatchLevel::kScalar};
   if (kernels::Avx2Available()) levels.push_back(DispatchLevel::kAvx2);
   std::mt19937_64 rng(0x3A26'1B00ull);
@@ -365,18 +344,12 @@ TEST(Kernels, SelectWorkforceCellsUncountedKeepsCellsJustBelowTheBound) {
       std::vector<kernels::SelectedCell> want;
       for (size_t j = 0; j < kN; ++j) want.push_back({requirement, j});
       for (const DispatchLevel level : levels) {
-        for (const kernels::SelectMode mode :
-             {kernels::SelectMode::kCounted, kernels::SelectMode::kUncounted}) {
-          const std::string where =
-              std::string(kernels::DispatchLevelName(level)) +
-              (latency_axis ? " latency" : " quality") +
-              (mode == kernels::SelectMode::kCounted ? " counted"
-                                                     : " uncounted") +
-              " alpha " + std::to_string(alpha) + " bound " +
-              std::to_string(bound);
-          ExpectSameCells(Select(level, mode, a.soa(), kN, thresholds, bound),
-                          want, where);
-        }
+        const std::string where =
+            std::string(kernels::DispatchLevelName(level)) +
+            (latency_axis ? " latency" : " quality") + " alpha " +
+            std::to_string(alpha) + " bound " + std::to_string(bound);
+        ExpectSameCells(Select(level, a.soa(), kN, thresholds, bound), want,
+                        where);
       }
     }
   }

@@ -167,6 +167,26 @@ TEST_F(WorkforceMatrixTest, InfeasibleWhenFewerThanK) {
   EXPECT_EQ(too_many.status().code(), StatusCode::kInfeasible);
 }
 
+// A row holds k feasible strategies exactly when its list holds k entries,
+// and k < 1 is refused outright: under kMax an empty list has no k-th
+// smallest to read.
+TEST(RowTopK, AggregateReadsTheListLength) {
+  RowTopK row;
+  row.strategies = {3, 1};
+  row.requirements = {0.25, 0.5};
+  for (const AggregationMode mode :
+       {AggregationMode::kSum, AggregationMode::kMax}) {
+    EXPECT_EQ(row.Aggregate(3, mode).status().code(),
+              StatusCode::kInfeasible);
+    EXPECT_EQ(row.Aggregate(0, mode).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(RowTopK{}.Aggregate(0, mode).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(*row.Aggregate(2, AggregationMode::kSum), 0.75);
+  EXPECT_EQ(*row.Aggregate(2, AggregationMode::kMax), 0.5);
+}
+
 TEST_F(WorkforceMatrixTest, BoundsChecking) {
   const auto matrix = WorkforceMatrix::Compute(
       requests_, profiles_, WorkforcePolicy::kMinimalWorkforce);
@@ -198,8 +218,7 @@ TEST(WorkforceMatrixEdge, TiesBrokenByIndex) {
 
 // TopStrategies against a full-sort oracle, on catalogs where every profile
 // appears three times so requirement ties are everywhere: the same list, in
-// the same order, with no capacity beyond its entries, and the feasible
-// count saturated at k.
+// the same order, with no capacity beyond its entries.
 TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
   workload::Generator generator({}, 0x70B5'0001ull);
   std::vector<StrategyProfile> profiles;
@@ -225,7 +244,6 @@ TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
       auto top = matrix.TopStrategies(i, k);
       ASSERT_TRUE(top.ok());
       const size_t take = std::min(sorted.size(), static_cast<size_t>(k));
-      EXPECT_EQ(top->feasible_count, take) << "row " << i << " k " << k;
       EXPECT_EQ(top->strategies,
                 std::vector<size_t>(sorted.begin(), sorted.begin() + take))
           << "row " << i << " k " << k;
@@ -242,9 +260,9 @@ TEST(WorkforceMatrixEdge, TopStrategiesMatchesAFullSort) {
 
 // PriceRows against the dense oracle: for every range [b, e) and row, the
 // whole-index matrix's feasible cells in [b, e), sorted by (requirement,
-// index) and cut to min(k, feasible), with indices relative to b. Compared
-// entry for entry, requirements bit for bit, at every pool size and grain;
-// the feasible count is min(feasible, k) for k >= 1 and exact for k < 1.
+// index) and cut to min(k, feasible), with indices relative to b, and empty
+// for k < 1. Compared entry for entry, requirements bit for bit, at every
+// pool size and grain.
 // Every profile appears three times in a row, so requirement ties straddle
 // most chunk edges, and the ranges sit on and off the chunk grid: whole,
 // one-wide, exactly one or two chunks, and three or more.
@@ -314,9 +332,6 @@ void ExpectPriceRowsMatchesDense(const std::vector<StrategyProfile>& profiles,
                   std::to_string(end) + ") row " + std::to_string(i) +
                   " k " + std::to_string(requests[i].k) + " grain " +
                   std::to_string(grain);
-              EXPECT_EQ(row.feasible_count,
-                        requests[i].k < 1 ? oracle[i].size() : take)
-                  << where;
               EXPECT_EQ(row.strategies,
                         std::vector<size_t>(oracle[i].begin(),
                                             oracle[i].begin() + take))
@@ -398,12 +413,9 @@ TEST(PriceRows, SharedBoundKeepsLowerIndexTies) {
       const std::vector<DeploymentRequest> requests(m, {"d", thresholds, k});
       std::vector<size_t> lowest(static_cast<size_t>(k));
       std::iota(lowest.begin(), lowest.end(), first_feasible);
-      // The row holds more than k feasible cells, so its count is k.
-      const size_t count = std::min(n - first_feasible, lowest.size());
       const std::vector<RowTopK> serial = PriceRows(requests, index, 0, n);
       ASSERT_EQ(serial.size(), m);
       for (const RowTopK& row : serial) {
-        EXPECT_EQ(row.feasible_count, count);
         EXPECT_EQ(row.strategies, lowest);
         EXPECT_EQ(row.requirements,
                   std::vector<double>(lowest.size(), cell.requirement));
@@ -421,7 +433,6 @@ TEST(PriceRows, SharedBoundKeepsLowerIndexTies) {
                 " threads " +
                 std::to_string(executor ? executor->threads() : 0) +
                 " run " + std::to_string(run) + " row " + std::to_string(i);
-            ASSERT_EQ(rows[i].feasible_count, count) << where;
             ASSERT_EQ(rows[i].strategies, lowest) << where;
             ASSERT_EQ(rows[i].requirements.size(), lowest.size()) << where;
             ASSERT_EQ(std::memcmp(rows[i].requirements.data(),
@@ -441,11 +452,12 @@ TEST(PriceRows, SharedBoundKeepsLowerIndexTies) {
 // its units hold k zeros after one block, publish 0 and stop, since under
 // kMinimalWorkforce a limit <= 0 keeps nothing. The row's first zeros lie
 // in chunks 2 and 3, below chunk 5, so a unit there that reads the shared
-// bound 0 must still keep its tied zeros: it prices uncounted against the
-// next double up, which the proof cannot exclude a zero from. The other
-// cells cost 0.2 or 0.8 or are infeasible, and k runs from 1 to past the
-// zero count, plus 0 (a count-only row). Every row must equal the dense
-// oracle, requirements bit for bit, at every pool size, run after run.
+// bound 0 must still keep its tied zeros: it prices against the next
+// double up, which the proof cannot exclude a zero from. The other cells
+// cost 0.2 or 0.8 or are infeasible, and k runs from 1 to past the zero
+// count, plus 0 (a row that prices nothing and comes back empty). Every row
+// must equal the dense oracle, requirements bit for bit, at every pool
+// size, run after run.
 TEST(PriceRows, ZeroRequirementTiesAcrossChunks) {
   const ParamVector thresholds{0.7, 0.83, 0.28};
   StrategyProfile zero = TypicalProfile();
@@ -492,11 +504,7 @@ TEST(PriceRows, ZeroRequirementTiesAcrossChunks) {
   std::vector<RowTopK> oracle;
   for (size_t i = 0; i < requests.size(); ++i) {
     if (requests[i].k < 1) {
-      RowTopK row;
-      for (size_t j = 0; j < n; ++j) {
-        row.feasible_count += dense.At(i, j).feasible;
-      }
-      oracle.push_back(row);
+      oracle.emplace_back();
       continue;
     }
     auto row = dense.TopStrategies(i, requests[i].k);
@@ -525,7 +533,6 @@ TEST(PriceRows, ZeroRequirementTiesAcrossChunks) {
             "k " + std::to_string(requests[i].k) + " threads " +
             std::to_string(executor ? executor->threads() : 0) + " run " +
             std::to_string(run);
-        ASSERT_EQ(rows[i].feasible_count, oracle[i].feasible_count) << where;
         ASSERT_EQ(rows[i].strategies, oracle[i].strategies) << where;
         ASSERT_EQ(rows[i].requirements.size(), oracle[i].requirements.size())
             << where;
@@ -539,25 +546,29 @@ TEST(PriceRows, ZeroRequirementTiesAcrossChunks) {
   }
 }
 
-// Runs whose counts sum past k merge to a count of exactly k, as the
-// saturated rows of PriceRows chunks and router shards do; k < 1 keeps the
-// exact sum and no entries. Requirement ties order by merged index.
-TEST(MergeTopK, ClampsTheSummedCountToK) {
+// The merge keeps at most k entries, the cheapest across the runs, with
+// requirement ties ordered by merged index and both lists sized exactly.
+// Runs that hold fewer than k entries together merge whole, and k < 1
+// merges to an empty row.
+TEST(MergeTopK, KeepsAtMostKEntries) {
   const size_t first_strategies[] = {0, 2, 5};
   const double first_requirements[] = {0.1, 0.3, 0.3};
   const size_t second_strategies[] = {1, 4};
   const double second_requirements[] = {0.2, 0.3};
-  const TopKRun runs[] = {
-      {4, 0, first_strategies, first_requirements, 3},
-      {3, 10, second_strategies, second_requirements, 2}};
+  const TopKRun runs[] = {{0, first_strategies, first_requirements, 3},
+                          {10, second_strategies, second_requirements, 2}};
   const RowTopK row = MergeTopK(runs, 3);
-  EXPECT_EQ(row.feasible_count, 3u);
   EXPECT_EQ(row.strategies, (std::vector<size_t>{0, 11, 2}));
   EXPECT_EQ(row.requirements, (std::vector<double>{0.1, 0.2, 0.3}));
-  EXPECT_EQ(MergeTopK(runs, 1).feasible_count, 1u);
-  const RowTopK count_only = MergeTopK(runs, 0);
-  EXPECT_EQ(count_only.feasible_count, 7u);
-  EXPECT_TRUE(count_only.strategies.empty());
+  EXPECT_EQ(row.strategies.capacity(), 3u);
+  EXPECT_EQ(MergeTopK(runs, 1).strategies, (std::vector<size_t>{0}));
+  const RowTopK whole = MergeTopK(runs, 9);
+  EXPECT_EQ(whole.strategies, (std::vector<size_t>{0, 11, 2, 5, 14}));
+  EXPECT_EQ(whole.requirements,
+            (std::vector<double>{0.1, 0.2, 0.3, 0.3, 0.3}));
+  EXPECT_EQ(whole.strategies.capacity(), 5u);
+  EXPECT_EQ(whole.requirements.capacity(), 5u);
+  EXPECT_EQ(MergeTopK(runs, 0), RowTopK{});
 }
 
 TEST(PriceRows, MatchesDenseOracleScalar) {
