@@ -59,7 +59,7 @@ void PolicyAndAggregationAblation() {
         batch.recommend_alternatives = false;
         auto report = service->SubmitBatch(batch);
         if (!report.ok()) continue;
-        const core::BatchResult& result = report->result.aggregator.batch;
+        const core::BatchResult& result = report->result.batch;
         satisfied += static_cast<double>(result.satisfied.size());
         used += result.workforce_used;
       }
@@ -97,7 +97,7 @@ void GuardAblation() {
       batch.algorithm = algorithm;
       auto report = service->SubmitBatch(batch);
       if (!report.ok()) return report.status();
-      return report->result.aggregator.batch.total_objective;
+      return report->result.batch.total_objective;
     };
     auto guarded = solve("batchstrat");
     auto unguarded = solve("baseline-g");

@@ -61,9 +61,9 @@ Row Evaluate(int num_s, int m, int k, core::Objective objective) {
       std::fprintf(stderr, "run failed\n");
       continue;
     }
-    row.brute += brute->result.aggregator.batch.total_objective;
-    row.batchstrat += greedy->result.aggregator.batch.total_objective;
-    row.baseline += baseline->result.aggregator.batch.total_objective;
+    row.brute += brute->result.batch.total_objective;
+    row.batchstrat += greedy->result.batch.total_objective;
+    row.baseline += baseline->result.batch.total_objective;
   }
   row.brute /= kRuns;
   row.batchstrat /= kRuns;

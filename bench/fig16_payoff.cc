@@ -59,9 +59,9 @@ Row Evaluate(int num_s, int m, int k) {
       continue;
     }
     const double brute_objective =
-        brute->result.aggregator.batch.total_objective;
+        brute->result.batch.total_objective;
     const double greedy_objective =
-        greedy->result.aggregator.batch.total_objective;
+        greedy->result.batch.total_objective;
     row.brute += brute_objective;
     row.batchstrat += greedy_objective;
     if (brute_objective > 0.0) {

@@ -89,13 +89,15 @@ int main() {
   // --- Batch outcomes + ADPaR alternatives.
   std::printf("\nBatch deployment outcomes:\n");
   AsciiTable outcomes({"request", "served", "strategies", "workforce"});
-  for (const auto& outcome : report->result.aggregator.batch.outcomes) {
+  const auto& batch_outcomes = report->result.batch.outcomes;
+  for (size_t i = 0; i < batch_outcomes.size(); ++i) {
+    const auto& outcome = batch_outcomes[i];
     std::string names;
     for (size_t j : outcome.strategies) {
       if (!names.empty()) names += ",";
       names += strategies[j].id();
     }
-    outcomes.AddRow({batch.requests[outcome.request_index].id,
+    outcomes.AddRow({batch.requests[i].id,
                      outcome.satisfied ? "yes" : "no",
                      names.empty() ? "-" : names,
                      FormatDouble(outcome.workforce, 3)});

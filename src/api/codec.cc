@@ -483,8 +483,7 @@ constexpr auto TableOf(Tag<api::BatchRequest>) {
 
 constexpr auto TableOf(Tag<core::RequestOutcome>) {
   using S = core::RequestOutcome;
-  return Table{"request outcome", Field{"request_index", &S::request_index},
-               Field{"satisfied", &S::satisfied},
+  return Table{"request outcome", Field{"satisfied", &S::satisfied},
                Field{"eligible", &S::eligible},
                Field{"workforce", &S::workforce},
                Field{"objective_value", &S::objective_value},
@@ -500,14 +499,6 @@ constexpr auto TableOf(Tag<core::BatchResult>) {
                Field{"unsatisfied", &S::unsatisfied}};
 }
 
-/// The wire carries the aggregator's availability and batch outcome; its
-/// strategy_params block is in-process only.
-constexpr auto TableOf(Tag<core::AggregatorReport>) {
-  using S = core::AggregatorReport;
-  return Table{"aggregator report", Field{"availability", &S::availability},
-               Field{"batch", &S::batch}};
-}
-
 constexpr auto TableOf(Tag<core::AlternativeRecommendation>) {
   using S = core::AlternativeRecommendation;
   return Table{"alternative recommendation",
@@ -517,7 +508,7 @@ constexpr auto TableOf(Tag<core::AlternativeRecommendation>) {
 
 constexpr auto TableOf(Tag<core::StratRecReport>) {
   using S = core::StratRecReport;
-  return Table{"stratrec report", Field{"aggregator", &S::aggregator},
+  return Table{"stratrec report", Field{"batch", &S::batch},
                Field{"alternatives", &S::alternatives},
                Field{"adpar_failures", &S::adpar_failures}};
 }
@@ -561,7 +552,6 @@ constexpr auto TableOf(Tag<api::StreamOptions>) {
                Field{"aggregation", &S::aggregation},
                Field{"policy", &S::policy},
                Field{"recommend_alternatives", &S::recommend_alternatives},
-               Field{"deadline_ms", &S::deadline_ms, OmitNonPositive},
                Field{"session_id", &S::session_id, OmitEmpty}};
 }
 
@@ -610,7 +600,6 @@ constexpr auto TableOf(Tag<api::CacheConfig>) {
   using S = api::CacheConfig;
   return Table{"cache config",
                Field{"snapshot_capacity", &S::snapshot_capacity},
-               Field{"shards", &S::shards},
                Field{"availability_quantum", &S::availability_quantum}};
 }
 

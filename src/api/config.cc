@@ -31,9 +31,6 @@ Status ValidateConfig(const ServiceConfig& config) {
         "execution.parallel_grain exceeds 2^53 and would not round-trip the "
         "wire codec");
   }
-  if (config.cache.shards == 0 || config.cache.shards > 256) {
-    return Status::InvalidArgument("cache.shards must lie in [1, 256]");
-  }
   if (config.cache.snapshot_capacity > kMaxWireInteger) {
     return Status::InvalidArgument(
         "cache.snapshot_capacity exceeds 2^53 and would not round-trip the "

@@ -71,17 +71,14 @@ struct ExecutionConfig {
 /// src/core/catalog_index.h) is computed once per distinct availability and
 /// shared by every ADPaR leg at that W: batches with unserved requests,
 /// sweeps with at least one cell, and stream sessions' ineligible arrivals.
-/// Jobs that run no ADPaR never look it up. The cache is sharded (one mutex
-/// per shard) so concurrent lookups at different availabilities do not
-/// contend.
+/// Jobs that run no ADPaR never look it up, and a job looks it up at most
+/// once, so one lock guards the whole cache.
 struct CacheConfig {
-  /// Cached snapshots across all shards; least-recently-used entries are
-  /// evicted beyond this. 0 disables caching (every job that needs per-W
-  /// state rebuilds it). Each stream session also holds the one snapshot it
-  /// last fetched, so residency is at most this plus one per session.
+  /// Cached snapshots; the least-recently-used entry is evicted beyond
+  /// this. 0 disables caching (every job that needs per-W state rebuilds
+  /// it). Each stream session also holds the one snapshot it last fetched,
+  /// so residency is at most this plus one per session.
   size_t snapshot_capacity = 16;
-  /// Independently locked shards (>= 1).
-  size_t shards = 4;
   /// When > 0, resolved availabilities are snapped to the nearest multiple
   /// of this step *before the pipeline runs*, so nearby W values share one
   /// snapshot (reports carry the quantized W — a documented precision /

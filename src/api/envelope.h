@@ -65,7 +65,7 @@ struct BatchReport {
   std::string request_id;  ///< stable; caller- or service-assigned
   std::string algorithm;   ///< resolved backend name
   double availability = 0.0;  ///< resolved expected W
-  /// Figure-1 pipeline output: aggregator stage, batch outcome, alternatives.
+  /// Figure-1 pipeline output: the batch outcome and ADPaR's alternatives.
   core::StratRecReport result;
 
   bool operator==(const BatchReport&) const = default;
@@ -137,10 +137,6 @@ struct StreamOptions {
   /// the stream twin of BatchRequest::recommend_alternatives. Unset falls
   /// back to StreamDefaults (off).
   std::optional<bool> recommend_alternatives;
-  /// Time budget in ms for opening the session, relative to the open call;
-  /// 0 = none. See BatchRequest::deadline_ms. (Individual stream events are
-  /// synchronous and carry no budget of their own.)
-  double deadline_ms = 0.0;
   /// Caller-assigned session id; empty (the default) means service-assigned
   /// ("stream-000003"). The hook the replay harness uses to reproduce
   /// recorded session ids, mirroring BatchRequest::request_id. Declared
@@ -281,13 +277,12 @@ struct ServiceStats {
   /// Fault-tolerance counters (lifetime; journal format v7). Like the
   /// admission counters above, the upper tiers maintain most of them:
   /// `deadline_exceeded` counts work abandoned because its deadline_ms
-  /// budget ran out (Service and ShardRouter both); `retries` counts
-  /// HttpClient re-sends after a transport failure or 429; `failovers`
-  /// counts router scans re-dispatched to another replica after a replica
-  /// failed; `hedges_won` counts hedged duplicate scans that beat the
-  /// primary.
+  /// budget ran out (Service and ShardRouter both); `failovers` counts
+  /// router scans re-dispatched to another replica after a replica failed;
+  /// `hedges_won` counts hedged duplicate scans that beat the primary.
+  /// Client re-sends are counted on the client
+  /// (net::RetryingHttpClient::retries()).
   size_t deadline_exceeded = 0;
-  size_t retries = 0;
   size_t failovers = 0;
   size_t hedges_won = 0;
   /// Active SIMD dispatch level of the SoA kernels ("avx2" or "scalar";
@@ -330,7 +325,6 @@ inline constexpr StatsCounter kStatsCounters[] = {
     {"rejected_requests", &ServiceStats::rejected_requests},
     {"retry_after_hints", &ServiceStats::retry_after_hints},
     {"deadline_exceeded", &ServiceStats::deadline_exceeded},
-    {"retries", &ServiceStats::retries},
     {"failovers", &ServiceStats::failovers},
     {"hedges_won", &ServiceStats::hedges_won},
 };

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "src/api/codec.h"
 #include "src/api/registry.h"

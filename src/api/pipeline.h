@@ -13,7 +13,6 @@
 #ifndef STRATREC_API_PIPELINE_H_
 #define STRATREC_API_PIPELINE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <list>
@@ -21,7 +20,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/api/config.h"
 #include "src/api/envelope.h"
@@ -37,26 +35,20 @@ class JournalWriter;
 
 namespace stratrec::api::internal {
 
-/// Sharded LRU of availability snapshots (core::AvailabilitySnapshot),
-/// keyed on the bit pattern of the (already quantized) availability. Every
-/// ADPaR leg at one W — batch alternatives, sweeps and stream sessions —
-/// shares a single snapshot through ServiceState::SnapshotFor, so the
-/// O(|S|) parameter estimation and ADPaR's sorts/pruning tables are paid
-/// once per distinct availability instead of once per job or session.
-/// Builds happen outside the shard lock; a racing duplicate build keeps the
-/// first inserted entry so callers converge on one shared block.
+/// LRU of availability snapshots (core::AvailabilitySnapshot), keyed on the
+/// bit pattern of the (already quantized) availability and bounded by
+/// CacheConfig::snapshot_capacity. Every ADPaR leg at one W — batch
+/// alternatives, sweeps and stream sessions — shares a single snapshot
+/// through ServiceState::SnapshotFor, so the O(|S|) parameter estimation and
+/// ADPaR's sorts/pruning tables are paid once per distinct availability
+/// instead of once per job or session. A job looks the cache up at most
+/// once, so the one lock covers a hash probe and a list splice; builds
+/// happen outside it, and a racing duplicate build keeps the first inserted
+/// entry so callers converge on one shared block.
 class SnapshotCache {
  public:
-  /// Shard count is clamped to the capacity so floor division keeps the
-  /// total resident snapshots <= snapshot_capacity (a snapshot at |S|=1M
-  /// is tens of MB; the bound is the point of the knob).
   explicit SnapshotCache(const CacheConfig& config)
-      : capacity_(config.snapshot_capacity),
-        shards_(std::max<size_t>(
-            size_t{1},
-            std::min(config.shards, std::max<size_t>(size_t{1}, capacity_)))) {
-    per_shard_capacity_ = std::max<size_t>(1, capacity_ / shards_.size());
-  }
+      : capacity_(config.snapshot_capacity) {}
 
   bool enabled() const { return capacity_ > 0; }
 
@@ -64,13 +56,10 @@ class SnapshotCache {
   /// offers it back via Insert).
   std::shared_ptr<const core::AvailabilitySnapshot> Find(double w) {
     if (!enabled()) return nullptr;
-    Shard& shard = ShardFor(w);
-    const uint64_t key = KeyFor(w);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) return nullptr;
-    // Move to the LRU front.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.position);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(KeyFor(w));
+    if (it == entries_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second.position);
     return it->second.snapshot;
   }
 
@@ -79,33 +68,28 @@ class SnapshotCache {
   std::shared_ptr<const core::AvailabilitySnapshot> Insert(
       double w, std::shared_ptr<const core::AvailabilitySnapshot> snapshot) {
     if (!enabled()) return snapshot;
-    Shard& shard = ShardFor(w);
     const uint64_t key = KeyFor(w);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.position);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second.position);
       return it->second.snapshot;
     }
-    shard.lru.push_front(key);
-    shard.entries.emplace(key,
-                          Entry{std::move(snapshot), shard.lru.begin()});
-    while (shard.entries.size() > per_shard_capacity_) {
-      shard.entries.erase(shard.lru.back());
-      shard.lru.pop_back();
+    lru_.push_front(key);
+    it = entries_.emplace(key, Entry{std::move(snapshot), lru_.begin()}).first;
+    // One insert overflows by at most one; the back is never the new entry
+    // because the capacity is >= 1 here.
+    if (entries_.size() > capacity_) {
+      entries_.erase(lru_.back());
+      lru_.pop_back();
     }
-    return shard.entries.find(key)->second.snapshot;
+    return it->second.snapshot;
   }
 
  private:
   struct Entry {
     std::shared_ptr<const core::AvailabilitySnapshot> snapshot;
     std::list<uint64_t>::iterator position;
-  };
-  struct alignas(64) Shard {
-    std::mutex mutex;
-    std::list<uint64_t> lru;  ///< most-recent first
-    std::unordered_map<uint64_t, Entry> entries;
   };
 
   static uint64_t KeyFor(double w) {
@@ -115,21 +99,10 @@ class SnapshotCache {
     return bits;
   }
 
-  Shard& ShardFor(double w) {
-    // splitmix64 finalizer: the exponent-heavy double bits spread poorly
-    // by themselves.
-    uint64_t x = KeyFor(w);
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return shards_[x % shards_.size()];
-  }
-
-  size_t capacity_;
-  size_t per_shard_capacity_;
-  std::vector<Shard> shards_;
+  const size_t capacity_;
+  std::mutex mutex_;
+  std::list<uint64_t> lru_;  ///< most-recent first; guarded by mutex_
+  std::unordered_map<uint64_t, Entry> entries_;  ///< guarded by mutex_
 };
 
 /// The runtime. Member order is the teardown contract, since members are
@@ -177,7 +150,7 @@ struct ServiceState {
   Ticket<SweepReport> SubmitJob(SweepRequest request);
 
   /// The shared per-W snapshot, the runtime's one core::SnapshotSource:
-  /// a cache hit, or a build (outside any shard lock, on `executor`, whose
+  /// a cache hit, or a build (outside the cache lock, on `executor`, whose
   /// callers participate) and insert. Counts cache_hits / cache_misses.
   /// Batches, sweeps and stream sessions call it only when ADPaR runs.
   std::shared_ptr<const core::AvailabilitySnapshot> SnapshotFor(double w);

@@ -59,11 +59,17 @@ inline constexpr std::string_view kJournalFormatName = "stratrec-journal";
 /// the report-level strategy_params block, and every ADPaR result (batch
 /// alternatives, sweep cells, stream alternatives) carries the parameters
 /// of its own k strategies. Record shapes changed, so the floor moved.
-inline constexpr int kJournalFormatVersion = 8;
-/// Oldest version this build still reads. v7 reports carry the catalog
-/// block and ADPaR results without their own parameters, which v8 decoding
-/// rejects.
-inline constexpr int kJournalMinReadVersion = 8;
+/// v9: fields that repeat a fact or that nothing reads or sets are gone. A
+/// batch report's result holds batch, alternatives and adpar_failures,
+/// without the "aggregator" level and its copy of the report's
+/// availability; request outcomes drop request_index (outcomes[i] is
+/// request i's); stream options drop deadline_ms, stats records the retries
+/// counter, and the config's cache block its shard count. Record shapes
+/// changed, so the floor moved.
+inline constexpr int kJournalFormatVersion = 9;
+/// Oldest version this build still reads. v8 batch reports nest the batch
+/// outcome under "aggregator", which v9 decoding rejects.
+inline constexpr int kJournalMinReadVersion = 9;
 
 /// Thread-safe writer. Create via Open; the file is truncated and the
 /// header line written immediately, so even an empty trace is well-formed.

@@ -62,7 +62,6 @@ Result<BatchResult> SolveBatch(const std::vector<DeploymentRequest>& requests,
   items.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     RequestOutcome& outcome = result.outcomes[i];
-    outcome.request_index = i;
     outcome.objective_value = options.objective == Objective::kThroughput
                                   ? 1.0
                                   : requests[i].Payoff();

@@ -52,9 +52,9 @@ struct BatchOptions {
   RowPricerFn pricer;
 };
 
-/// Per-request outcome of a batch run.
+/// Per-request outcome of a batch run; BatchResult::outcomes[i] is
+/// request i's.
 struct RequestOutcome {
-  size_t request_index = 0;
   /// True when the scheduler allocated workforce and k strategies to it.
   bool satisfied = false;
   /// True when k strategies are feasible at all (regardless of W); requests

@@ -6,8 +6,7 @@
 //
 //   * EstimateParams — the per-availability parameter block estimation
 //     (CatalogIndex::EstimateParamsInto behind every BuildSnapshot, that
-//     is every snapshot-cache miss an ADPaR leg takes, and behind
-//     StratRecOptions::materialize_params),
+//     is every snapshot-cache miss an ADPaR leg takes),
 //   * SelectWorkforceCells — the pricing scan behind PriceRows, one
 //     256-cell block per call: it prices the block for one request and
 //     keeps only the cells below the caller's running k-th best, so no

@@ -36,7 +36,6 @@ Result<MultiObjectiveResult> SolveBatchWeighted(
   std::vector<KnapsackItem> items;
   for (size_t i = 0; i < requests.size(); ++i) {
     RequestOutcome& outcome = result.batch.outcomes[i];
-    outcome.request_index = i;
     aggregated[i] =
         AggregateRow(std::move((*rows)[i]), requests[i].k, options.aggregation);
     if (!aggregated[i].eligible) continue;

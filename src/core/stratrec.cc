@@ -63,20 +63,15 @@ Result<StratRecReport> StratRec::ProcessBatchAtAvailability(
     };
   }
   StratRecReport out;
-  out.aggregator.availability = availability;
-  if (options.materialize_params) {
-    index(executor, grain).EstimateParamsInto(
-        availability, &out.aggregator.strategy_params, executor, grain);
-  }
   auto batch = options.batch_solver
                    ? options.batch_solver(requests, profiles_, availability,
                                           batch_options)
                    : BatchStrat(requests, profiles_, availability,
                                 batch_options);
   if (!batch.ok()) return batch.status();
-  out.aggregator.batch = std::move(*batch);
+  out.batch = std::move(*batch);
 
-  const std::vector<size_t>& unsatisfied = out.aggregator.batch.unsatisfied;
+  const std::vector<size_t>& unsatisfied = out.batch.unsatisfied;
   if (!options.recommend_alternatives || unsatisfied.empty()) return out;
 
   // Unsatisfied requests are forwarded to ADPaR (Section 2.2), against the

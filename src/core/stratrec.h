@@ -35,21 +35,6 @@ struct Catalog {
   bool operator==(const Catalog&) const = default;
 };
 
-/// Everything the Aggregator stage derives for one batch.
-struct AggregatorReport {
-  /// Expected availability W consumed by the optimization.
-  double availability = 0.0;
-  /// Concrete per-strategy parameters estimated at W (Table 1 style),
-  /// index-aligned with the strategy/profile lists. Empty unless the run
-  /// set StratRecOptions::materialize_params: re-estimating O(|S|)
-  /// parameters per batch is pure waste for callers that never read them.
-  std::vector<ParamVector> strategy_params;
-  /// The batch optimization outcome.
-  BatchResult batch;
-
-  bool operator==(const AggregatorReport&) const = default;
-};
-
 /// Configuration of one ProcessBatch() run.
 struct StratRecOptions {
   /// When `batch.pricer` is empty, the solve prices with PriceRows over the
@@ -64,12 +49,6 @@ struct StratRecOptions {
   /// `snapshot`).
   BatchSolverFn batch_solver;
   AdparSolverFn adpar_solver;
-  /// Fill report.aggregator.strategy_params, the O(|S|) catalog block at
-  /// W, estimated through the catalog's index (bit-identical to
-  /// StrategyProfile::EstimateParams). Off by default: every alternative
-  /// carries the parameters of its own k strategies, so no reader of a
-  /// report needs the block.
-  bool materialize_params = false;
   /// Where the ADPaR leg gets the snapshot at the run's W. Called once,
   /// after the batch solve, and only when alternatives are on and some
   /// request went unserved; a null result, or a snapshot at another W or
@@ -93,11 +72,12 @@ struct AlternativeRecommendation {
   bool operator==(const AlternativeRecommendation&) const = default;
 };
 
-/// Everything StratRec returns for a batch.
+/// Everything StratRec returns for a batch. Every alternative carries the
+/// parameters of its own k strategies; the whole catalog's block at W is
+/// index().BuildSnapshot(W)->params().
 struct StratRecReport {
-  /// The Aggregator stage (availability, batch outcome, and the strategy
-  /// params block when StratRecOptions::materialize_params asked for it).
-  AggregatorReport aggregator;
+  /// The batch optimization outcome of the Aggregator stage.
+  BatchResult batch;
   /// Alternatives for the requests the batch stage could not serve.
   std::vector<AlternativeRecommendation> alternatives;
   /// Requests ADPaR itself could not help (k exceeds the catalog size).

@@ -89,8 +89,7 @@ struct RetryPolicy {
 /// Retry-After. Everything else — including 5xx — returns to the caller
 /// unretried, so injected-fault accounting (bench/chaos_serving.cc) never
 /// has real errors masked by the client. Counters are cumulative across
-/// requests; `retries()` is the client-side twin of the
-/// ServiceStats::retries journal counter.
+/// requests; re-sends are counted only here, on the client side.
 class RetryingHttpClient {
  public:
   RetryingHttpClient(std::string host, uint16_t port, RetryPolicy policy = {})

@@ -100,7 +100,7 @@ Result<MirroredStudyResult> AmtSimulator::RunMirroredStudy(
     if (!report.ok()) return report.status();
 
     StageSpec guided_stage = SeqIndCro();
-    const auto& outcome = report->aggregator.batch.outcomes[0];
+    const auto& outcome = report->batch.outcomes[0];
     if (outcome.satisfied && !outcome.strategies.empty()) {
       guided_stage = catalog[outcome.strategies.front()];
     } else if (!report->alternatives.empty() &&

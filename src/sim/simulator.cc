@@ -403,7 +403,7 @@ class Run {
       return;
     }
     ++report_.batches_completed;
-    report_.requests_satisfied += outcome->result.aggregator.batch.satisfied.size();
+    report_.requests_satisfied += outcome->result.batch.satisfied.size();
     report_.alternatives_served += outcome->result.alternatives.size();
     queue_.ScheduleAfter(duration,
                          [this, duration]() { latencies_.push_back(duration); });
@@ -514,8 +514,7 @@ class Run {
       auto outcome = entry.ticket.Wait();
       if (outcome.ok()) {
         ++report_.batches_completed;
-        report_.requests_satisfied +=
-            outcome->result.aggregator.batch.satisfied.size();
+        report_.requests_satisfied += outcome->result.batch.satisfied.size();
         report_.alternatives_served += outcome->result.alternatives.size();
         const double duration = entry.duration;
         queue_.ScheduleAfter(

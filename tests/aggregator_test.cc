@@ -26,12 +26,6 @@ StratRec MakeExample1StratRec() {
   return StratRec::Create(std::move(strategies), std::move(profiles)).value();
 }
 
-StratRecOptions WithParams() {
-  StratRecOptions options;
-  options.materialize_params = true;
-  return options;
-}
-
 TEST(Aggregator, CreateValidatesInputs) {
   EXPECT_FALSE(StratRec::Create({}, {}).ok());
   std::vector<Strategy> one = {{"s", StageSpec{}}};
@@ -40,27 +34,24 @@ TEST(Aggregator, CreateValidatesInputs) {
 
 TEST(Aggregator, EstimatesTable1ParamsAtW) {
   const StratRec stratrec = MakeExample1StratRec();
-  auto report = stratrec.ProcessBatchAtAvailability({}, 0.8, WithParams());
-  ASSERT_TRUE(report.ok());
-  const AggregatorReport& aggregator = report->aggregator;
-  ASSERT_EQ(aggregator.strategy_params.size(), 4u);
-  EXPECT_NEAR(aggregator.strategy_params[0].quality, 0.50, 1e-9);
-  EXPECT_NEAR(aggregator.strategy_params[0].cost, 0.25, 1e-9);
-  EXPECT_NEAR(aggregator.strategy_params[0].latency, 0.28, 1e-9);
-  EXPECT_NEAR(aggregator.strategy_params[3].quality, 0.88, 1e-9);
-  EXPECT_NEAR(aggregator.strategy_params[3].cost, 0.58, 1e-9);
-  EXPECT_NEAR(aggregator.strategy_params[3].latency, 0.14, 1e-9);
-  EXPECT_DOUBLE_EQ(aggregator.availability, 0.8);
+  auto snapshot = stratrec.index().BuildSnapshot(0.8);
+  EXPECT_DOUBLE_EQ(snapshot->availability(), 0.8);
+  const std::vector<ParamVector>& params = snapshot->params();
+  ASSERT_EQ(params.size(), 4u);
+  EXPECT_NEAR(params[0].quality, 0.50, 1e-9);
+  EXPECT_NEAR(params[0].cost, 0.25, 1e-9);
+  EXPECT_NEAR(params[0].latency, 0.28, 1e-9);
+  EXPECT_NEAR(params[3].quality, 0.88, 1e-9);
+  EXPECT_NEAR(params[3].cost, 0.58, 1e-9);
+  EXPECT_NEAR(params[3].latency, 0.14, 1e-9);
 }
 
 TEST(Aggregator, ParamsShiftWithAvailability) {
   const StratRec stratrec = MakeExample1StratRec();
-  auto low = stratrec.ProcessBatchAtAvailability({}, 0.5, WithParams());
-  auto high = stratrec.ProcessBatchAtAvailability({}, 0.95, WithParams());
-  ASSERT_TRUE(low.ok());
-  ASSERT_TRUE(high.ok());
-  const auto& low_params = low->aggregator.strategy_params;
-  const auto& high_params = high->aggregator.strategy_params;
+  const auto low = stratrec.index().BuildSnapshot(0.5);
+  const auto high = stratrec.index().BuildSnapshot(0.95);
+  const std::vector<ParamVector>& low_params = low->params();
+  const std::vector<ParamVector>& high_params = high->params();
   for (size_t j = 0; j < 4; ++j) {
     EXPECT_LT(low_params[j].quality, high_params[j].quality);
     EXPECT_LT(low_params[j].cost, high_params[j].cost);
@@ -68,13 +59,30 @@ TEST(Aggregator, ParamsShiftWithAvailability) {
   }
 }
 
+// ProcessBatch runs at the PMF's expected W: under kMax, Example 1's report
+// at 0.8 differs from the ones at the two atoms.
 TEST(Aggregator, RunUsesPmfExpectation) {
   const StratRec stratrec = MakeExample1StratRec();
+  const std::vector<DeploymentRequest> requests = {
+      {"d1", {0.4, 0.17, 0.28}, 3},
+      {"d2", {0.8, 0.20, 0.28}, 3},
+      {"d3", {0.7, 0.83, 0.28}, 3},
+  };
+  StratRecOptions options;
+  options.batch.aggregation = AggregationMode::kMax;
   auto availability = AvailabilityModel::FromPmf({{0.7, 0.5}, {0.9, 0.5}});
   ASSERT_TRUE(availability.ok());
-  auto report = stratrec.ProcessBatch({}, *availability, {});
+  auto report = stratrec.ProcessBatch(requests, *availability, options);
   ASSERT_TRUE(report.ok());
-  EXPECT_DOUBLE_EQ(report->aggregator.availability, 0.8);
+  auto at_mean = stratrec.ProcessBatchAtAvailability(requests, 0.8, options);
+  ASSERT_TRUE(at_mean.ok());
+  EXPECT_TRUE(*report == *at_mean);
+  for (double atom : {0.7, 0.9}) {
+    auto at_atom =
+        stratrec.ProcessBatchAtAvailability(requests, atom, options);
+    ASSERT_TRUE(at_atom.ok());
+    EXPECT_FALSE(*at_atom == *at_mean) << "W = " << atom;
+  }
 }
 
 TEST(Aggregator, RejectsOutOfRangeAvailability) {
@@ -99,7 +107,7 @@ TEST(Aggregator, AlgorithmSelectionChangesOutcome) {
     auto report = stratrec.ProcessBatchAtAvailability(requests, 0.8, options);
     ASSERT_TRUE(report.ok());
     // d3 serveable by all
-    EXPECT_EQ(report->aggregator.batch.satisfied.size(), 1u);
+    EXPECT_EQ(report->batch.satisfied.size(), 1u);
   }
 }
 

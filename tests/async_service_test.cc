@@ -342,18 +342,17 @@ void ExpectSameBatchReport(const BatchReport& sync_report,
                            const BatchReport& async_report) {
   EXPECT_EQ(sync_report.algorithm, async_report.algorithm);
   EXPECT_EQ(sync_report.availability, async_report.availability);  // bitwise
-  const core::AggregatorReport& a = sync_report.result.aggregator;
-  const core::AggregatorReport& b = async_report.result.aggregator;
-  EXPECT_EQ(a.availability, b.availability);
-  EXPECT_EQ(a.batch.total_objective, b.batch.total_objective);
-  EXPECT_EQ(a.batch.workforce_used, b.batch.workforce_used);
-  EXPECT_EQ(a.batch.satisfied, b.batch.satisfied);
-  EXPECT_EQ(a.batch.unsatisfied, b.batch.unsatisfied);
-  ASSERT_EQ(a.batch.outcomes.size(), b.batch.outcomes.size());
-  for (size_t i = 0; i < a.batch.outcomes.size(); ++i) {
-    EXPECT_EQ(a.batch.outcomes[i].satisfied, b.batch.outcomes[i].satisfied);
-    EXPECT_EQ(a.batch.outcomes[i].workforce, b.batch.outcomes[i].workforce);
-    EXPECT_EQ(a.batch.outcomes[i].strategies, b.batch.outcomes[i].strategies);
+  const core::BatchResult& a = sync_report.result.batch;
+  const core::BatchResult& b = async_report.result.batch;
+  EXPECT_EQ(a.total_objective, b.total_objective);
+  EXPECT_EQ(a.workforce_used, b.workforce_used);
+  EXPECT_EQ(a.satisfied, b.satisfied);
+  EXPECT_EQ(a.unsatisfied, b.unsatisfied);
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (size_t i = 0; i < a.outcomes.size(); ++i) {
+    EXPECT_EQ(a.outcomes[i].satisfied, b.outcomes[i].satisfied);
+    EXPECT_EQ(a.outcomes[i].workforce, b.outcomes[i].workforce);
+    EXPECT_EQ(a.outcomes[i].strategies, b.outcomes[i].strategies);
   }
   ASSERT_EQ(sync_report.result.alternatives.size(),
             async_report.result.alternatives.size());

@@ -80,6 +80,13 @@ TEST(CatalogIndex, TransposesCoefficientsAndEstimatesIdentically) {
       EXPECT_EQ(via_profile.latency, via_index.latency);
     }
   }
+  // A snapshot's block is the same estimate, strategy by strategy.
+  const auto snapshot = index.BuildSnapshot(0.5);
+  ASSERT_EQ(snapshot->params().size(), profiles.size());
+  for (size_t j = 0; j < profiles.size(); ++j) {
+    EXPECT_TRUE(snapshot->params()[j] == profiles[j].EstimateParams(0.5))
+        << "profile " << j;
+  }
 }
 
 TEST(CatalogIndex, ParallelBuildMatchesSerial) {
@@ -308,40 +315,6 @@ TEST(CatalogIndexProperty, AdparResultsCarryTheirStrategiesParams) {
   }
 }
 
-TEST(CatalogIndex, ParamsMaterializationIsOptInForBatchOnlyRuns) {
-  workload::Generator generator({}, 0x1DE40008ull);
-  const auto profiles = generator.Profiles(20);
-  auto stratrec = StratRec::Create(
-      api::CatalogFromProfiles(profiles).strategies, profiles);
-  ASSERT_TRUE(stratrec.ok());
-  const auto requests = generator.Requests(5, 3);
-
-  StratRecOptions batch_only;
-  batch_only.recommend_alternatives = false;
-  auto lean = stratrec->ProcessBatchAtAvailability(requests, 0.5, batch_only);
-  ASSERT_TRUE(lean.ok());
-  EXPECT_TRUE(lean->aggregator.strategy_params.empty());
-
-  // Alternatives carry their own parameters, so turning them on does not
-  // materialize the block either.
-  StratRecOptions with_alternatives;
-  auto answered =
-      stratrec->ProcessBatchAtAvailability(requests, 0.5, with_alternatives);
-  ASSERT_TRUE(answered.ok());
-  EXPECT_TRUE(answered->aggregator.strategy_params.empty());
-
-  batch_only.materialize_params = true;
-  auto full = stratrec->ProcessBatchAtAvailability(requests, 0.5, batch_only);
-  ASSERT_TRUE(full.ok());
-  ASSERT_EQ(full->aggregator.strategy_params.size(), profiles.size());
-  for (size_t j = 0; j < profiles.size(); ++j) {
-    EXPECT_TRUE(full->aggregator.strategy_params[j] ==
-                profiles[j].EstimateParams(0.5));
-  }
-  // The batch outcome itself is unaffected by the params block.
-  EXPECT_TRUE(lean->aggregator.batch == full->aggregator.batch);
-}
-
 // The snapshot check lives where the source is called: once ADPaR runs, a
 // source that returns null, a snapshot at another W, or one over another
 // catalog fails the batch with kInvalidArgument. The source is asked at
@@ -379,7 +352,7 @@ TEST(CatalogIndex, SnapshotSourceIsAskedOnceAndCheckedWhenAdparRuns) {
 
   auto served = stratrec->ProcessBatchAtAvailability(easy, w, sourced);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  ASSERT_TRUE(served->aggregator.batch.unsatisfied.empty());
+  ASSERT_TRUE(served->batch.unsatisfied.empty());
   sourced.recommend_alternatives = false;
   ASSERT_TRUE(stratrec->ProcessBatchAtAvailability(hopeless, w, sourced).ok());
   EXPECT_EQ(calls, 1);
@@ -458,7 +431,6 @@ TEST(SnapshotCacheFacade, CountsHitsAndEvictsLeastRecentlyUsed) {
   ServiceConfig config;
   config.execution.worker_threads = 1;
   config.cache.snapshot_capacity = 2;
-  config.cache.shards = 1;
   auto service = Service::Create(TestCatalog(16, 0xFACADE03ull), config);
   ASSERT_TRUE(service.ok());
 
@@ -480,13 +452,34 @@ TEST(SnapshotCacheFacade, CountsHitsAndEvictsLeastRecentlyUsed) {
   EXPECT_GT(stats.index_build_nanos, 0u);
 }
 
-TEST(SnapshotCacheFacade, CapacityBoundsResidentSnapshotsAcrossShards) {
-  // snapshot_capacity is a global bound: with capacity 1 the shard count is
-  // clamped so distinct availabilities cannot each pin a shard-local entry.
+// The default capacity bounds the whole cache: six batches at five distinct
+// availabilities, each with one request only ADPaR can answer, leave all
+// five resident, so the repeated availability is a hit.
+TEST(SnapshotCacheFacade, CapacityIsOneBoundAcrossAvailabilities) {
+  ServiceConfig config;
+  config.execution.worker_threads = 1;
+  ASSERT_GE(config.cache.snapshot_capacity, 5u);
+  auto service = Service::Create(TestCatalog(2000, 0xFACADE0Cull), config);
+  ASSERT_TRUE(service.ok());
+  workload::Generator generator({}, 0xFACADE0Dull);
+  for (double w : {0.07, 0.09, 0.20, 0.23, 0.27, 0.07}) {
+    BatchRequest batch;
+    batch.requests = generator.RequestsWithRanges(1, 3, {0.97, 1.0},
+                                                  {0.0, 0.05}, {0.0, 0.05});
+    batch.availability = AvailabilitySpec::Fixed(w);
+    auto report = service->SubmitBatch(std::move(batch));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->result.alternatives.size(), 1u) << "W = " << w;
+  }
+  const ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.cache_misses, 5u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+}
+
+TEST(SnapshotCacheFacade, CapacityOneKeepsOneResidentSnapshot) {
   ServiceConfig config;
   config.execution.worker_threads = 1;
   config.cache.snapshot_capacity = 1;
-  config.cache.shards = 4;
   auto service = Service::Create(TestCatalog(16, 0xFACADE06ull), config);
   ASSERT_TRUE(service.ok());
 
@@ -550,7 +543,7 @@ TEST(SnapshotCacheFacade, AllServedBatchLooksUpNoSnapshot) {
 
   auto on = service->SubmitBatch(with_alternatives);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
-  ASSERT_TRUE(on->result.aggregator.batch.unsatisfied.empty());
+  ASSERT_TRUE(on->result.batch.unsatisfied.empty());
   EXPECT_EQ(Lookups(*service), 0u);
   auto off = service->SubmitBatch(without);
   ASSERT_TRUE(off.ok()) << off.status().ToString();

@@ -148,11 +148,9 @@ api::BatchReport RandomBatchReport(Rng& rng) {
   report.request_id = RandomString(rng);
   report.algorithm = RandomString(rng);
   report.availability = RandomDouble(rng);
-  report.result.aggregator.availability = RandomDouble(rng);
-  core::BatchResult& batch = report.result.aggregator.batch;
+  core::BatchResult& batch = report.result.batch;
   batch.outcomes.resize(static_cast<size_t>(rng.UniformInt(0, 3)));
   for (core::RequestOutcome& outcome : batch.outcomes) {
-    outcome.request_index = static_cast<size_t>(rng.UniformInt(0, 99));
     outcome.satisfied = rng.Bernoulli(0.5);
     outcome.eligible = rng.Bernoulli(0.5);
     outcome.workforce = RandomDouble(rng);
@@ -215,7 +213,6 @@ api::StreamOptions RandomStreamOptions(Rng& rng) {
                                            : core::Objective::kPayoff;
   }
   if (rng.Bernoulli(0.5)) options.recommend_alternatives = rng.Bernoulli(0.5);
-  if (rng.Bernoulli(0.5)) options.deadline_ms = 1.0 + 1000.0 * rng.Uniform();
   if (rng.Bernoulli(0.5)) options.session_id = RandomString(rng);
   return options;
 }
@@ -301,7 +298,6 @@ api::ServiceConfig RandomConfig(Rng& rng) {
       static_cast<size_t>(rng.UniformInt(1, 10000));
   config.cache.snapshot_capacity =
       static_cast<size_t>(rng.UniformInt(0, 128));
-  config.cache.shards = static_cast<size_t>(rng.UniformInt(1, 16));
   config.cache.availability_quantum =
       rng.Bernoulli(0.5) ? 0.0 : rng.Uniform(0.0, 1.0);
   config.journal.path = RandomString(rng);
@@ -338,7 +334,6 @@ api::ServiceStats RandomServiceStats(Rng& rng) {
   stats.rejected_requests = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.retry_after_hints = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.deadline_exceeded = static_cast<size_t>(rng.UniformInt(0, 100000));
-  stats.retries = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.failovers = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.hedges_won = static_cast<size_t>(rng.UniformInt(0, 100000));
   stats.kernel_dispatch = rng.Bernoulli(0.5) ? "avx2" : "scalar";
@@ -539,12 +534,9 @@ TEST(Codec, FieldNamesAreStable) {
   report.request_id = "batch-000001";
   report.algorithm = "batchstrat";
   report.availability = 0.5;
-  report.result.aggregator.availability = 0.5;
-  // In-process only: the catalog block never reaches the wire.
-  report.result.aggregator.strategy_params = {{0.75, 0.125, 0.25}};
-  core::BatchResult& outcome = report.result.aggregator.batch;
-  outcome.outcomes = {{0, true, true, 0.25, 1.0, {2, 5}},
-                      {1, false, false, 0.0, 0.0, {}}};
+  core::BatchResult& outcome = report.result.batch;
+  outcome.outcomes = {{true, true, 0.25, 1.0, {2, 5}},
+                      {false, false, 0.0, 0.0, {}}};
   outcome.total_objective = 1.0;
   outcome.workforce_used = 0.25;
   outcome.satisfied = {0};
@@ -554,13 +546,12 @@ TEST(Codec, FieldNamesAreStable) {
   EXPECT_EQ(dump(report),
             R"({"request_id":"batch-000001","algorithm":"batchstrat",)"
             R"("availability":0.5,)"
-            R"("result":{"aggregator":{"availability":0.5,)"
-            R"("batch":{"outcomes":[{"request_index":0,"satisfied":true,)"
+            R"("result":{"batch":{"outcomes":[{"satisfied":true,)"
             R"("eligible":true,"workforce":0.25,"objective_value":1,)"
-            R"("strategies":[2,5]},{"request_index":1,"satisfied":false,)"
+            R"("strategies":[2,5]},{"satisfied":false,)"
             R"("eligible":false,"workforce":0,"objective_value":0,)"
             R"("strategies":[]}],"total_objective":1,"workforce_used":0.25,)"
-            R"("satisfied":[0],"unsatisfied":[1]}},)"
+            R"("satisfied":[0],"unsatisfied":[1]},)"
             R"("alternatives":[{"request_index":1,)"
             R"("result":{"alternative":{"quality":0.625,"cost":0.25,)"
             R"("latency":0.5},"strategies":[3,7],)"
@@ -617,14 +608,13 @@ TEST(Codec, FieldNamesAreStable) {
   full_options.aggregation = core::AggregationMode::kMax;
   full_options.policy = core::WorkforcePolicy::kPaperMaxOfThree;
   full_options.recommend_alternatives = true;
-  full_options.deadline_ms = 12.25;
   full_options.session_id = "stream-7";
   EXPECT_EQ(dump(full_options),
             R"({"availability":{"kind":"fixed","value":0.75},)"
             R"("max_pending":8,"readmit_on_release":false,)"
             R"("objective":"payoff","aggregation":"max",)"
             R"("policy":"paper-max-of-three","recommend_alternatives":true,)"
-            R"("deadline_ms":12.25,"session_id":"stream-7"})");
+            R"("session_id":"stream-7"})");
 
   EXPECT_EQ(dump(api::StreamEvent::Arrival(request)),
             R"({"kind":"arrival","request":{"id":"d1",)"
@@ -676,7 +666,7 @@ TEST(Codec, FieldNamesAreStable) {
             R"("stream":{"max_pending":64,"readmit_on_release":true,)"
             R"("recommend_alternatives":false},)"
             R"("execution":{"worker_threads":0,"parallel_grain":4096},)"
-            R"("cache":{"snapshot_capacity":16,"shards":4,)"
+            R"("cache":{"snapshot_capacity":16,)"
             R"("availability_quantum":0},"journal":{"path":"",)"
             R"("record_cancelled":true,"flush_every_record":true,)"
             R"("max_segment_bytes":0,"compact_after_segments":0,)"
@@ -705,7 +695,6 @@ TEST(Codec, FieldNamesAreStable) {
   stats.rejected_requests = 14;
   stats.retry_after_hints = 15;
   stats.deadline_exceeded = 19;
-  stats.retries = 20;
   stats.failovers = 21;
   stats.hedges_won = 22;
   stats.kernel_dispatch = "avx2";
@@ -718,7 +707,7 @@ TEST(Codec, FieldNamesAreStable) {
             "\"local_hits\":10,\"cache_hits\":11,\"cache_misses\":12,"
             "\"index_build_nanos\":13,\"rejected_requests\":14,"
             "\"retry_after_hints\":15,\"deadline_exceeded\":19,"
-            "\"retries\":20,\"failovers\":21,\"hedges_won\":22,"
+            "\"failovers\":21,\"hedges_won\":22,"
             "\"kernel_dispatch\":\"avx2\"}");
 
   // Every journal record kind; pairs and stream events with and without
@@ -730,7 +719,7 @@ TEST(Codec, FieldNamesAreStable) {
             R"("adpar_solver":"exact"},"stream":{"max_pending":64,)"
             R"("readmit_on_release":true,"recommend_alternatives":false},)"
             R"("execution":{"worker_threads":0,"parallel_grain":4096},)"
-            R"("cache":{"snapshot_capacity":16,"shards":4,)"
+            R"("cache":{"snapshot_capacity":16,)"
             R"("availability_quantum":0},"journal":{"path":"",)"
             R"("record_cancelled":true,"flush_every_record":true,)"
             R"("max_segment_bytes":0,"compact_after_segments":0,)"
@@ -753,13 +742,12 @@ TEST(Codec, FieldNamesAreStable) {
             R"("deadline_ms":250},"status":{"code":"OK"},)"
             R"("report":{"request_id":"batch-000001",)"
             R"("algorithm":"batchstrat","availability":0.5,)"
-            R"("result":{"aggregator":{"availability":0.5,)"
-            R"("batch":{"outcomes":[{"request_index":0,"satisfied":true,)"
+            R"("result":{"batch":{"outcomes":[{"satisfied":true,)"
             R"("eligible":true,"workforce":0.25,"objective_value":1,)"
-            R"("strategies":[2,5]},{"request_index":1,"satisfied":false,)"
+            R"("strategies":[2,5]},{"satisfied":false,)"
             R"("eligible":false,"workforce":0,"objective_value":0,)"
             R"("strategies":[]}],"total_objective":1,"workforce_used":0.25,)"
-            R"("satisfied":[0],"unsatisfied":[1]}},)"
+            R"("satisfied":[0],"unsatisfied":[1]},)"
             R"("alternatives":[{"request_index":1,)"
             R"("result":{"alternative":{"quality":0.625,"cost":0.25,)"
             R"("latency":0.5},"strategies":[3,7],)"
@@ -801,8 +789,8 @@ TEST(Codec, FieldNamesAreStable) {
             R"("requests_processed":0,"cancelled":0,"queue_depth":0,)"
             R"("active_workers":0,"steals":0,"local_hits":0,"cache_hits":0,)"
             R"("cache_misses":0,"index_build_nanos":0,"rejected_requests":0,)"
-            R"("retry_after_hints":0,"deadline_exceeded":0,"retries":0,)"
-            R"("failovers":0,"hedges_won":0,"kernel_dispatch":"scalar"}})");
+            R"("retry_after_hints":0,"deadline_exceeded":0,"failovers":0,)"
+            R"("hedges_won":0,"kernel_dispatch":"scalar"}})");
   EXPECT_EQ(EncodeStatsRecord(idle, 42.5),
             R"({"kind":"stats","sim_time":42.5,"stats":{"batches":0,)"
             R"("sweeps":0,"streams_opened":0,"stream_events":0,)"
@@ -811,8 +799,8 @@ TEST(Codec, FieldNamesAreStable) {
             R"("queue_depth":0,"active_workers":0,"steals":0,"local_hits":0,)"
             R"("cache_hits":0,"cache_misses":0,"index_build_nanos":0,)"
             R"("rejected_requests":0,"retry_after_hints":0,)"
-            R"("deadline_exceeded":0,"retries":0,"failovers":0,)"
-            R"("hedges_won":0,"kernel_dispatch":"scalar"}})");
+            R"("deadline_exceeded":0,"failovers":0,"hedges_won":0,)"
+            R"("kernel_dispatch":"scalar"}})");
   StreamOpenRecord open;
   open.session_id = "stream-7";
   open.options = full_options;
@@ -823,7 +811,7 @@ TEST(Codec, FieldNamesAreStable) {
             R"("max_pending":8,"readmit_on_release":false,)"
             R"("objective":"payoff","aggregation":"max",)"
             R"("policy":"paper-max-of-three","recommend_alternatives":true,)"
-            R"("deadline_ms":12.25,"session_id":"stream-7"},)"
+            R"("session_id":"stream-7"},)"
             R"("availability":0.75})");
   StreamEventRecord event;
   event.session_id = "stream-7";
@@ -879,14 +867,14 @@ TEST(Codec, SeededEncodingsKeepTheirDigests) {
   EXPECT_EQ(EncodingDigest(5, RandomCatalog), 0xced635eb09c903e5ull);
   EXPECT_EQ(EncodingDigest(6, RandomSpec), 0x36bc0217d324067aull);
   EXPECT_EQ(EncodingDigest(7, RandomBatchRequest), 0xc1f6f87d48958813ull);
-  EXPECT_EQ(EncodingDigest(8, RandomBatchReport), 0x1d9fbea4046bd7a4ull);
+  EXPECT_EQ(EncodingDigest(8, RandomBatchReport), 0xcc3400f51668900bull);
   EXPECT_EQ(EncodingDigest(9, RandomSweepRequest), 0x64334304e2306dceull);
   EXPECT_EQ(EncodingDigest(10, RandomSweepReport), 0x990cc9efb3b8a0b3ull);
-  EXPECT_EQ(EncodingDigest(11, RandomStreamOptions), 0x93eb10bdb7ab1e4eull);
+  EXPECT_EQ(EncodingDigest(11, RandomStreamOptions), 0x5a57f23667d6204aull);
   EXPECT_EQ(EncodingDigest(12, RandomStreamEvent), 0x8b69801fd2edd1f3ull);
   EXPECT_EQ(EncodingDigest(13, RandomStreamUpdate), 0xa4179346d0fdbe40ull);
-  EXPECT_EQ(EncodingDigest(14, RandomConfig), 0xbe4f9070a70d5aeeull);
-  EXPECT_EQ(EncodingDigest(15, RandomServiceStats), 0xf10039fa334c1d3dull);
+  EXPECT_EQ(EncodingDigest(14, RandomConfig), 0xd9ed0d2c30329663ull);
+  EXPECT_EQ(EncodingDigest(15, RandomServiceStats), 0xcbdc057666a2a613ull);
 }
 
 // Every enumerator of every wire enum travels under one name, and that name
@@ -977,7 +965,7 @@ TEST(Codec, EveryWireEnumRoundTripsByName) {
   }
 }
 
-// Every stats counter is required on decode: the journal read floor (v8)
+// Every stats counter is required on decode: the journal read floor (v9)
 // is past v7, which introduced the last of them, so a block missing one is
 // malformed rather than old.
 TEST(Codec, StatsWithoutHedgesWonFailToDecode) {
@@ -990,7 +978,7 @@ TEST(Codec, StatsWithoutHedgesWonFailToDecode) {
       "\"local_hits\":10,\"cache_hits\":11,\"cache_misses\":12,"
       "\"index_build_nanos\":13,\"rejected_requests\":14,"
       "\"retry_after_hints\":15,\"deadline_exceeded\":19,"
-      "\"retries\":20,\"failovers\":21,\"kernel_dispatch\":\"avx2\"}";
+      "\"failovers\":21,\"kernel_dispatch\":\"avx2\"}";
   auto decoded = DecodeServiceStats(*json::Parse(missing));
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
@@ -1000,7 +988,7 @@ TEST(Codec, StatsWithoutHedgesWonFailToDecode) {
 
 // deadline_ms is emitted only when set: a request without a deadline must
 // encode byte-identically to its pre-v7 form, and a set deadline must
-// round-trip on all three envelope kinds.
+// round-trip on both request kinds.
 TEST(Codec, DeadlineMsIsOmittedWhenUnsetAndRoundTripsWhenSet) {
   api::BatchRequest batch;
   batch.availability = api::AvailabilitySpec::Fixed(0.5);
@@ -1020,15 +1008,6 @@ TEST(Codec, DeadlineMsIsOmittedWhenUnsetAndRoundTripsWhenSet) {
       DecodeSweepRequest(*json::Parse(json::Dump(Encode(sweep))));
   ASSERT_TRUE(sweep_decoded.ok());
   EXPECT_EQ(sweep_decoded->deadline_ms, 80.5);
-
-  api::StreamOptions options;
-  EXPECT_EQ(json::Dump(Encode(options)).find("deadline_ms"),
-            std::string::npos);
-  options.deadline_ms = 12.25;
-  auto options_decoded =
-      DecodeStreamOptions(*json::Parse(json::Dump(Encode(options))));
-  ASSERT_TRUE(options_decoded.ok());
-  EXPECT_EQ(options_decoded->deadline_ms, 12.25);
 }
 
 TEST(Codec, StatsRecordDecodesIntoTheTrace) {
@@ -1298,7 +1277,7 @@ TEST(Codec, OnlyOmittableMembersMayBeMissing) {
     ExpectOnlyOmittableMembersMayBeDropped(
         RandomStreamOptions(rng), DecodeStreamOptions,
         {"max_pending", "readmit_on_release", "objective", "aggregation",
-         "policy", "recommend_alternatives", "deadline_ms", "session_id"},
+         "policy", "recommend_alternatives", "session_id"},
         "StreamOptions");
     ExpectOnlyOmittableMembersMayBeDropped(
         RandomStreamEvent(rng), DecodeStreamEvent, {}, "StreamEvent");

@@ -47,7 +47,7 @@ TEST_P(FacadePropertyTest, GlobalInvariantsHold) {
         stratrec->ProcessBatchAtAvailability(requests_, w, options_);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-    const BatchResult& batch = report->aggregator.batch;
+    const BatchResult& batch = report->batch;
     // 1. Partition: every request is satisfied xor unsatisfied.
     EXPECT_EQ(batch.satisfied.size() + batch.unsatisfied.size(),
               requests_.size());
@@ -107,9 +107,8 @@ TEST_P(FacadePropertyTest, DeterministicAcrossRuns) {
   auto b = stratrec->ProcessBatchAtAvailability(requests_, 0.6, options_);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->aggregator.batch.satisfied, b->aggregator.batch.satisfied);
-  EXPECT_DOUBLE_EQ(a->aggregator.batch.total_objective,
-                   b->aggregator.batch.total_objective);
+  EXPECT_EQ(a->batch.satisfied, b->batch.satisfied);
+  EXPECT_DOUBLE_EQ(a->batch.total_objective, b->batch.total_objective);
   ASSERT_EQ(a->alternatives.size(), b->alternatives.size());
   for (size_t i = 0; i < a->alternatives.size(); ++i) {
     EXPECT_EQ(a->alternatives[i].result.strategies,

@@ -57,11 +57,8 @@ TEST(StratRecIntegration, Example1EndToEnd) {
                                        options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  // The report carries answers only: no catalog block unless asked for.
-  EXPECT_TRUE(report->aggregator.strategy_params.empty());
-
   // d3 is served with {s2, s3, s4} (Section 2.2).
-  const auto& outcomes = report->aggregator.batch.outcomes;
+  const auto& outcomes = report->batch.outcomes;
   EXPECT_FALSE(outcomes[0].satisfied);
   EXPECT_FALSE(outcomes[1].satisfied);
   ASSERT_TRUE(outcomes[2].satisfied);
@@ -100,19 +97,14 @@ TEST(StratRecIntegration, Example1EndToEnd) {
     }
   }
 
-  // materialize_params still fills the Table-1 block on request.
-  options.materialize_params = true;
-  auto full = stratrec->ProcessBatch(example.requests, *availability,
-                                     options);
-  ASSERT_TRUE(full.ok());
-  ASSERT_EQ(full->aggregator.strategy_params.size(), 4u);
+  // The catalog's block at W is the Table-1 block.
+  const auto snapshot =
+      stratrec->index().BuildSnapshot(availability->ExpectedAvailability());
+  ASSERT_EQ(snapshot->params().size(), 4u);
   for (size_t j = 0; j < 4; ++j) {
-    EXPECT_NEAR(full->aggregator.strategy_params[j].quality,
-                table1[j].quality, 1e-9);
-    EXPECT_NEAR(full->aggregator.strategy_params[j].cost, table1[j].cost,
-                1e-9);
+    EXPECT_NEAR(snapshot->params()[j].quality, table1[j].quality, 1e-9);
+    EXPECT_NEAR(snapshot->params()[j].cost, table1[j].cost, 1e-9);
   }
-  EXPECT_TRUE(full->alternatives == report->alternatives);
 }
 
 TEST(StratRecIntegration, AlternativesDisabled) {
@@ -126,7 +118,7 @@ TEST(StratRecIntegration, AlternativesDisabled) {
       stratrec->ProcessBatchAtAvailability(example.requests, 0.8, options);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->alternatives.empty());
-  EXPECT_EQ(report->aggregator.batch.unsatisfied.size(), 2u);
+  EXPECT_EQ(report->batch.unsatisfied.size(), 2u);
 }
 
 TEST(StratRecIntegration, AdparFailureWhenKExceedsCatalog) {
@@ -173,7 +165,7 @@ TEST(StratRecIntegration, EveryUnsatisfiedRequestGetsAnAnswer) {
   const auto requests = generator.Requests(20, /*k=*/3);
   auto report = stratrec->ProcessBatchAtAvailability(requests, 0.5);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->aggregator.batch.unsatisfied.size(),
+  EXPECT_EQ(report->batch.unsatisfied.size(),
             report->alternatives.size() + report->adpar_failures.size());
   for (const auto& alt : report->alternatives) {
     EXPECT_EQ(alt.result.strategies.size(), 3u);

@@ -175,11 +175,10 @@ TEST(Journal, OversizedRecordGetsASegmentToItself) {
 }
 
 // Readers accept the kJournalMinReadVersion..kJournalFormatVersion window.
-// The v8 bump changed record shapes (reports dropped the catalog block and
-// ADPaR results carry their own strategy parameters), so the window is v8
-// alone: v7 and older must be rejected, as must anything newer than this
-// build.
-TEST(Journal, VersionWindowAcceptsV8AndRejectsOutsiders) {
+// The v9 bump changed record shapes (batch reports lost the aggregator
+// level, outcomes their index), so the window is v9 alone: v8 and older
+// must be rejected, as must anything newer than this build.
+TEST(Journal, VersionWindowAcceptsV9AndRejectsOutsiders) {
   const auto write_version = [](const std::string& path, int version) {
     FILE* f = fopen(path.c_str(), "wb");
     fputs(("{\"format\":\"stratrec-journal\",\"version\":" +
@@ -188,20 +187,23 @@ TEST(Journal, VersionWindowAcceptsV8AndRejectsOutsiders) {
           f);
     fclose(f);
   };
-  static_assert(kJournalFormatVersion == 8);
-  static_assert(kJournalMinReadVersion == 8);
+  static_assert(kJournalFormatVersion == 9);
+  static_assert(kJournalMinReadVersion == 9);
 
   const std::string path = TempPath("version_window");
-  write_version(path, kJournalFormatVersion);  // v8: this build
+  write_version(path, kJournalFormatVersion);  // v9: this build
   auto records = JournalReader::ReadRecords(path);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ(records->front(), "rec");
 
-  write_version(path, 7);  // v7: carries the catalog block, too old
+  write_version(path, 8);  // v8: nests the batch outcome, too old
   EXPECT_EQ(JournalReader::ReadRecords(path).status().code(),
             StatusCode::kInvalidArgument);
-  write_version(path, kJournalFormatVersion + 1);  // v9: from the future
+  write_version(path, 7);  // v7: carries the catalog block
+  EXPECT_EQ(JournalReader::ReadRecords(path).status().code(),
+            StatusCode::kInvalidArgument);
+  write_version(path, kJournalFormatVersion + 1);  // v10: from the future
   EXPECT_EQ(JournalReader::ReadRecords(path).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -501,10 +503,11 @@ TEST(Journal, NonFiniteStreamInputsAreRefusedUnrecorded) {
         return session.Submit(StreamEvent::Arrival(request)).status();
       });
   expect_refused_unrecorded(
-      "stream opened with deadline_ms +inf",
+      "stream opened at a PMF with an infinite atom",
       [&](const Service& service, StreamSession&) {
         StreamOptions options = stream_options;
-        options.deadline_ms = kInf;
+        options.availability =
+            AvailabilitySpec::FromPmf({{0.5, 0.5}, {kInf, 0.5}});
         return service.OpenStream(options).status();
       });
 }

@@ -6,6 +6,7 @@
 // asserted on the bit patterns (memcmp of the doubles), not on ==, so a
 // -0.0 vs +0.0 or differing-NaN divergence fails the test.
 #include <algorithm>
+#include <cfenv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -354,6 +355,35 @@ TEST(Kernels, SelectWorkforceCellsKeepsCellsJustBelowTheBound) {
     }
   }
   EXPECT_EQ(found, 40);
+}
+
+// 11 paper-signed cells (two 4-lane groups and a 3-cell tail) whose
+// quality equality solution (0.65 + 1e300) / 1e-10 overflows: the division
+// raises FE_OVERFLOW, so the flag tells whether the kernel divided. Every
+// cell is infeasible. Against bound 0.5 one multiply proves each one's
+// quality term at or above the bound, so no division runs; against +inf,
+// which proves nothing, the divisions run and overflow.
+TEST(Kernels, SelectWorkforceCellsSkipsProvenDivisions) {
+  std::vector<DispatchLevel> levels = {DispatchLevel::kScalar};
+  if (kernels::Avx2Available()) levels.push_back(DispatchLevel::kAvx2);
+  constexpr size_t kN = 11;
+  Arrays a;
+  a.qa.assign(kN, 1e-10);
+  a.qb.assign(kN, -1e300);
+  a.ca.assign(kN, 0.5);
+  a.cb.assign(kN, 0.0);
+  a.la.assign(kN, -0.5);
+  a.lb.assign(kN, 1.0);
+  const ParamVector thresholds{0.65, 0.8, 0.8};
+  for (const DispatchLevel level : levels) {
+    const std::string where = kernels::DispatchLevelName(level);
+    std::feclearexcept(FE_ALL_EXCEPT);
+    EXPECT_TRUE(Select(level, a.soa(), kN, thresholds, 0.5).empty()) << where;
+    EXPECT_FALSE(std::fetestexcept(FE_OVERFLOW)) << where << ": divided";
+    std::feclearexcept(FE_ALL_EXCEPT);
+    EXPECT_TRUE(Select(level, a.soa(), kN, thresholds, kInf).empty()) << where;
+    EXPECT_TRUE(std::fetestexcept(FE_OVERFLOW)) << where << ": did not divide";
+  }
 }
 
 TEST(Kernels, DominanceBitIdenticalScalarVsAvx2) {

@@ -480,13 +480,12 @@ TEST(RouterProperty, TiesAcrossShardBoundariesAreByteIdentical) {
         ASSERT_TRUE(report.ok()) << report.status().ToString();
         auto oracle = DenseOracle(catalog, batch, *report);
         ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-        EXPECT_EQ(*oracle, report->result.aggregator.batch)
+        EXPECT_EQ(*oracle, report->result.batch)
             << batch.request_id << " |S|=" << catalog.profiles.size()
             << " pool=" << pool;
         if (!input.extra_requests.empty()) {
           // The wide request is served, so its list spans chunk edges.
-          EXPECT_EQ(report->result.aggregator.batch.outcomes.back()
-                        .strategies.size(),
+          EXPECT_EQ(report->result.batch.outcomes.back().strategies.size(),
                     core::kPriceChunk + 5);
         }
       }

@@ -56,7 +56,7 @@ TEST_P(ServicePropertyTest, GlobalInvariantsHold) {
     EXPECT_DOUBLE_EQ(report->availability, w);
     EXPECT_EQ(report->algorithm, config_.batch.algorithm);
 
-    const core::BatchResult& batch = report->result.aggregator.batch;
+    const core::BatchResult& batch = report->result.batch;
     // 1. Partition: every request is satisfied xor unsatisfied.
     EXPECT_EQ(batch.satisfied.size() + batch.unsatisfied.size(),
               requests_.size());
@@ -130,10 +130,9 @@ TEST_P(ServicePropertyTest, AgreesWithWrappedCorePipeline) {
                                                      core_options);
   ASSERT_TRUE(facade.ok());
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(facade->result.aggregator.batch.satisfied,
-            direct->aggregator.batch.satisfied);
-  EXPECT_DOUBLE_EQ(facade->result.aggregator.batch.total_objective,
-                   direct->aggregator.batch.total_objective);
+  EXPECT_EQ(facade->result.batch.satisfied, direct->batch.satisfied);
+  EXPECT_DOUBLE_EQ(facade->result.batch.total_objective,
+                   direct->batch.total_objective);
   ASSERT_EQ(facade->result.alternatives.size(),
             direct->alternatives.size());
   for (size_t i = 0; i < facade->result.alternatives.size(); ++i) {

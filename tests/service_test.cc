@@ -164,7 +164,7 @@ TEST(ServiceBatch, ReproducesPaperExample1) {
   EXPECT_FALSE(report->request_id.empty());
   // d3 is served with {s2, s3, s4} (Section 2.2); d1 and d2 receive
   // alternatives.
-  const core::BatchResult& result = report->result.aggregator.batch;
+  const core::BatchResult& result = report->result.batch;
   ASSERT_EQ(result.satisfied, std::vector<size_t>{2});
   EXPECT_EQ(report->result.alternatives.size(), 2u);
 }
@@ -227,7 +227,6 @@ TEST(ServiceRegistry, CustomBackendPlugsInWithoutCallerChanges) {
         core::BatchResult result;
         result.outcomes.resize(requests.size());
         for (size_t i = 0; i < requests.size(); ++i) {
-          result.outcomes[i].request_index = i;
           result.unsatisfied.push_back(i);
         }
         return result;
@@ -253,7 +252,7 @@ TEST(ServiceRegistry, CustomBackendPlugsInWithoutCallerChanges) {
   batch.algorithm = "test-reject-all";
   auto report = service->SubmitBatch(batch);
   ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->result.aggregator.batch.satisfied.empty());
+  EXPECT_TRUE(report->result.batch.satisfied.empty());
   // Every request flowed to ADPaR, which still works.
   EXPECT_EQ(report->result.alternatives.size() +
                 report->result.adpar_failures.size(),
@@ -274,8 +273,7 @@ TEST(ServiceRegistry, WeightedBackendSelectableByName) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->algorithm, "weighted");
   // Default weights are throughput-only: same selection as batchstrat.
-  EXPECT_EQ(report->result.aggregator.batch.satisfied,
-            std::vector<size_t>{2});
+  EXPECT_EQ(report->result.batch.satisfied, std::vector<size_t>{2});
 
   core::ObjectiveWeights worker_centric;
   worker_centric.throughput = 1.0;
@@ -289,8 +287,8 @@ TEST(ServiceRegistry, WeightedBackendSelectableByName) {
   ASSERT_TRUE(weighted.ok()) << weighted.status().ToString();
   EXPECT_EQ(weighted->algorithm, "test-worker-centric");
   // The effort penalty never *adds* served requests at equal workforce.
-  EXPECT_LE(weighted->result.aggregator.batch.satisfied.size(),
-            report->result.aggregator.batch.satisfied.size() +
+  EXPECT_LE(weighted->result.batch.satisfied.size(),
+            report->result.batch.satisfied.size() +
                 report->result.alternatives.size());
 }
 

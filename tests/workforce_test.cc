@@ -536,6 +536,8 @@ TEST(PriceRows, ZeroRequirementTiesAcrossChunks) {
         ASSERT_EQ(rows[i].strategies, oracle[i].strategies) << where;
         ASSERT_EQ(rows[i].requirements.size(), oracle[i].requirements.size())
             << where;
+        // An empty list's data() may be null, which memcmp must not see.
+        if (oracle[i].requirements.empty()) continue;
         ASSERT_EQ(std::memcmp(rows[i].requirements.data(),
                               oracle[i].requirements.data(),
                               oracle[i].requirements.size() * sizeof(double)),
